@@ -135,7 +135,12 @@ def _common(cfg, args):
     threads = args.threads
     if threads is None:
         env = os.environ.get("LATFLOW_THREADS")
-        threads = int(env) if env else cfg.get("threads", 1)
+        try:
+            threads = int(env) if env else cfg.get("threads", 1)
+        except ValueError:
+            raise ConfigError(f"LATFLOW_THREADS: expected an integer, got {env!r}")
+    # more workers than cores only adds scheduling overhead
+    threads = min(_as_int(threads, "threads", minimum=1), os.cpu_count() or 1)
     out_dir = args.out_dir or cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     mode = cfg.get("mode", "exact")
@@ -362,8 +367,8 @@ def cmd_tail(cfg, args):
     header = ["lam", "n", "trials", "successes", "phat", "lo", "hi",
               "neglog_per_nd1", "neglog_per_nd"]
     rows = []
-    for lam in lams:
-        p, (lo, hi), successes = tail_probability(lam, n, trials, dist, seed, L, threads=threads)
+    results = tail_probability(lams, n, trials, dist, seed, L, threads=threads)
+    for lam, (p, (lo, hi), successes) in zip(lams, results):
         neglog = -math.log(p) if p > 0 else float("inf")
         rows.append([lam, n, trials, successes, p, lo, hi,
                      neglog / n ** (d - 1), neglog / n**d])

@@ -579,20 +579,22 @@ def estimate_flow_constant(dist: CapacityDistribution, axis, n_list, h_of_n,
     return out
 
 
-def tail_probability(lam, n, trials, dist: CapacityDistribution, seed, L, threads=1):
-    """P(phi_n >= lam n^{d-1}) estimated over independent capacity samples."""
-    from .maxflow import max_flow
+def tail_probability(lams, n, trials, dist: CapacityDistribution, seed, L, threads=1):
+    """P(phi_n >= lam n^{d-1}) for every lam of the sequence, estimated over
+    independent capacity samples: one (p, (lo, hi), successes) per lam.
 
-    d = L.d
-    threshold = lam * n ** (d - 1)
+    Each trial is sampled and solved once and its flow value compared against
+    every threshold, so the counts are nested by construction."""
+    from .maxflow import max_flow
 
     def one(trial):
         t = sample_capacities(L, dist, derive_seed(seed, trial), exact=False)
-        res = max_flow(L, t)
-        return 1 if res.value >= float(threshold) else 0
+        return max_flow(L, t).value
 
-    hits = _run_trials(one, trials, threads)
-    successes = sum(hits)
-    p = successes / trials
-    lo, hi = wilson_interval(successes, trials)
-    return p, (lo, hi), successes
+    values = _run_trials(one, trials, threads)
+    out = []
+    for lam in lams:
+        threshold = float(lam * n ** (L.d - 1))
+        successes = sum(1 for val in values if val >= threshold)
+        out.append((successes / trials, wilson_interval(successes, trials), successes))
+    return out

@@ -13,105 +13,6 @@ from .geometry import EdgeId
 from .stream import Stream
 
 
-class _Dinic:
-    class Arc:
-        __slots__ = ("v", "rev", "cap")
-
-        def __init__(self, v, rev, cap):
-            self.v = v
-            self.rev = rev
-            self.cap = cap
-
-    def __init__(self, n):
-        self.g = [[] for _ in range(n)]
-
-    def add(self, u, v, cap_uv, cap_vu):
-        self.g[u].append(self.Arc(v, len(self.g[v]), cap_uv))
-        self.g[v].append(self.Arc(u, len(self.g[u]) - 1, cap_vu))
-        return len(self.g[u]) - 1
-
-    def bfs(self, s, t, level):
-        for i in range(len(level)):
-            level[i] = -1
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for a in self.g[u]:
-                if a.cap > 0 and level[a.v] < 0:
-                    level[a.v] = level[u] + 1
-                    q.append(a.v)
-        return level[t] >= 0
-
-    def dfs(self, u, t, pushed, level, it):
-        if u == t:
-            return pushed
-        while it[u] < len(self.g[u]):
-            a = self.g[u][it[u]]
-            if a.cap > 0 and level[a.v] == level[u] + 1:
-                got = self.dfs(a.v, t, min(pushed, a.cap), level, it)
-                if got > 0:
-                    a.cap -= got
-                    self.g[a.v][a.rev].cap += got
-                    return got
-            it[u] += 1
-        return 0
-
-    def max_flow(self, s, t):
-        total = 0
-        level = [-1] * len(self.g)
-        while self.bfs(s, t, level):
-            it = [0] * len(self.g)
-            while True:
-                pushed = self.dfs(s, t, None_as_inf(), level, it)
-                if pushed <= 0:
-                    break
-                total += pushed
-        return total
-
-    def reachable(self, s):
-        seen = [False] * len(self.g)
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for a in self.g[u]:
-                if a.cap > 0 and not seen[a.v]:
-                    seen[a.v] = True
-                    q.append(a.v)
-        return seen
-
-
-class _Inf:
-    """Order-only infinity so Fraction and float capacities both work."""
-
-    def __gt__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return True
-
-    def __sub__(self, other):
-        return self
-
-    def __add__(self, other):
-        return self
-
-
-def None_as_inf():
-    return _Inf()
-
-
-def min_comparable(a, b):
-    return b if isinstance(a, _Inf) else (a if a < b else b)
-
-
 @dataclass
 class MaxFlowResult:
     value: object
@@ -122,55 +23,111 @@ class MaxFlowResult:
         return sum(t[e] for e in self.cutset)
 
 
-def _solve(d, n, vertices, edges, sources, sinks, t):
-    """Max flow on the given lattice edge set between the vertex sets."""
-    import sys
+def _levels(adj, head, cap, s):
+    """BFS distances from s over arcs with residual capacity (-1: unreached)."""
+    level = [-1] * len(adj)
+    level[s] = 0
+    q = deque([s])
+    while q:
+        u = q.popleft()
+        for a in adj[u]:
+            v = head[a]
+            if level[v] < 0 and cap[a]:
+                level[v] = level[u] + 1
+                q.append(v)
+    return level
 
-    need = 4 * len(vertices) + 100
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-    verts = sorted(vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    S, T = len(verts), len(verts) + 1
-    net = _Dinic(len(verts) + 2)
-    arc_of = {}
+
+def _dinic(adj, head, cap, s, t, big):
+    """Dinic's max flow on arc pairs (a, a ^ 1); returns the value and the
+    final levels, whose reached set is the source side of a minimum cut.
+
+    The blocking-flow search walks arcs in adjacency order and keeps one
+    current-arc pointer per vertex.  Each augmentation pushes the path's
+    bottleneck (starting from ``big``, which exceeds every path capacity);
+    the walk then resumes at the tail of the first saturated arc, which is
+    where a fresh search from s would arrive again.
+
+    Residual capacities never go negative, so ``cap[a]`` is tested for
+    truth: on Fractions that is far cheaper than ``cap[a] > 0``."""
+    total = 0
+    level = _levels(adj, head, cap, s)
+    while level[t] >= 0:
+        it = [0] * len(adj)
+        path = []
+        u = s
+        while True:
+            if u == t:
+                f = big
+                for a in path:
+                    f = min(f, cap[a])
+                for a in path:
+                    cap[a] -= f
+                    cap[a ^ 1] += f
+                total += f
+                k = next(i for i, a in enumerate(path) if not cap[a])
+                u = head[path[k] ^ 1]
+                del path[k:]
+                continue
+            arcs, i, nxt = adj[u], it[u], level[u] + 1
+            m = len(arcs)
+            while i < m and not (level[head[arcs[i]]] == nxt and cap[arcs[i]]):
+                i += 1
+            it[u] = i
+            if i < m:
+                path.append(arcs[i])
+                u = head[arcs[i]]
+            elif path:
+                u = head[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                break
+        level = _levels(adj, head, cap, s)
+    return total, level
+
+
+def _solve(d, n, vertices, edges, sources, sinks, t):
+    """Max flow on the given lattice edge set between the vertex sets, with
+    circulations cancelled from the stream.
+
+    Edge k of ``edges`` becomes arcs 2k (+e_axis) and 2k + 1 (reverse), both
+    of capacity t(e); terminal arcs follow, with capacity above the total."""
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    S, T = len(index), len(index) + 1
+    adj = [[] for _ in range(len(index) + 2)]
+    head, cap = [], []
+
+    def add(u, v, c_uv, c_vu):
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head.extend((v, u))
+        cap.extend((c_uv, c_vu))
+
     cap_total = 0
     for e in edges:
         c = t.get(e, 0)
         if c < 0:
             raise ValueError("negative capacity")
-        u, v = index[e.x], index[e.right()]
-        arc_of[e] = (u, net_add(net, u, v, c))
+        add(index[e.x], index[e.right()], c, c)
         cap_total += c
     big = cap_total + 1
     for v in sorted(sources):
-        net.add(S, index[v], big, 0)
+        add(S, index[v], big, 0)
     for v in sorted(sinks):
-        net.add(index[v], T, big, 0)
-    value = net.max_flow(S, T)
+        add(index[v], T, big, 0)
+    value, level = _dinic(adj, head, cap, S, T, big)
 
     stream = Stream(d, n)
-    for e, (u, ai) in arc_of.items():
-        a = net.g[u][ai]
-        b = net.g[a.v][a.rev]
-        c = t.get(e, 0)
-        # forward flow - backward flow = (c - cap_fwd) - (c - cap_bwd)
-        s = b.cap - c
+    cut = []
+    for k, e in enumerate(edges):
+        # net flow along +e_axis = flow added to the reverse arc
+        s = cap[2 * k + 1] - t.get(e, 0)
         if s != 0:
             stream.values[e] = s
-
-    seen = net.reachable(S)
-    cut = []
-    for e in sorted(arc_of):
-        u, ai = arc_of[e]
-        v = net.g[u][ai].v
-        if seen[u] != seen[v]:
+        if (level[head[2 * k + 1]] >= 0) != (level[head[2 * k]] >= 0):
             cut.append(e)
-    return MaxFlowResult(value=value, stream=stream, cutset=tuple(cut))
-
-
-def net_add(net, u, v, c):
-    return net.add(u, v, c, c)
+    _cancel_cycles(stream)
+    return MaxFlowResult(value=value, stream=stream, cutset=tuple(sorted(cut)))
 
 
 def _cancel_cycles(f: Stream):
@@ -185,7 +142,6 @@ def _cancel_cycles(f: Stream):
             elif v < 0:
                 out.setdefault(e.right(), []).append((e, -1))
         color = {}
-        stack_edges = []
         cycle = None
 
         def walk(x):
@@ -229,9 +185,7 @@ def _cancel_cycles(f: Stream):
 def max_flow(L, t) -> MaxFlowResult:
     """phi_n(Gamma^1, Gamma^2, Omega) with a maximal admissible stream and a
     minimum cutset certificate (source-side residual reachability)."""
-    res = _solve(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2, t)
-    _cancel_cycles(res.stream)
-    return res
+    return _solve(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2, t)
 
 
 def cylinder_flow_top_bottom(base, h, v, t, n=1):
@@ -264,6 +218,4 @@ def _cyl_flow(region, sources, sinks, t, n):
                 edges.append(e)
     terminals = sources | sinks
     edges = [e for e in edges if not (e.x in terminals and e.right() in terminals)]
-    res = _solve(d, n, verts, edges, sources, sinks, t)
-    _cancel_cycles(res.stream)
-    return res
+    return _solve(d, n, verts, edges, sources, sinks, t)

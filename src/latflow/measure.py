@@ -61,13 +61,7 @@ class VectorMeasure:
     def __add__(self, other):
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        if self.densities and other.densities:
-            # keep interiors disjoint: re-validate through the constructor
-            return VectorMeasure(
-                d=self.d,
-                atoms=self.atoms + other.atoms,
-                densities=self.densities + other.densities,
-            )
+        # the constructor re-validates that density interiors stay disjoint
         return VectorMeasure(
             d=self.d,
             atoms=self.atoms + other.atoms,

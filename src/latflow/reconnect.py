@@ -139,26 +139,15 @@ def decompose(f: Stream, L):
     return paths
 
 
-def path_stream(verts, weight, d, n) -> Stream:
-    """Unit stream of an oriented vertex path, scaled by the weight."""
-    f = Stream(d, n)
-    for u, w in zip(verts, verts[1:]):
-        diff = [b - a for a, b in zip(u, w)]
-        axis = next(j for j, c in enumerate(diff) if c != 0)
-        if diff[axis] == 1:
-            f.add(EdgeId(tuple(u), axis), weight)
-        elif diff[axis] == -1:
-            f.add(EdgeId(tuple(w), axis), -weight)
-        else:
-            raise ValueError("path steps must be lattice edges")
-    return f
-
-
 def recompose(paths, d, n) -> Stream:
+    """Sum over (vertices, weight) paths of the weight times the path's unit
+    stream; every step must move one coordinate by exactly one."""
     f = Stream(d, n)
     for verts, weight in paths:
         for u, w in zip(verts, verts[1:]):
             diff = [b - a for a, b in zip(u, w)]
+            if sum(abs(c) for c in diff) != 1:
+                raise ValueError("path steps must be lattice edges")
             axis = next(j for j, c in enumerate(diff) if c != 0)
             if diff[axis] == 1:
                 f.add(EdgeId(tuple(u), axis), weight)
@@ -328,7 +317,7 @@ def _mix_uniform(d, r, f_in, M) -> Stream:
         s_i = _mix_uniform(d - 1, r, sub, M)
         # abstract axes (0, 1..d-2) -> (0, 2..d-1), row coordinate pinned on axis 1
         amap = [0] + [k + 1 for k in range(1, d - 1)]
-        total = total + embed(s_i, d, amap, pinned={1: i})
+        total += embed(s_i, d, amap, pinned={1: i})
         vals = [f_in[(i,) + z] for z in _grid_keys(r, d - 2)]
         m = sum(vals)
         means[i] = Fraction(m, r ** (d - 2)) if _is_exact(m) else m / r ** (d - 2)
@@ -336,7 +325,7 @@ def _mix_uniform(d, r, f_in, M) -> Stream:
         t_x = mix2d([means[i] for i in range(1, r + 1)], M)
         amap = [0, 1]
         pinned = {k + 2: x[k] for k in range(d - 2)}
-        total = total + embed(t_x, d, amap, pinned=pinned, offset=[(d - 2) * r] + [0] * (d - 1))
+        total += embed(t_x, d, amap, pinned=pinned, offset=[(d - 2) * r] + [0] * (d - 1))
     return total
 
 
@@ -379,7 +368,7 @@ def mix(f_in, f_out, m, M) -> Stream:
     if uniform:
         g = fi
         if m > L:
-            g = g + _straight_lines(d, f_out, range(L, m))
+            g += _straight_lines(d, f_out, range(L, m))
         return g
 
     fo = _mix_uniform(d, r, f_out, M)
@@ -391,7 +380,7 @@ def mix(f_in, f_out, m, M) -> Stream:
         seam = EdgeId((L - 1,) + y, 0)
         g.add(seam, -mean)  # both halves carry the seam edge; count it once
     if m > 2 * L - 1:
-        g = g + _straight_lines(d, f_out, range(2 * L - 1, m))
+        g += _straight_lines(d, f_out, range(2 * L - 1, m))
     return g
 
 
@@ -491,12 +480,12 @@ def mix_precise(f_in, M, eps) -> Stream:
         sub = {z: f_in[(i,) + z] for z in _grid_keys(r, d - 2)}
         s_i = mix_precise(sub, M, eps)
         amap = [0] + [kk + 1 for kk in range(1, d - 1)]
-        total = total + embed(s_i, d, amap, pinned={1: i})
+        total += embed(s_i, d, amap, pinned={1: i})
         m = sum(sub.values())
         means[i] = Fraction(m, r ** (d - 2)) if _is_exact(m) else m / r ** (d - 2)
     for x in _grid_keys(r, d - 2):
         t_x = _mix_precise_2d([means[i] for i in range(1, r + 1)], M, eps)
-        total = total + embed(
+        total += embed(
             t_x, d, [0, 1], pinned={kk + 2: x[kk] for kk in range(d - 2)},
             offset=[(d - 2) * r] + [0] * (d - 1),
         )
@@ -781,9 +770,9 @@ def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
         if all(v == 0 for v in prof.values()):
             continue
         if sign < 0:
-            f_res = f_res + _axis_sparse_mix(d, n, K, axis, -1, prof, zero_profile(axis), bound)
+            f_res += _axis_sparse_mix(d, n, K, axis, -1, prof, zero_profile(axis), bound)
         else:
-            f_res = f_res + _axis_sparse_mix(d, n, K, axis, -1, zero_profile(axis), prof, bound)
+            f_res += _axis_sparse_mix(d, n, K, axis, -1, zero_profile(axis), prof, bound)
 
     sent = {face: 0 for face in f_in_faces}
     received = {face: 0 for face in f_out_faces}
@@ -800,7 +789,7 @@ def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
                 abs(mu[face_in]) - abs(sent[face_in]),
                 abs(mu[face_out]) - abs(received[face_out]),
             )
-            f_res = f_res + _transfer(
+            f_res += _transfer(
                 d, n, K, face_in, face_out, amount, mu, face_profile, bound
             )
             sent[face_in] += amount
@@ -839,7 +828,7 @@ def _transfer(d, n, K, face_in, face_out, amount, mu, face_profile, bound) -> St
         full_in[key_pt] = a
         x = key_pt
         pth = _l_path(d, n, x, ax_i, s_i, ax_j, delivery, a)
-        paths = paths + pth
+        paths += pth
         y = list(x)
         y[ax_i] = x[ax_j]
         y[ax_j] = delivery
@@ -957,5 +946,5 @@ def glue_adjacent(f_a: Stream, box_a, f_b: Stream, box_b, m, M) -> Stream:
         offset[axis] = a1
         for k, j in enumerate(trans_axes):
             offset[j] = windows[k].start - 1
-        out = out + embed(g, d, amap, offset=offset, n=n)
+        out += embed(g, d, amap, offset=offset, n=n)
     return out

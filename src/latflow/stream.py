@@ -43,12 +43,16 @@ class Stream:
                 out.values[e] = c * v
         return out
 
-    def __add__(self, other):
+    def __iadd__(self, other):
         if (self.d, self.n) != (other.d, other.n):
             raise ValueError("streams live on different lattices")
-        out = self.copy()
         for e, v in other.values.items():
-            out.add(e, v)
+            self.add(e, v)
+        return self
+
+    def __add__(self, other):
+        out = self.copy()
+        out += other
         return out
 
     def __sub__(self, other):

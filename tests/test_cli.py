@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 
 import pytest
 import yaml
 
+from latflow import cli
 from latflow.cli import main
 
 
@@ -226,3 +228,41 @@ def test_outputs_reparse_under_schema(tmp_path):
     with open(out2 / "nu.csv") as fh:
         rows = list(csvmod.DictReader(fh))
     assert rows and float(rows[0]["mean"]) == 1.0
+
+
+def test_bad_thread_counts_exit_2(tmp_path, monkeypatch):
+    cfg = {
+        "out_dir": str(tmp_path / "out"),
+        "tail": {
+            "domain": "unit_square",
+            "n": 2,
+            "lam": ["1/2"],
+            "trials": 2,
+            "dist": {"kind": "constant", "c": "1"},
+        },
+    }
+    for env in ("abc", "0", "-3", "1.5"):
+        monkeypatch.setenv("LATFLOW_THREADS", env)
+        assert run_cli(tmp_path, f"tail__env{env}", cfg) == 2
+    monkeypatch.delenv("LATFLOW_THREADS")
+    assert run_cli(tmp_path, "tail__flag", cfg, "--threads", "0") == 2
+    assert run_cli(tmp_path, "tail__cfg", dict(cfg, threads=0)) == 2
+    assert run_cli(tmp_path, "tail__cfgstr", dict(cfg, threads="two")) == 2
+    assert not (tmp_path / "out" / "tail.csv").exists()
+
+
+def test_thread_count_is_capped_at_the_core_count(tmp_path, monkeypatch):
+    # resolution only: no pool is started here
+    cores = os.cpu_count() or 1
+    huge = 10**6
+    monkeypatch.delenv("LATFLOW_THREADS", raising=False)
+
+    def resolved(cfg, flag=None):
+        args = argparse.Namespace(threads=flag, out_dir=str(tmp_path))
+        return cli._common(cfg, args)[1]
+
+    assert resolved({}, flag=huge) == cores
+    assert resolved({"threads": huge}) == cores
+    assert resolved({}, flag=1) == 1
+    monkeypatch.setenv("LATFLOW_THREADS", str(huge))
+    assert resolved({"threads": 1}) == cores

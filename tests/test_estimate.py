@@ -241,19 +241,41 @@ def test_flow_constant_ci_shrinks_with_trials():
 def test_tail_probability_extremes_and_consistency():
     L = discretize_domain(unit_square_domain(), 3)
     dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
-    p0, _, _ = tail_probability(0, 3, 30, dist, seed=4, L=L)
+    # ceiling at lam = 10: any flat layer bounds the flow by the edge count times M
+    (p0, _, _), (p_hi, _, _) = tail_probability([0, 10], 3, 30, dist, seed=4, L=L)
     assert p0 == 1.0
-    # ceiling: any flat layer bounds the flow by the edge count times M
-    p_hi, _, _ = tail_probability(10, 3, 30, dist, seed=4, L=L)
     assert p_hi == 0.0
     lam = Fraction(1, 2)
-    pa, (lo_a, hi_a), _ = tail_probability(lam, 3, 400, dist, seed=5, L=L)
-    pb, (lo_b, hi_b), _ = tail_probability(lam, 3, 400, dist, seed=6, L=L)
+    [(pa, (lo_a, hi_a), _)] = tail_probability([lam], 3, 400, dist, seed=5, L=L)
+    [(pb, (lo_b, hi_b), _)] = tail_probability([lam], 3, 400, dist, seed=6, L=L)
     assert 0 < pa < 1 and 0 < pb < 1
     # two independent estimates agree within 4 combined binomial sigmas
     pool = (pa + pb) / 2
     sigma = math.sqrt(2 * pool * (1 - pool) / 400)
     assert abs(pa - pb) <= 4 * sigma
+
+
+def test_tail_probability_solves_each_trial_once_for_all_lams(monkeypatch):
+    import latflow.maxflow
+
+    solves = []
+    real = latflow.maxflow.max_flow
+
+    def counting(L, t):
+        solves.append(1)
+        return real(L, t)
+
+    monkeypatch.setattr(latflow.maxflow, "max_flow", counting)
+    L = discretize_domain(unit_square_domain(), 4)
+    dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
+    lams = [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1]
+    out = tail_probability(lams, 4, 200, dist, seed=7, L=L)
+    assert len(solves) == 200
+    counts = [s for _, _, s in out]
+    # the counts of one call per lam, each re-solving every trial
+    assert counts == [200, 126, 38, 8, 0]
+    for p, ci, s in out:
+        assert p == s / 200 and ci == wilson_interval(s, 200)
 
 
 def test_determinism_across_threads():

@@ -1,10 +1,14 @@
+import hashlib
 import random
+import sys
 from fractions import Fraction
 
+import pytest
+
 from latflow.capacities import CapacityDistribution, region_edges, sample_capacities
-from latflow.geometry import Cylinder, Region, box, discretize_domain, unit_square_domain
+from latflow.geometry import Cylinder, DomainSpec, Region, box, discretize_domain, unit_square_domain
 from latflow.maxflow import cylinder_flow_tau, cylinder_flow_top_bottom, max_flow
-from latflow.stream import admissibility_report, flow_value
+from latflow.stream import admissibility_report, dump_stream, flow_value
 from latflow.estimate import straight_base
 
 import oracles
@@ -206,3 +210,77 @@ def test_tau_subadditivity_exact_for_constant_capacities():
         tau_1 = cylinder_flow_tau(base_1, h, t).value
         tau_2 = cylinder_flow_tau(base_2, h, t).value
         assert tau_full == tau_1 + tau_2 == a + b
+
+
+def test_solve_leaves_the_recursion_limit_alone():
+    # pin the interpreter default, so that a raise made by an earlier solve
+    # in this process cannot hide one made here
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        L = discretize_domain(unit_square_domain(), 48)
+        t = sample_capacities(L, CapacityDistribution.uniform(0, 1), seed=1, exact=False)
+        res = max_flow(L, t)
+        assert sys.getrecursionlimit() == 1000
+        assert abs(res.cut_capacity(t) - res.value) < 1e-9
+    finally:
+        sys.setrecursionlimit(old)
+
+
+# repr(value) and the SHA-256 of dump_stream for uniform(0, 1) float
+# capacities on the unit square at n=12, recorded with the recursive Dinic
+# search: float sums depend on the augmentation order, so these pin it.
+GOLDEN_N12 = {
+    1: ("4.340787722412657", "8458ca4b6c0fc78d8a350377d139bd44efc7d3fe685ec747f97032d437d458a0"),
+    2: ("4.697528984450197", "a88f932add31af8b9b11b4d90164134110d1464c03cd4a71c0295292a6f19490"),
+    3: ("3.8273576674770333", "b173e37638b54f5f1a71242cda441ca437faebc7beeca08b1ce273529cab7377"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_N12))
+def test_float_solve_is_bit_identical_to_recorded_values(seed):
+    L = discretize_domain(unit_square_domain(), 12)
+    res = max_flow(L, sample_capacities(L, CapacityDistribution.uniform(0, 1), seed, exact=False))
+    digest = hashlib.sha256(dump_stream(res.stream).encode()).hexdigest()
+    assert (repr(res.value), digest) == GOLDEN_N12[seed]
+
+
+def _random_box_domain(rng):
+    d = rng.choice([2, 2, 3])
+    axis = rng.randrange(d)
+    top = 8 if d == 2 else 3
+    hi = [Fraction(rng.randint(1, top), rng.randint(1, 3)) for _ in range(d)]
+    bx = tuple((Fraction(0), h) for h in hi)
+    src = tuple((Fraction(0), Fraction(0)) if j == axis else bx[j] for j in range(d))
+    snk = tuple((hi[j], hi[j]) if j == axis else bx[j] for j in range(d))
+    return DomainSpec(d=d, boxes=(bx,), source=(src,), sink=(snk,))
+
+
+def test_value_matches_networkx_on_random_domains():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    for _ in range(50):
+        L = discretize_domain(_random_box_domain(rng), rng.randint(1, 3))
+        dist = (
+            CapacityDistribution.uniform(0, 1)
+            if rng.random() < 0.5
+            else CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
+        )
+        for exact in (True, False):
+            t = sample_capacities(L, dist, seed=rng.getrandbits(32), exact=exact)
+            res = max_flow(L, t)
+            G = nx.DiGraph()
+            G.add_nodes_from(("s", "t"))
+            for e in L.active_edges:
+                G.add_edge(e.x, e.right(), capacity=t[e])
+                G.add_edge(e.right(), e.x, capacity=t[e])
+            # terminal arcs without a capacity attribute are unbounded
+            G.add_edges_from(("s", v) for v in L.gamma1)
+            G.add_edges_from((v, "t") for v in L.gamma2)
+            ref = nx.maximum_flow_value(G, "s", "t")
+            if exact:
+                assert res.value == ref
+                assert res.cut_capacity(t) == res.value
+            else:
+                assert res.value == pytest.approx(ref, rel=1e-12, abs=1e-12)
+                assert res.cut_capacity(t) == pytest.approx(res.value, rel=1e-12, abs=1e-12)

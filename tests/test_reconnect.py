@@ -19,7 +19,6 @@ from latflow.reconnect import (
     mix2d,
     mix_precise,
     mix_sparse,
-    path_stream,
     quantize,
     recompose,
     sparse_c,
@@ -703,3 +702,11 @@ def test_mesh_scale_chain():
     # kappa is a config knob and desk-scale callers pass K directly
     assert balance_K(2, 4.0 ** -28) == sparse_c(2) == 2
     assert balance_K(2, 1e-4, kappa=0.1) >= 2
+
+
+def test_recompose_rejects_steps_that_are_not_lattice_edges():
+    for jump in (((0, 0), (2, 0)), ((0, 0), (1, 1)), ((0, 0), (0, 0))):
+        with pytest.raises(ValueError, match="path steps must be lattice edges"):
+            recompose([(((0, 0), (1, 0)), 1), (jump, 1)], 2, 1)
+    f = recompose([(((0, 0), (1, 0), (1, 1)), 2), (((1, 1), (1, 0)), 1)], 2, 1)
+    assert f.values == {EdgeId((0, 0), 0): 2, EdgeId((1, 0), 1): 1}

@@ -294,3 +294,18 @@ def test_rescale_preserves_admissibility_under_permuted_capacities():
     )
     rep = admissibility_region_report(g, t1, image)
     assert rep.capacity and rep.node_law
+
+
+def test_in_place_sum_matches_the_copying_sum():
+    f = Stream(2, 3, {EdgeId((0, 0), 0): Fraction(1, 2), EdgeId((1, 0), 1): 1})
+    g = Stream(2, 3, {EdgeId((0, 0), 0): Fraction(-1, 2), EdgeId((2, 0), 0): 3})
+    f_before, g_before = dict(f.values), dict(g.values)
+    total = f + g
+    assert (f.values, g.values) == (f_before, g_before)
+    acc = f.copy()
+    alias = acc
+    acc += g
+    assert acc is alias
+    assert acc.values == total.values == {EdgeId((1, 0), 1): 1, EdgeId((2, 0), 0): 3}
+    with pytest.raises(ValueError):
+        acc += Stream(2, 4)

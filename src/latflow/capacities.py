@@ -7,8 +7,10 @@ the same 64-bit word per edge, so discrete distributions sample identically
 in either mode.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 MASK64 = (1 << 64) - 1
 
@@ -125,29 +127,35 @@ class CapacityDistribution:
         values, probs = self.params
         return sum(p for v, p in zip(values, probs) if v >= a)
 
-    def value_from_word(self, u, exact):
-        """Map one uniform 64-bit word to a sample; exact compare for the
-        discrete kinds so both numeric modes agree."""
+    def sampler(self, exact):
+        """The map from one uniform 64-bit word to a sample.
+
+        The discrete kinds compare the word exactly, so both numeric modes
+        agree: u < p 2^64 is u < ceil(p 2^64), an integer fixed here once.
+        A float uniform sample is its exact rational value rounded by one
+        int true division."""
+        conv = (lambda v: v) if exact else float
         if self.kind == "constant":
-            c = self.params[0]
-            return c if exact else float(c)
+            c = conv(self.params[0])
+            return lambda u: c
         if self.kind == "bernoulli":
             a, b, p = self.params
-            hit = u < p * (1 << 64)
-            v = b if hit else a
-            return v if exact else float(v)
+            cut, a, b = math.ceil(p * (1 << 64)), conv(a), conv(b)
+            return lambda u: b if u < cut else a
         if self.kind == "uniform":
             a, b = self.params
-            v = a + (b - a) * Fraction(u, 1 << 64)
-            return v if exact else float(v)
+            w = b - a
+            if exact:
+                return lambda u: a + w * Fraction(u, 1 << 64)
+            # a + w u / 2^64 = (top + step u) / den
+            top = a.numerator * w.denominator << 64
+            step = w.numerator * a.denominator
+            den = a.denominator * w.denominator << 64
+            return lambda u: (top + step * u) / den
         values, probs = self.params
-        acc = Fraction(0)
-        for v, p in zip(values, probs):
-            acc += p
-            if u < acc * (1 << 64):
-                return v if exact else float(v)
-        v = values[-1]
-        return v if exact else float(v)
+        cuts = [math.ceil(acc * (1 << 64)) for acc in accumulate(probs)]
+        values = [conv(v) for v in values]
+        return lambda u: next((v for cut, v in zip(cuts, values) if u < cut), values[-1])
 
 
 @dataclass(frozen=True)
@@ -187,9 +195,8 @@ def sample_capacities(edges, dist: CapacityDistribution, seed: int, exact=True) 
         raise TypeError("pass region_edges(region, n) for a Region")
     else:
         edge_list = list(edges)
-    vals = {}
-    for e in edge_list:
-        vals[e] = dist.value_from_word(edge_word(seed, e), exact)
+    draw = dist.sampler(exact)
+    vals = {e: draw(edge_word(seed, e)) for e in edge_list}
     return Capacities(values=vals, dist=dist, seed=seed)
 
 

@@ -31,6 +31,21 @@ def _need(cfg, key, path):
     return cfg[key]
 
 
+def _read_file(cfg, key, path, parse):
+    """parse() of the text of the file named by cfg[key]; a file that cannot
+    be read or parsed is a config error naming the field."""
+    name = _need(cfg, key, path)
+    if not isinstance(name, str):
+        raise ConfigError(f"{path}.{key}: expected a file path, got {name!r}")
+    try:
+        with open(name) as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"{path}.{key}: cannot read the file: {exc}")
+    except (ValueError, LookupError, TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"{path}.{key}: malformed file {name!r}: {type(exc).__name__}: {exc}")
+
+
 def _as_int(v, path, minimum=None):
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"{path}: expected an integer, got {v!r}")
@@ -213,11 +228,9 @@ def cmd_decompose(cfg, args):
     seed, threads, out_dir, mode = _common(cfg, args)
     sub = _need(cfg, "decompose", "config")
     domain = parse_domain(_need(sub, "domain", "decompose"), "decompose.domain")
-    stream_path = _need(sub, "stream", "decompose")
+    f = _read_file(sub, "stream", "decompose", load_stream)
     from .reconnect import decompose, recompose
 
-    with open(stream_path) as fh:
-        f = load_stream(fh.read())
     L = discretize_domain(domain, f.n)
     paths = decompose(f, L)
     rebuilt = recompose(paths, f.d, f.n)
@@ -275,10 +288,8 @@ def cmd_mix_demo(cfg, args):
 def cmd_distance(cfg, args):
     seed, threads, out_dir, mode = _common(cfg, args)
     sub = _need(cfg, "distance", "config")
-    with open(_need(sub, "measure_a", "distance")) as fh:
-        mu = from_json(fh.read())
-    with open(_need(sub, "measure_b", "distance")) as fh:
-        nu = from_json(fh.read())
+    mu = _read_file(sub, "measure_a", "distance", from_json)
+    nu = _read_file(sub, "measure_b", "distance", from_json)
     opts = DistanceOptions(k_max=_as_int(sub.get("k_max", 12), "distance.k_max", minimum=1))
     br = distance(mu, nu, opts)
     payload = {

@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .capacities import CapacityDistribution, derive_seed, sample_capacities
-from .geometry import EdgeId, unit_cube
-from .measure import DistanceOptions, VectorMeasure
+from .geometry import EdgeId, box_volume, unit_cube
+from .measure import CubeGrid, DistanceOptions, VectorMeasure, cube_key, overlap_volume
 from .reconnect import cube_box
 from .stream import Stream
 
@@ -134,8 +134,8 @@ class CubeDistanceTables:
     fixed target measure, over every (shift, lambda, level) of the grid.
 
     One scatter-add evaluates the truncated distance at every grid point at
-    once; the grid and truncation match ``measure.distance`` exactly (same
-    rational bucketing), so values agree with the bracket's lower + tail.
+    once; the grid and truncation match ``measure.distance`` exactly (the
+    same integer cube kernel), so values agree with the bracket's lower + tail.
     """
 
     def __init__(self, space: CubeSpace, target: VectorMeasure, opts: DistanceOptions):
@@ -145,72 +145,55 @@ class CubeDistanceTables:
         d, n = space.d, space.n
         self.axes = np.array([e.axis for e in space.edges])
         self.scale = 1.0 / n**d
-        shifts = opts.shifts
-        from itertools import product
-
-        self.grid = []
-        for lam in opts.lambdas:
-            for xs in product(shifts, repeat=d):
-                self.grid.append((tuple(Fraction(c) for c in xs), Fraction(lam)))
-
         mids = [e.midpoint(n) for e in space.edges]
+        grid = CubeGrid(d, opts, [c for p in mids for c in p]
+                        + [c for p, _ in target.atoms for c in p])
+        mids = [tuple(map(grid.scale, p)) for p in mids]
+        atoms = [(tuple(map(grid.scale, p)), np.array([float(c) for c in w]))
+                 for p, w in target.atoms]
+        # (float box, float value, |value|, volume) per density cell
+        cells = [(tuple((float(lo), float(hi)) for lo, hi in b), [float(c) for c in v],
+                  math.sqrt(sum(float(c) ** 2 for c in v)), float(box_volume(b)))
+                 for b, v in target.densities]
         ne = len(mids)
         slot_blocks = []
         b_rows = []
-        const_blocks = []  # (point_id, weighted constant)
+        const_point = np.zeros(len(grid.points))
         block_meta = []  # (point_id, weight, slot_base, nslots)
         base = 0
-        for pid, (x, lam) in enumerate(self.grid):
-            for k in range(opts.k_max + 1):
-                s = lam / 2**k
+        for pid, (xs, lam) in enumerate(grid.points):
+            X, sides = grid.levels(xs, lam)
+            for k, S in enumerate(sides):
                 idx_of = {}
                 slots = np.empty(ne, dtype=np.int64)
                 for i, p in enumerate(mids):
-                    key = tuple(
-                        int(((pc - xc) / s + Fraction(1, 2)).__floor__())
-                        for pc, xc in zip(p, x)
-                    )
-                    if key not in idx_of:
-                        idx_of[key] = len(idx_of)
-                    slots[i] = idx_of[key]
+                    slots[i] = idx_of.setdefault(cube_key(p, X, S), len(idx_of))
                 nb = len(idx_of)
                 b = np.zeros((nb, d))
                 const = 0.0
                 leftover = {}
-                for p, w in target.atoms:
-                    key = tuple(
-                        int(((pc - xc) / s + Fraction(1, 2)).__floor__())
-                        for pc, xc in zip(p, x)
-                    )
+                for p, w in atoms:
+                    key = cube_key(p, X, S)
                     if key in idx_of:
-                        b[idx_of[key]] += np.array([float(c) for c in w])
+                        b[idx_of[key]] += w
                     else:
                         acc = leftover.setdefault(key, np.zeros(d))
-                        acc += np.array([float(c) for c in w])
+                        acc += w
                 for acc in leftover.values():
                     const += float(np.linalg.norm(acc))
-                for cell, v in target.densities:
-                    vnorm = math.sqrt(sum(float(c) ** 2 for c in v))
-                    covered = 0.0
-                    for key, slot in idx_of.items():
-                        vol = 1.0
-                        for j in range(d):
-                            qlo = float(x[j] + s * (key[j] - Fraction(1, 2)))
-                            qhi = float(x[j] + s * (key[j] + Fraction(1, 2)))
-                            seg = min(qhi, float(cell[j][1])) - max(qlo, float(cell[j][0]))
-                            if seg <= 0:
-                                vol = 0.0
-                                break
-                            vol *= seg
+                covered = [0.0] * len(cells)
+                for key, slot in idx_of.items():
+                    bounds = grid.bounds(X, S, key)
+                    for ci, (fbox, fval, _, _) in enumerate(cells):
+                        vol = overlap_volume(bounds, fbox)
                         if vol > 0:
-                            covered += vol
-                            b[slot] += np.array([float(c) * vol for c in v])
-                    from .geometry import box_volume
-
-                    const += vnorm * max(float(box_volume(cell)) - covered, 0.0)
+                            covered[ci] += vol
+                            b[slot] += np.array([c * vol for c in fval])
+                for (_, _, vnorm, volume), cov in zip(cells, covered):
+                    const += vnorm * max(volume - cov, 0.0)
                 slot_blocks.append(slots + base)
                 b_rows.append(b)
-                const_blocks.append((pid, const / 2**k))
+                const_point[pid] += const / 2**k
                 block_meta.append((pid, 1.0 / 2**k, base, nb))
                 base += nb
         self.total_slots = base
@@ -222,12 +205,10 @@ class CubeDistanceTables:
         for (pid, w, sb, nb) in block_meta:
             self.slot_weight[sb: sb + nb] = w
             self.slot_point[sb: sb + nb] = pid
-        self.const_point = np.zeros(len(self.grid))
-        for pid, c in const_blocks:
-            self.const_point[pid] += c
+        self.const_point = const_point
         self.block_meta = block_meta
         self.ne = ne
-        self.n_points = len(self.grid)
+        self.n_points = len(grid.points)
         self.tail = target.total_variation() / 2**opts.k_max
 
     def values(self, s_vec):
@@ -270,7 +251,8 @@ class CubeDistanceTables:
         return self.value(s) + (tv_stream + self.target.total_variation()) / 2**self.opts.k_max
 
 
-_TABLE_CACHE = {}
+# (key, tables) of the latest build only: every estimator call uses one key
+_TABLE_CACHE = [None]
 
 
 def _tables_for(d, n, target, opts, region=None):
@@ -280,10 +262,12 @@ def _tables_for(d, n, target, opts, region=None):
     if region is not None:
         region_key = tuple(sorted(tuple(v) for v in region.lattice_vertices(n)))
     key = (d, n, to_json(target), opts.k_max, tuple(opts.lambdas), opts.shifts, region_key)
-    if key not in _TABLE_CACHE:
-        space = CubeSpace(d, n, region=region)
-        _TABLE_CACHE[key] = CubeDistanceTables(space, target, opts or DistanceOptions())
-    return _TABLE_CACHE[key]
+    hit = _TABLE_CACHE[0]
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    tables = CubeDistanceTables(CubeSpace(d, n, region=region), target, opts)
+    _TABLE_CACHE[0] = (key, tables)
+    return tables
 
 
 @dataclass

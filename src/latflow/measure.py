@@ -16,7 +16,8 @@ itself is part of the reported result.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from itertools import product
+from math import lcm, prod, sqrt
 
 from .geometry import box_volume
 
@@ -213,50 +214,100 @@ def _pair_geometry(a, b):
     return ("contact", tuple(overlap))
 
 
-def _level_sum(diff, x, s, budget):
-    """sum_Q ||h(Q + x)||_2 at cube size s for the signed difference measure.
+# ---------------------------------------------------------------------------
+# the shifted dyadic cubes in integer form
 
+
+class CubeGrid:
+    """The (shift, lambda, level) evaluation grid of ``opts`` in integer form.
+
+    Every coordinate the grid meets -- the given ones, the shifts and the
+    side lam/2^k of every level -- is scaled by one common denominator D.
+    The cube of side S shifted by X that holds P is then
+    (2(P - X) + S) // 2S, and a cube bound turns into a float by one exact
+    int true division, which rounds correctly and so equals float() of the
+    rational bound.  D takes the denominator of each lam/2^k itself:
+    lcm(lambda denominators, 2^k_max) misses 5/4 * 2^-12 = 5/16384.
+    """
+
+    def __init__(self, d, opts, coords):
+        self.k_max = opts.k_max
+        sides = [Fraction(lam) / 2**k for lam in opts.lambdas for k in range(opts.k_max + 1)]
+        self.D = lcm(*(Fraction(c).denominator for c in (*coords, *opts.shifts, *sides)))
+        self.points = [(xs, lam) for lam in opts.lambdas for xs in product(opts.shifts, repeat=d)]
+
+    def scale(self, c):
+        """c * D as an int; a c that D does not clear is an error, not truncated."""
+        q = Fraction(c) * self.D
+        if q.denominator != 1:
+            raise ValueError(f"{c} is not a multiple of 1/{self.D}")
+        return q.numerator
+
+    def levels(self, xs, lam):
+        """Scaled shift of the grid point (xs, lam) and scaled side per level."""
+        sides = [self.scale(Fraction(lam) / 2**k) for k in range(self.k_max + 1)]
+        return tuple(map(self.scale, xs)), sides
+
+    def bounds(self, X, S, key):
+        """Float (lo, hi) per axis of the cube with index ``key``."""
+        den = 2 * self.D
+        return [((2 * x + (2 * z - 1) * S) / den, (2 * x + (2 * z + 1) * S) / den)
+                for x, z in zip(X, key)]
+
+
+def _locate(p, x, s):
+    """(z, r): scaled coordinate p lies in the cube z of side s shifted by x,
+    on its lower face exactly when r == 0."""
+    return divmod(2 * (p - x) + s, 2 * s)
+
+
+def cube_key(P, X, S):
+    """Index of the cube of side S shifted by X holding the scaled point P."""
+    return tuple(_locate(p, x, S)[0] for p, x in zip(P, X))
+
+
+def overlap_volume(bounds, box):
+    """Float volume shared by a cube and a box, both given as float bounds."""
+    vol = 1.0
+    for (ql, qh), (lo, hi) in zip(bounds, box):
+        seg = min(qh, hi) - max(ql, lo)
+        if seg <= 0:
+            return 0.0
+        vol *= seg
+    return vol
+
+
+def _level_sum(atoms, cells, X, S, grid, budget):
+    """sum_Q ||h(Q + x)||_2 at one cube size for the signed difference measure.
+
+    Coordinates, the shift X and the side S are scaled ints of ``grid``.
     Per-cube masses are exact where cubes can mix sources (atom cubes, cubes
     bridging a gap no wider than s, cubes around corner contacts, the impure
     ends of face strips); cubes crossing a conflicting shared face in the
     strip interior all carry the same mass and aggregate analytically; every
     remaining cube meets a single cell and aggregates to |v| * volume.
     """
-    atoms, cells = diff
-    d = len(x)
-
-    def bucket(p):
-        return tuple(
-            int(((pc - xc) / s + Fraction(1, 2)).__floor__()) for pc, xc in zip(p, x)
-        )
-
-    def cube_interval(j, z):
-        return x[j] + s * (z - Fraction(1, 2)), x[j] + s * (z + Fraction(1, 2))
+    d = len(X)
+    D = grid.D
 
     def overlap_ranges(b):
         """Index ranges of cubes with positive-volume overlap with box b."""
         out = []
-        for j, (lo, hi) in enumerate(b):
-            zlo = int(((lo - x[j]) / s + Fraction(1, 2)).__floor__())
-            t = (hi - x[j]) / s + Fraction(1, 2)
-            zhi = int(t.__floor__())
-            if t == zhi:
-                zhi -= 1
+        for (lo, hi), x in zip(b, X):
+            zlo, r = _locate(lo, x, S)
             if lo == hi:  # degenerate axis: cubes whose closure meets the plane
-                zlo = int(((lo - x[j]) / s + Fraction(1, 2)).__floor__())
-                zhi = zlo
-                if (lo - x[j]) / s + Fraction(1, 2) == zlo:
-                    zlo -= 1
-            out.append(range(zlo, zhi + 1))
+                out.append(range(zlo - (r == 0), zlo + 1))
+            else:
+                zhi, r = _locate(hi, x, S)
+                out.append(range(zlo, zhi + (r != 0)))
         return out
 
     def full_ranges(b):
         """Index ranges of cubes entirely inside box b (per axis)."""
         out = []
-        for j, (lo, hi) in enumerate(b):
-            zlo = int(((lo - x[j]) / s + Fraction(1, 2)).__ceil__())
-            zhi = int(((hi - x[j]) / s - Fraction(1, 2)).__floor__())
-            out.append((zlo, zhi))
+        for (lo, hi), x in zip(b, X):
+            zlo, r = _locate(lo, x, S)
+            out.append(range(zlo + (r != 0), _locate(hi, x, S)[0]))
         return out
 
     # classify conflicting pairs
@@ -269,7 +320,7 @@ def _level_sum(diff, x, s, budget):
                 continue
             kind = _pair_geometry(cells[i][0], cells[k][0])
             if kind[0] == "gap":
-                if s >= kind[1]:
+                if S >= kind[1]:
                     enum_cells.add(i)
                     enum_cells.add(k)
             elif kind[0] == "face":
@@ -286,77 +337,50 @@ def _level_sum(diff, x, s, budget):
                 changed = True
     face_pairs = [fp for fp in face_pairs if fp[0] not in enum_cells]
 
-    from itertools import product as iproduct
-
     special_idx = set()
     atom_mass = {}
     for p, w in atoms:
-        idx = bucket(p)
+        idx = cube_key(p, X, S)
         special_idx.add(idx)
         acc = atom_mass.setdefault(idx, [0.0] * d)
         for j in range(d):
-            acc[j] += float(w[j])
+            acc[j] += w[j]
 
     count_guard = 0
-    for i in enum_cells:
-        ranges = overlap_ranges(cells[i][0])
-        n_idx = 1
-        for r in ranges:
-            n_idx *= len(r)
-        count_guard += n_idx
+    for b in [cells[i][0] for i in enum_cells] + contact_boxes:
+        ranges = overlap_ranges(b)
+        count_guard += prod(map(len, ranges))
         if count_guard > budget:
             raise ValueError(
                 "distance evaluation budget exceeded; separate conflicting boxes "
                 "or reduce k_max"
             )
-        special_idx.update(iproduct(*ranges))
-    for cb in contact_boxes:
-        ranges = overlap_ranges(cb)
-        n_idx = 1
-        for r in ranges:
-            n_idx *= len(r)
-        count_guard += n_idx
-        if count_guard > budget:
-            raise ValueError(
-                "distance evaluation budget exceeded; separate conflicting boxes "
-                "or reduce k_max"
-            )
-        special_idx.update(iproduct(*ranges))
+        special_idx.update(product(*ranges))
 
     # face strips: pure interior cubes aggregate, impure ends become special
-    strips = []  # (count, mass vector, covered_i, covered_k, pure-range data)
+    strips = []  # (i, k, pure index ranges, pure count, mass, alpha_a, alpha_b)
     for i, k, ax, c, rect in face_pairs:
         a_box, va = cells[i]
         b_box, vb = cells[k]
         if a_box[ax][1] != c:
             a_box, va, b_box, vb, i, k = b_box, vb, a_box, va, k, i
-        t = (c - x[ax]) / s + Fraction(1, 2)
-        z_ax = int(t.__floor__())
-        if t == z_ax:
+        z_ax, rem = _locate(c, X[ax], S)
+        if rem == 0:
             continue  # face lies on a cube boundary: no crossing cubes
-        qlo, qhi = cube_interval(ax, z_ax)
-        pure_axis = a_box[ax][0] <= qlo and qhi <= b_box[ax][1]
-        fr = full_ranges(rect)
-        ov = overlap_ranges(rect)
-        pure_tr = [fr[j] for j in range(d) if j != ax]
+        # the crossing cube spans [2c - rem, 2c - rem + 2S] in units of 1/(2D)
+        qlo2 = 2 * c - rem
+        pure_axis = 2 * a_box[ax][0] <= qlo2 and qlo2 + 2 * S <= 2 * b_box[ax][1]
         trans_axes = [j for j in range(d) if j != ax]
-        pure_count = 1
-        for zlo, zhi in pure_tr:
-            pure_count *= max(0, zhi - zlo + 1)
-        if not pure_axis:
-            pure_count = 0
+        fr_t = [r for j, r in enumerate(full_ranges(rect)) if j != ax]
+        ov_t = [r for j, r in enumerate(overlap_ranges(rect)) if j != ax]
+        pure_count = prod(map(len, fr_t)) if pure_axis else 0
         # impure crossing cubes: overlap-product minus full-product, built as
         # boundary layers so long strips never get enumerated wholesale
-        ov_t = [ov[j] for j in trans_axes]
-        fr_t = pure_tr
 
         def add_impure(ranges):
-            n_idx = 1
-            for r in ranges:
-                n_idx *= len(r)
-            if n_idx > 4000:
+            if prod(map(len, ranges)) > 4000:
                 raise ValueError("distance evaluation budget exceeded on a strip")
-            for idx_t in iproduct(*ranges):
+            for idx_t in product(*ranges):
                 idx = list(idx_t)
                 idx.insert(ax, z_ax)
                 special_idx.add(tuple(idx))
@@ -365,56 +389,37 @@ def _level_sum(diff, x, s, budget):
             add_impure(ov_t)
         else:
             for pos in range(len(trans_axes)):
-                bad = [z for z in ov_t[pos] if not (fr_t[pos][0] <= z <= fr_t[pos][1])]
-                if not bad:
-                    continue
-                earlier = [range(fr_t[q][0], fr_t[q][1] + 1) for q in range(pos)]
-                later = [ov_t[q] for q in range(pos + 1, len(trans_axes))]
-                add_impure(earlier + [bad] + later)
+                bad = [z for z in ov_t[pos] if z not in fr_t[pos]]
+                if bad:
+                    add_impure(fr_t[:pos] + [bad] + ov_t[pos + 1:])
         if pure_count:
-            alpha_a = float(s) ** (d - 1) * float(c - qlo)
-            alpha_b = float(s) ** (d - 1) * float(qhi - c)
+            alpha_a = (S / D) ** (d - 1) * (rem / (2 * D))
+            alpha_b = (S / D) ** (d - 1) * ((2 * S - rem) / (2 * D))
             mass = [float(va[j]) * alpha_a + float(vb[j]) * alpha_b for j in range(d)]
-            strips.append((i, k, z_ax, ax, pure_tr, trans_axes, pure_count, mass,
-                           alpha_a, alpha_b))
-
-    def in_strip(idx, strip):
-        i, k, z_ax, ax, pure_tr, trans_axes, *_ = strip
-        if idx[ax] != z_ax:
-            return False
-        pos = 0
-        for j in trans_axes:
-            zlo, zhi = pure_tr[pos]
-            if not (zlo <= idx[j] <= zhi):
-                return False
-            pos += 1
-        return True
+            pure = fr_t[:ax] + [range(z_ax, z_ax + 1)] + fr_t[ax:]
+            strips.append((i, k, pure, pure_count, mass, alpha_a, alpha_b))
 
     # uniform exact pass over the special cubes
+    fboxes = [tuple((lo / D, hi / D) for lo, hi in b) for b, _ in cells]
+    fvals = [[float(c) for c in v] for _, v in cells]
     covered = [0.0] * len(cells)
     strip_covered = [0.0] * len(cells)
     total = 0.0
     for idx in special_idx:
         mass = list(atom_mass.get(idx, [0.0] * d))
-        bounds = [cube_interval(j, idx[j]) for j in range(d)]
-        for ci, (b, v) in enumerate(cells):
-            vol = 1.0
-            for (ql, qh), (blo, bhi) in zip(bounds, b):
-                seg = min(float(qh), float(bhi)) - max(float(ql), float(blo))
-                if seg <= 0:
-                    vol = 0.0
-                    break
-                vol *= seg
+        bounds = grid.bounds(X, S, idx)
+        for ci, fbox in enumerate(fboxes):
+            vol = overlap_volume(bounds, fbox)
             if vol > 0:
                 covered[ci] += vol
                 for j in range(d):
-                    mass[j] += float(v[j]) * vol
+                    mass[j] += fvals[ci][j] * vol
         total += sqrt(sum(c_ * c_ for c_ in mass))
 
     # strip aggregation, excluding strip cubes that are special
-    for strip in strips:
-        i, k, z_ax, ax, pure_tr, trans_axes, pure_count, mass, alpha_a, alpha_b = strip
-        inside_special = sum(1 for idx in special_idx if in_strip(idx, strip))
+    for i, k, pure, pure_count, mass, alpha_a, alpha_b in strips:
+        inside_special = sum(
+            1 for idx in special_idx if all(z in r for z, r in zip(idx, pure)))
         count = pure_count - inside_special
         if count < 0:
             raise AssertionError("strip accounting underflow")
@@ -426,7 +431,7 @@ def _level_sum(diff, x, s, budget):
     for ci, (b, v) in enumerate(cells):
         if ci in enum_cells:
             continue
-        rest = float(box_volume(b)) - covered[ci] - strip_covered[ci]
+        rest = prod(hi - lo for lo, hi in b) / D**d - covered[ci] - strip_covered[ci]
         if rest > 0:
             total += _norm(v) * rest
     # enumerated cells: every overlapping cube is special, nothing left
@@ -460,10 +465,8 @@ def _difference(mu: VectorMeasure, nu: VectorMeasure):
             vals.add(b[j][0])
             vals.add(b[j][1])
         cuts.append(sorted(vals))
-    from itertools import product as iproduct
-
     cells = []
-    for idx in iproduct(*(range(len(c) - 1) for c in cuts)):
+    for idx in product(*(range(len(c) - 1) for c in cuts)):
         cell = tuple((cuts[j][idx[j]], cuts[j][idx[j] + 1]) for j in range(d))
         mid = [(lo + hi) / 2 for lo, hi in cell]
         val = [Fraction(0)] * d
@@ -507,14 +510,6 @@ def _difference(mu: VectorMeasure, nu: VectorMeasure):
     return atoms, tuple((c, v) for c, v in cells)
 
 
-def _eval_point(diff, x, lam, opts):
-    g = 0.0
-    for k in range(opts.k_max + 1):
-        s = lam * Fraction(1, 2**k)
-        g += _level_sum(diff, x, s, opts.cube_budget) / 2**k
-    return g
-
-
 def distance(mu: VectorMeasure, nu: VectorMeasure, opts: DistanceOptions = None) -> DistanceBracket:
     """Bracket the dyadic-cube distance between two vector measures.
 
@@ -526,25 +521,26 @@ def distance(mu: VectorMeasure, nu: VectorMeasure, opts: DistanceOptions = None)
     """
     if mu.d != nu.d:
         raise ValueError("dimension mismatch")
-    if mu.support_bounds() is None and nu.support_bounds() is None:
-        opts = opts or DistanceOptions()
-        tail = 0.0
-        return DistanceBracket(0.0, tail, "empty", opts.k_max)
     opts = opts or DistanceOptions()
-    shifts = opts.shifts
-    from itertools import product as iproduct
-
-    diff = _difference(mu, nu)
+    if mu.support_bounds() is None and nu.support_bounds() is None:
+        return DistanceBracket(0.0, 0.0, "empty", opts.k_max)
+    atoms, cells = _difference(mu, nu)
+    grid = CubeGrid(mu.d, opts, [c for p, _ in atoms for c in p]
+                    + [c for b, _ in cells for iv in b for c in iv])
+    atoms = [(tuple(map(grid.scale, p)), [float(c) for c in w]) for p, w in atoms]
+    cells = [(tuple((grid.scale(lo), grid.scale(hi)) for lo, hi in b), v) for b, v in cells]
     best = 0.0
     best_pt = None
-    for lam in opts.lambdas:
-        for xs in iproduct(shifts, repeat=mu.d):
-            g = _eval_point(diff, tuple(Fraction(c) for c in xs), Fraction(lam), opts)
-            if g > best:
-                best = g
-                best_pt = (xs, lam)
+    for xs, lam in grid.points:
+        X, sides = grid.levels(xs, lam)
+        g = 0.0
+        for k, S in enumerate(sides):
+            g += _level_sum(atoms, cells, X, S, grid, opts.cube_budget) / 2**k
+        if g > best:
+            best = g
+            best_pt = (xs, lam)
     tail = (mu.total_variation() + nu.total_variation()) / 2**opts.k_max
-    desc = f"lambdas={[str(l) for l in opts.lambdas]}, shifts={[str(s) for s in shifts]}"
+    desc = f"lambdas={[str(l) for l in opts.lambdas]}, shifts={[str(s) for s in opts.shifts]}"
     return DistanceBracket(best, best + tail, desc, opts.k_max, best_pt)
 
 

@@ -104,3 +104,50 @@ def test_invalid_distributions():
         CapacityDistribution.uniform(2, 1)
     with pytest.raises(ValueError):
         CapacityDistribution.discrete([1, 2], [Fraction(1, 2), Fraction(1, 3)])
+
+
+def _word_to_value(dist, u, exact):
+    """The per-word formula the samplers replace: Fraction arithmetic on
+    every call, rounded to float at the end in float mode."""
+    if dist.kind == "constant":
+        v = dist.params[0]
+    elif dist.kind == "bernoulli":
+        a, b, p = dist.params
+        v = b if u < p * (1 << 64) else a
+    elif dist.kind == "uniform":
+        a, b = dist.params
+        v = a + (b - a) * Fraction(u, 1 << 64)
+    else:
+        values, probs = dist.params
+        acc, v = Fraction(0), values[-1]
+        for value, p in zip(values, probs):
+            acc += p
+            if u < acc * (1 << 64):
+                v = value
+                break
+    return v if exact else float(v)
+
+
+@pytest.mark.parametrize("dist", [
+    CapacityDistribution.constant(Fraction(2, 3)),
+    CapacityDistribution.bernoulli(0, 1, Fraction(1, 3)),
+    CapacityDistribution.bernoulli(Fraction(1, 7), 2, Fraction(1, 2)),
+    CapacityDistribution.uniform(0, 1),
+    CapacityDistribution.uniform(Fraction(1, 3), Fraction(22, 7)),
+    CapacityDistribution.discrete([0, Fraction(1, 2), 3], [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)]),
+], ids=lambda dist: dist.kind)
+def test_sampler_matches_the_per_word_formula_bit_for_bit(dist):
+    import random
+
+    rng = random.Random(11)
+    words = [rng.getrandbits(64) for _ in range(10_000)]
+    # the words on either side of every threshold
+    for p in (Fraction(1, 3), Fraction(1, 2), Fraction(5, 6)):
+        cut = -(-p.numerator * (1 << 64) // p.denominator)
+        words += [cut - 1, cut, cut + 1]
+    words += [0, (1 << 64) - 1]
+    for exact in (True, False):
+        draw = dist.sampler(exact)
+        for u in words:
+            got, want = draw(u), _word_to_value(dist, u, exact)
+            assert type(got) is type(want) and got == want, (exact, u)

@@ -266,3 +266,41 @@ def test_thread_count_is_capped_at_the_core_count(tmp_path, monkeypatch):
     assert resolved({}, flag=1) == 1
     monkeypatch.setenv("LATFLOW_THREADS", str(huge))
     assert resolved({"threads": 1}) == cores
+
+
+def test_unreadable_or_malformed_input_files_exit_2(tmp_path, capsys):
+    from fractions import Fraction
+
+    from latflow.geometry import unit_cube
+    from latflow.measure import VectorMeasure, to_json
+
+    good = tmp_path / "good.json"
+    good.write_text(to_json(VectorMeasure.from_density(unit_cube(2), (Fraction(1), Fraction(0)))))
+    bad = {
+        "truncated.json": '{"d": 2, "atoms": [',
+        "no_atoms.json": '{"d": 2, "densities": []}',
+        "bad_point.json": '{"d": 2, "atoms": [{"point": ["1/0", "0"], "weight": ["1", "0"]}], "densities": []}',
+        "bad_stream.txt": "2 2\n0 0\n",
+        "empty.txt": "",
+    }
+    for name, text in bad.items():
+        (tmp_path / name).write_text(text)
+    cases = [
+        ("distance", "measure_a", str(tmp_path / "missing.json")),
+        ("distance", "measure_b", str(tmp_path / "truncated.json")),
+        ("distance", "measure_a", str(tmp_path / "no_atoms.json")),
+        ("distance", "measure_b", str(tmp_path / "bad_point.json")),
+        ("distance", "measure_a", str(tmp_path)),
+        ("distance", "measure_a", 5),
+        ("decompose", "stream", str(tmp_path / "missing.txt")),
+        ("decompose", "stream", str(tmp_path / "bad_stream.txt")),
+        ("decompose", "stream", str(tmp_path / "empty.txt")),
+    ]
+    for i, (cmd, key, value) in enumerate(cases):
+        if cmd == "distance":
+            sub = {"measure_a": str(good), "measure_b": str(good), key: value}
+        else:
+            sub = {"domain": "unit_square", key: value}
+        cfg = {"out_dir": str(tmp_path / "out"), cmd: sub}
+        assert run_cli(tmp_path, f"{cmd}__{i}", cfg) == 2, (key, value)
+        assert f"config error: {cmd}.{key}:" in capsys.readouterr().err

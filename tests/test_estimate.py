@@ -328,3 +328,33 @@ def test_min_distance_on_explicit_region():
     assert res.status == "holds"
     for e in res.stream.values:
         assert all(0 <= c < 2 for c in e.x)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_certified_upper_matches_distance_on_random_streams(n):
+    from latflow.estimate import CubeDistanceTables
+
+    d = 2
+    rng = random.Random(100 + n)
+    space = CubeSpace(d, n)
+    target = constant_target(d, Fraction(1, 2), (1, 0))
+    tables = CubeDistanceTables(space, target, DistanceOptions())
+    for _ in range(3):
+        f = Stream(d, n)
+        for e in space.edges:
+            if rng.random() < 0.7:
+                f.values[e] = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
+        assert f.values
+        upper = distance(vector_measure(f), target).upper
+        assert tables.certified_upper(f) == pytest.approx(upper, rel=0, abs=1e-12)
+
+
+def test_table_cache_keeps_only_the_latest_tables():
+    from latflow import estimate
+
+    opts = DistanceOptions(k_max=2)
+    targets = [constant_target(2, Fraction(k, 4), (1, 0)) for k in (1, 2, 3)]
+    built = [estimate._tables_for(2, 2, target, opts) for target in targets]
+    assert len([entry for entry in estimate._TABLE_CACHE if entry is not None]) <= 1
+    assert estimate._tables_for(2, 2, targets[-1], opts) is built[-1]
+    assert estimate._tables_for(2, 2, targets[0], opts) is not built[0]

@@ -326,3 +326,60 @@ def test_plaquette_discretization_distance_decreases():
         f = discretize_field(sigma, region, n, damping=1)
         uppers.append(distance(vector_measure(f), target).upper)
     assert uppers[0] > uppers[1] > uppers[2]
+
+
+def _golden_lattice_pair():
+    # lattice atoms at n = 3 under the adaptive grid: its shifts 1/12, 1/24
+    # and lambdas 9/8, 4/3 make the grid's common denominator non-dyadic
+    f = Stream(2, 3)
+    vals = [Fraction(1), Fraction(-1, 2), Fraction(2, 3), Fraction(1, 4), Fraction(0), Fraction(3, 2)]
+    edges = [EdgeId((x, y), ax) for x in range(-1, 2) for y in range(-1, 2) for ax in range(2)]
+    for i, e in enumerate(edges):
+        if vals[i % len(vals)]:
+            f.values[e] = vals[i % len(vals)]
+    mu = vector_measure(f)
+    nu = VectorMeasure.from_density(unit_cube(2), (Fraction(1, 2), Fraction(1, 4)))
+    return mu, nu, adaptive_options(mu, nu)
+
+
+def _golden_d3_pair():
+    F = Fraction
+    mu = VectorMeasure.from_density(
+        ((F(-1, 2), F(0)), (F(-1, 4), F(1, 4)), (F(0), F(1, 2))), (F(1), F(-1, 2), F(1, 8)))
+    nu = VectorMeasure.from_density(
+        ((F(1, 8), F(1, 2)), (F(-1, 2), F(-1, 4)), (F(-1, 2), F(-1, 8))), (F(-3, 4), F(0), F(1, 2)))
+    return mu, nu, DistanceOptions(k_max=6)
+
+
+# Sides 5/4 2^-k, 3/2 2^-k and 7/4 2^-k need more powers of two than 2^k_max:
+# a grid denominator that misses them moves the bracket in its last digits.
+_ODD_LAMBDAS = DistanceOptions(lambdas=(Fraction(5, 4), Fraction(3, 2), Fraction(7, 4)))
+
+
+def _golden_face_pair():
+    # two cells with different values sharing a face; the thin one is
+    # narrower than the crossing cubes of the coarse levels
+    F = Fraction
+    mu = VectorMeasure.from_density(((F(-1, 16), F(0)), (F(-1, 2), F(1, 2))), (F(1), F(1, 2)))
+    nu = VectorMeasure.from_density(((F(0), F(1, 2)), (F(-1, 4), F(1, 2))), (F(-1, 2), F(1)))
+    return mu, nu, _ODD_LAMBDAS
+
+
+def _golden_corner_pair():
+    F = Fraction
+    mu = VectorMeasure.from_density(((F(-1, 2), F(0)), (F(-1, 2), F(0))), (F(1), F(0)))
+    nu = VectorMeasure.from_density(((F(0), F(3, 8)), (F(0), F(5, 8))), (F(0), F(3, 4)))
+    return mu, nu, _ODD_LAMBDAS
+
+
+@pytest.mark.parametrize("pair, lower, upper", [
+    (_golden_lattice_pair, "2.302579218839758", "2.303034436747456"),
+    (_golden_d3_pair, "0.34193641827171845", "0.3446288310140154"),
+    (_golden_face_pair, "0.887363117932348", "0.8874825368459413"),
+    (_golden_corner_pair, "0.823816159485313", "0.8239201099858012"),
+], ids=["lattice-adaptive", "d3-density", "shared-face", "corner-contact"])
+def test_bracket_is_bit_identical_to_recorded_values(pair, lower, upper):
+    # recorded with the per-point Fraction bucketing the integer kernel replaced
+    mu, nu, opts = pair()
+    br = distance(mu, nu, opts)
+    assert (repr(br.lower), repr(br.upper)) == (lower, upper)

@@ -115,11 +115,16 @@ def parse_domain(cfg, path="domain"):
         raise ConfigError(f"{path}: {exc}")
 
 
-def _write_manifest(out_dir, subcommand, cfg, seed):
+def _write_manifest(out_dir, subcommand, cfg, seed, mode, threads):
+    """``mode`` and ``threads`` are what the run used, not what the config
+    asked for: ``mode`` is None for a subcommand without a float/exact
+    choice, and ``threads`` is 1 for one that runs no trials in a pool."""
     payload = {
         "subcommand": subcommand,
         "config": cfg,
         "seed": seed,
+        "mode": mode,
+        "threads": threads,
         "version": __version__,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
@@ -192,7 +197,7 @@ def cmd_maxflow(cfg, args):
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _write_manifest(out_dir, "maxflow", cfg, seed)
+    _write_manifest(out_dir, "maxflow", cfg, seed, mode, 1)
     if not duality or not report.admissible:
         print("invariant violation: duality or admissibility failed", file=sys.stderr)
         return 3
@@ -220,7 +225,7 @@ def cmd_tau(cfg, args):
     with open(os.path.join(out_dir, "tau.json"), "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _write_manifest(out_dir, "tau", cfg, seed)
+    _write_manifest(out_dir, "tau", cfg, seed, mode, 1)
     return 0
 
 
@@ -246,7 +251,7 @@ def cmd_decompose(cfg, args):
     with open(os.path.join(out_dir, "paths.json"), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _write_manifest(out_dir, "decompose", cfg, seed)
+    _write_manifest(out_dir, "decompose", cfg, seed, None, 1)
     return 0 if exact else 3
 
 
@@ -281,7 +286,7 @@ def cmd_mix_demo(cfg, args):
     with open(os.path.join(out_dir, "mix.json"), "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _write_manifest(out_dir, "mix-demo", cfg, seed)
+    _write_manifest(out_dir, "mix-demo", cfg, seed, None, 1)
     return 0 if summary["within_bound"] else 3
 
 
@@ -302,7 +307,7 @@ def cmd_distance(cfg, args):
     with open(os.path.join(out_dir, "distance.json"), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _write_manifest(out_dir, "distance", cfg, seed)
+    _write_manifest(out_dir, "distance", cfg, seed, None, 1)
     return 0
 
 
@@ -332,7 +337,7 @@ def cmd_rate(cfg, args):
             r.eps, n, r.trials, r.successes, r.p_hat, r.ci_lo, r.ci_hi, ih,
         ])
     _write_csv(os.path.join(out_dir, "rate.csv"), header, rows)
-    _write_manifest(out_dir, "rate", cfg, seed)
+    _write_manifest(out_dir, "rate", cfg, seed, "float", threads)
     return 0
 
 
@@ -358,7 +363,7 @@ def cmd_flow_constant(cfg, args):
     header = ["n", "h", "trials", "mean", "lo", "hi"]
     rows = [[p.n, p.h, p.trials, p.mean, p.ci_lo, p.ci_hi] for p in points]
     _write_csv(os.path.join(out_dir, "nu.csv"), header, rows)
-    _write_manifest(out_dir, "flow-constant", cfg, seed)
+    _write_manifest(out_dir, "flow-constant", cfg, seed, mode, threads)
     return 0
 
 
@@ -384,7 +389,7 @@ def cmd_tail(cfg, args):
         rows.append([lam, n, trials, successes, p, lo, hi,
                      neglog / n ** (d - 1), neglog / n**d])
     _write_csv(os.path.join(out_dir, "tail.csv"), header, rows)
-    _write_manifest(out_dir, "tail", cfg, seed)
+    _write_manifest(out_dir, "tail", cfg, seed, "float", threads)
     return 0
 
 

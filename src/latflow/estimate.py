@@ -82,7 +82,10 @@ def rate_upper_bound(dist: CapacityDistribution, vec):
 class CubeSpace:
     """Edges and node-law structure of a region at scale n (S_n(C)): edges
     with left endpoint in C, node law at vertices whose backward neighbours
-    all stay in C.  Defaults to the unit cube."""
+    all stay in C.  Defaults to the unit cube.
+
+    ``B`` is the integer node-law incidence (interior vertices x edges):
+    +1 on the edges leaving a vertex, -1 on those entering it."""
 
     def __init__(self, d, n, region=None):
         self.d, self.n = d, n
@@ -98,7 +101,7 @@ class CubeSpace:
         for coords in sorted(verts):
             for ax in range(d):
                 self.edges.append(EdgeId(coords, ax))
-        self.edge_index = {e: i for i, e in enumerate(self.edges)}
+        edge_index = {e: i for i, e in enumerate(self.edges)}
 
         def backward_ok(coords):
             for j in range(d):
@@ -108,34 +111,30 @@ class CubeSpace:
                     return False
             return True
 
-        self.interior = [coords for coords in sorted(verts) if backward_ok(coords)]
-
-    def incidence(self, active_mask):
-        """Node-law incidence over the active edges: +1 leaving, -1 entering."""
-        rows = []
-        for x in self.interior:
-            row = np.zeros(len(self.edges))
-            for ax in range(self.d):
-                e_out = self.edge_index.get(EdgeId(x, ax))
+        interior = [coords for coords in sorted(verts) if backward_ok(coords)]
+        self.B = np.zeros((len(interior), len(self.edges)), dtype=np.int64)
+        for r, x in enumerate(interior):
+            for ax in range(d):
                 y = list(x)
                 y[ax] -= 1
-                e_in = self.edge_index.get(EdgeId(tuple(y), ax))
-                if e_out is not None:
-                    row[e_out] += 1
-                if e_in is not None:
-                    row[e_in] -= 1
-            rows.append(row)
-        B = np.array(rows)
-        return B * active_mask[None, :]
+                for e, sign in ((EdgeId(x, ax), 1), (EdgeId(tuple(y), ax), -1)):
+                    i = edge_index.get(e)
+                    if i is not None:
+                        self.B[r, i] += sign
 
 
 class CubeDistanceTables:
     """Flattened cube assignments of the cube's edge midpoints against a
     fixed target measure, over every (shift, lambda, level) of the grid.
 
-    One scatter-add evaluates the truncated distance at every grid point at
-    once; the grid and truncation match ``measure.distance`` exactly (the
-    same integer cube kernel), so values agree with the bracket's lower + tail.
+    A block is one (grid point, level).  ``index[b, i]`` is the flat
+    ``axis * slots + slot`` cell that edge i adds its mass to in block b,
+    and ``b_all`` (axes x slots) holds the target mass per slot.  One
+    bincount evaluates the truncated distance at every grid point at once;
+    the grid and truncation match ``measure.distance`` exactly (the same
+    integer cube kernel), so values agree with the bracket's lower + tail.
+    Nothing is written after ``__init__``, so one object may serve many
+    threads.
     """
 
     def __init__(self, space: CubeSpace, target: VectorMeasure, opts: DistanceOptions):
@@ -143,7 +142,7 @@ class CubeDistanceTables:
         self.opts = opts
         self.target = target
         d, n = space.d, space.n
-        self.axes = np.array([e.axis for e in space.edges])
+        axes = np.array([e.axis for e in space.edges])
         self.scale = 1.0 / n**d
         mids = [e.midpoint(n) for e in space.edges]
         grid = CubeGrid(d, opts, [c for p in mids for c in p]
@@ -156,10 +155,10 @@ class CubeDistanceTables:
                   math.sqrt(sum(float(c) ** 2 for c in v)), float(box_volume(b)))
                  for b, v in target.densities]
         ne = len(mids)
-        slot_blocks = []
+        index_rows = []
         b_rows = []
+        block_point, block_weight, block_slots = [], [], []
         const_point = np.zeros(len(grid.points))
-        block_meta = []  # (point_id, weight, slot_base, nslots)
         base = 0
         for pid, (xs, lam) in enumerate(grid.points):
             X, sides = grid.levels(xs, lam)
@@ -191,55 +190,46 @@ class CubeDistanceTables:
                             b[slot] += np.array([c * vol for c in fval])
                 for (_, _, vnorm, volume), cov in zip(cells, covered):
                     const += vnorm * max(volume - cov, 0.0)
-                slot_blocks.append(slots + base)
+                index_rows.append(slots + base)
                 b_rows.append(b)
                 const_point[pid] += const / 2**k
-                block_meta.append((pid, 1.0 / 2**k, base, nb))
+                block_point.append(pid)
+                block_weight.append(1.0 / 2**k)
+                block_slots.append(nb)
                 base += nb
-        self.total_slots = base
-        self.slots_flat = np.concatenate(slot_blocks)  # length = blocks * ne
-        self.axes_flat = np.tile(self.axes, len(block_meta))
-        self.b_all = np.vstack(b_rows)
-        self.slot_weight = np.empty(base)
-        self.slot_point = np.empty(base, dtype=np.int64)
-        for (pid, w, sb, nb) in block_meta:
-            self.slot_weight[sb: sb + nb] = w
-            self.slot_point[sb: sb + nb] = pid
+        # axis-major, so the per-slot norms sum d long rows, not many short ones
+        self.index = axes * base + np.vstack(index_rows)  # (blocks, ne)
+        self.block_point = np.array(block_point, dtype=np.int64)
+        self.block_weight = np.array(block_weight)
+        self.b_all = np.vstack(b_rows).T.copy()  # (d, slots)
+        self.slot_weight = np.repeat(self.block_weight, block_slots)
+        self.slot_point = np.repeat(self.block_point, block_slots)
         self.const_point = const_point
-        self.block_meta = block_meta
         self.ne = ne
         self.n_points = len(grid.points)
-        self.tail = target.total_variation() / 2**opts.k_max
 
-    def values(self, s_vec):
-        mass = np.zeros((self.total_slots, self.space.d))
-        contrib = np.tile(s_vec * self.scale, len(self.block_meta))
-        np.add.at(mass, (self.slots_flat, self.axes_flat), contrib)
-        diff = mass - self.b_all
-        norms = np.sqrt((diff * diff).sum(axis=1))
+    def _residual(self, s_vec):
+        """Per-grid-point values, and the per-slot mass residual and its norms."""
+        contrib = np.tile(s_vec * self.scale, len(self.index))
+        mass = np.bincount(self.index.ravel(), weights=contrib, minlength=self.b_all.size)
+        diff = mass.reshape(self.b_all.shape) - self.b_all
+        norms = np.sqrt((diff * diff).sum(axis=0))
         per_point = np.bincount(
             self.slot_point, weights=norms * self.slot_weight, minlength=self.n_points
         )
-        self._last_diff = diff
-        self._last_norms = norms
-        return per_point + self.const_point
+        return per_point + self.const_point, diff, norms
 
     def value_and_grad(self, s_vec):
-        vals = self.values(s_vec)
+        vals, diff, norms = self._residual(s_vec)
         pid = int(np.argmax(vals))
-        diff, norms = self._last_diff, self._last_norms
         safe = np.where(norms > 0, norms, 1.0)
-        coeff = diff / safe[:, None]
-        g = np.zeros(self.ne)
-        slots2 = self.slots_flat.reshape(len(self.block_meta), self.ne)
-        for bi, (p, w, sb, nb) in enumerate(self.block_meta):
-            if p != pid:
-                continue
-            g += coeff[slots2[bi], self.axes] * (self.scale * w)
-        return float(vals[pid]), g
+        coeff = diff / safe
+        mine = self.block_point == pid
+        terms = coeff.ravel()[self.index[mine]] * (self.scale * self.block_weight[mine])[:, None]
+        return float(vals[pid]), terms.sum(axis=0)
 
     def value(self, s_vec):
-        return float(np.max(self.values(s_vec)))
+        return float(np.max(self._residual(s_vec)[0]))
 
     def certified_upper(self, f):
         """Grid value of the exact stream plus the truncation tail: matches
@@ -278,45 +268,17 @@ class MinDistanceResult:
     iterations: int
 
 
-def _exact_div_project(space, active, s_vals):
-    """Exact node-law projection of rational edge values on the active set."""
-    rows = []
-    for x in space.interior:
-        row = {}
-        for ax in range(space.d):
-            i = space.edge_index.get(EdgeId(x, ax))
-            if i is not None and active[i]:
-                row[i] = row.get(i, 0) + 1
-            y = list(x)
-            y[ax] -= 1
-            i = space.edge_index.get(EdgeId(tuple(y), ax))
-            if i is not None and active[i]:
-                row[i] = row.get(i, 0) - 1
-        rows.append(row)
-    # gram matrix of the constraint rows
-    m = len(rows)
-    G = [[Fraction(0)] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(a, m):
-            acc = Fraction(0)
-            for i, ca in rows[a].items():
-                cb = rows[b].get(i)
-                if cb:
-                    acc += ca * cb
-            G[a][b] = G[b][a] = acc
-    rhs = []
-    for a in range(m):
-        acc = Fraction(0)
-        for i, ca in rows[a].items():
-            acc += ca * s_vals[i]
-        rhs.append(acc)
+def _exact_div_project(B, s_vals):
+    """Exact node-law projection s - B^T (B B^T)^+ B s of rational edge
+    values, for the integer incidence B of the active edges."""
+    rows = [[(int(i), int(B[a, i])) for i in np.flatnonzero(B[a])] for a in range(len(B))]
+    G = [[Fraction(int(c)) for c in row] for row in B @ B.T]
+    rhs = [sum((c * s_vals[i] for i, c in row), Fraction(0)) for row in rows]
     y = _solve_psd_fraction(G, rhs)
     out = list(s_vals)
-    for a in range(m):
-        if y[a] == 0:
-            continue
-        for i, ca in rows[a].items():
-            out[i] -= ca * y[a]
+    for row, ya in zip(rows, y):
+        for i, c in row:
+            out[i] -= c * ya
     return out
 
 
@@ -368,7 +330,8 @@ def min_distance(n, t, target: VectorMeasure, eps, d=None, opts=None,
         val = tables.certified_upper(f)
         return MinDistanceResult(val, f, "holds" if val <= float(eps) else "unknown", 0)
 
-    B = space.incidence(active.astype(float))
+    B_active = space.B * active
+    B = B_active.astype(float)
     BBt = B @ B.T
     P = np.linalg.pinv(BBt, rcond=1e-12)
 
@@ -414,7 +377,7 @@ def min_distance(n, t, target: VectorMeasure, eps, d=None, opts=None,
     s = proj_div(s * active)
     s_frac = [Fraction(x).limit_denominator(10**9) if active[i] else Fraction(0)
               for i, x in enumerate(s)]
-    s_frac = _exact_div_project(space, active, s_frac)
+    s_frac = _exact_div_project(B_active, s_frac)
     ratio = Fraction(1)
     for i, x in enumerate(s_frac):
         if x == 0:
@@ -460,18 +423,18 @@ def estimate_rate(s, v, eps, n, trials, dist: CapacityDistribution, seed,
     d = d or len(v)
     opts = opts or DistanceOptions()
     target = constant_target(d, s, v)
-    space_edges = CubeSpace(d, n).edges
     eps_list = list(eps_grid) if eps_grid is not None else [eps]
+    if s == 0:
+        values = [0.0] * trials  # the zero stream certifies the event at any eps
+    else:
+        # built here, so every trial thread finds the one shared tables object
+        edges = _tables_for(d, n, target, opts).space.edges
 
-    def one(trial):
-        if s == 0:
-            return 0.0  # the zero stream certifies the event at any eps
-        tseed = derive_seed(seed, trial)
-        t = sample_capacities(space_edges, dist, tseed, exact=False)
-        res = min_distance(n, t, target, eps_list[-1], d=d, opts=opts)
-        return res.value
+        def one(trial):
+            t = sample_capacities(edges, dist, derive_seed(seed, trial), exact=False)
+            return min_distance(n, t, target, eps_list[-1], d=d, opts=opts).value
 
-    values = _run_trials(one, trials, threads)
+        values = _run_trials(one, trials, threads)
     out = []
     for e in eps_list:
         successes = sum(1 for val in values if val <= float(e))

@@ -277,10 +277,39 @@ def overlap_volume(bounds, box):
     return vol
 
 
+class _Cells:
+    """The density cells of a difference measure, given as (scaled int box
+    of ``grid``, value) pairs, and everything about them that no cube size
+    changes: the conflicting pairs (different values) classified once, with
+    each face pair ordered lower cell first, and the float forms the cube
+    passes use."""
+
+    def __init__(self, cells, D):
+        self.boxes = [b for b, _ in cells]
+        self.gaps, self.faces, self.contacts = [], [], []
+        for i in range(len(cells)):
+            for k in range(i + 1, len(cells)):
+                if cells[i][1] == cells[k][1]:
+                    continue
+                kind = _pair_geometry(cells[i][0], cells[k][0])
+                if kind[0] == "gap":
+                    self.gaps.append((i, k, kind[1]))
+                elif kind[0] == "face":
+                    lower_first = cells[i][0][kind[1]][1] == kind[2]
+                    self.faces.append(((i, k) if lower_first else (k, i)) + kind[1:])
+                else:
+                    self.contacts.append(kind[1])
+        self.fboxes = [tuple((lo / D, hi / D) for lo, hi in b) for b, _ in cells]
+        self.fvals = [[float(c) for c in v] for _, v in cells]
+        # (|value|, volume) of each cell, for the single-owner bulk
+        self.bulk = [(_norm(v), prod(hi - lo for lo, hi in b) / D ** len(b)) for b, v in cells]
+
+
 def _level_sum(atoms, cells, X, S, grid, budget):
     """sum_Q ||h(Q + x)||_2 at one cube size for the signed difference measure.
 
-    Coordinates, the shift X and the side S are scaled ints of ``grid``.
+    ``cells`` is a ``_Cells``; atom coordinates, the shift X and the side S
+    are scaled ints of ``grid``.
     Per-cube masses are exact where cubes can mix sources (atom cubes, cubes
     bridging a gap no wider than s, cubes around corner contacts, the impure
     ends of face strips); cubes crossing a conflicting shared face in the
@@ -310,32 +339,20 @@ def _level_sum(atoms, cells, X, S, grid, budget):
             out.append(range(zlo + (r != 0), _locate(hi, x, S)[0]))
         return out
 
-    # classify conflicting pairs
+    # cells bridged by a cube of this size
     enum_cells = set()
-    face_pairs = []
-    contact_boxes = []
-    for i in range(len(cells)):
-        for k in range(i + 1, len(cells)):
-            if cells[i][1] == cells[k][1]:
-                continue
-            kind = _pair_geometry(cells[i][0], cells[k][0])
-            if kind[0] == "gap":
-                if S >= kind[1]:
-                    enum_cells.add(i)
-                    enum_cells.add(k)
-            elif kind[0] == "face":
-                face_pairs.append((i, k) + kind[1:])
-            else:
-                contact_boxes.append(kind[1])
+    for i, k, g in cells.gaps:
+        if S >= g:
+            enum_cells.update((i, k))
     # crossing partners of enumerated cells must be enumerated too
     changed = True
     while changed:
         changed = False
-        for i, k, *_ in face_pairs:
+        for i, k, *_ in cells.faces:
             if (i in enum_cells) != (k in enum_cells):
                 enum_cells.update((i, k))
                 changed = True
-    face_pairs = [fp for fp in face_pairs if fp[0] not in enum_cells]
+    face_pairs = [fp for fp in cells.faces if fp[0] not in enum_cells]
 
     special_idx = set()
     atom_mass = {}
@@ -347,7 +364,7 @@ def _level_sum(atoms, cells, X, S, grid, budget):
             acc[j] += w[j]
 
     count_guard = 0
-    for b in [cells[i][0] for i in enum_cells] + contact_boxes:
+    for b in [cells.boxes[i] for i in enum_cells] + cells.contacts:
         ranges = overlap_ranges(b)
         count_guard += prod(map(len, ranges))
         if count_guard > budget:
@@ -360,10 +377,7 @@ def _level_sum(atoms, cells, X, S, grid, budget):
     # face strips: pure interior cubes aggregate, impure ends become special
     strips = []  # (i, k, pure index ranges, pure count, mass, alpha_a, alpha_b)
     for i, k, ax, c, rect in face_pairs:
-        a_box, va = cells[i]
-        b_box, vb = cells[k]
-        if a_box[ax][1] != c:
-            a_box, va, b_box, vb, i, k = b_box, vb, a_box, va, k, i
+        a_box, b_box = cells.boxes[i], cells.boxes[k]
         z_ax, rem = _locate(c, X[ax], S)
         if rem == 0:
             continue  # face lies on a cube boundary: no crossing cubes
@@ -395,25 +409,23 @@ def _level_sum(atoms, cells, X, S, grid, budget):
         if pure_count:
             alpha_a = (S / D) ** (d - 1) * (rem / (2 * D))
             alpha_b = (S / D) ** (d - 1) * ((2 * S - rem) / (2 * D))
-            mass = [float(va[j]) * alpha_a + float(vb[j]) * alpha_b for j in range(d)]
+            mass = [cells.fvals[i][j] * alpha_a + cells.fvals[k][j] * alpha_b for j in range(d)]
             pure = fr_t[:ax] + [range(z_ax, z_ax + 1)] + fr_t[ax:]
             strips.append((i, k, pure, pure_count, mass, alpha_a, alpha_b))
 
     # uniform exact pass over the special cubes
-    fboxes = [tuple((lo / D, hi / D) for lo, hi in b) for b, _ in cells]
-    fvals = [[float(c) for c in v] for _, v in cells]
-    covered = [0.0] * len(cells)
-    strip_covered = [0.0] * len(cells)
+    covered = [0.0] * len(cells.boxes)
+    strip_covered = [0.0] * len(cells.boxes)
     total = 0.0
     for idx in special_idx:
         mass = list(atom_mass.get(idx, [0.0] * d))
         bounds = grid.bounds(X, S, idx)
-        for ci, fbox in enumerate(fboxes):
+        for ci, fbox in enumerate(cells.fboxes):
             vol = overlap_volume(bounds, fbox)
             if vol > 0:
                 covered[ci] += vol
                 for j in range(d):
-                    mass[j] += fvals[ci][j] * vol
+                    mass[j] += cells.fvals[ci][j] * vol
         total += sqrt(sum(c_ * c_ for c_ in mass))
 
     # strip aggregation, excluding strip cubes that are special
@@ -428,12 +440,12 @@ def _level_sum(atoms, cells, X, S, grid, budget):
         strip_covered[k] += count * alpha_b
 
     # single-owner bulk for everything else
-    for ci, (b, v) in enumerate(cells):
+    for ci, (vnorm, volume) in enumerate(cells.bulk):
         if ci in enum_cells:
             continue
-        rest = prod(hi - lo for lo, hi in b) / D**d - covered[ci] - strip_covered[ci]
+        rest = volume - covered[ci] - strip_covered[ci]
         if rest > 0:
-            total += _norm(v) * rest
+            total += vnorm * rest
     # enumerated cells: every overlapping cube is special, nothing left
     return total
 
@@ -528,7 +540,8 @@ def distance(mu: VectorMeasure, nu: VectorMeasure, opts: DistanceOptions = None)
     grid = CubeGrid(mu.d, opts, [c for p, _ in atoms for c in p]
                     + [c for b, _ in cells for iv in b for c in iv])
     atoms = [(tuple(map(grid.scale, p)), [float(c) for c in w]) for p, w in atoms]
-    cells = [(tuple((grid.scale(lo), grid.scale(hi)) for lo, hi in b), v) for b, v in cells]
+    cells = _Cells([(tuple((grid.scale(lo), grid.scale(hi)) for lo, hi in b), v)
+                    for b, v in cells], grid.D)
     best = 0.0
     best_pt = None
     for xs, lam in grid.points:

@@ -144,6 +144,26 @@ def test_rate_subcommand_zero_speed(tmp_path):
     assert rows[1].split(",")[7] == "1.0"  # phat
 
 
+def test_manifest_records_the_mode_and_threads_that_ran(tmp_path, monkeypatch):
+    # rate always samples float capacities, whatever the config's mode says
+    monkeypatch.delenv("LATFLOW_THREADS", raising=False)
+    out = tmp_path / "rate"
+    cfg = {
+        "seed": 2,
+        "mode": "exact",
+        "out_dir": str(out),
+        "rate": {
+            "d": 2, "n": 2, "s": "1/2", "v": ["1", "0"], "eps": ["1/2"], "trials": 4,
+            "dist": {"kind": "bernoulli", "a": "0", "b": "1", "p": "1/2"},
+        },
+    }
+    assert run_cli(tmp_path, "rate", cfg, "--threads", "2") == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["mode"] == "float"
+    assert manifest["threads"] == min(2, os.cpu_count() or 1)
+    assert manifest["config"]["mode"] == "exact"
+
+
 def test_flow_constant_subcommand_unit(tmp_path):
     out = tmp_path / "nu"
     cfg = {

@@ -1,5 +1,8 @@
+import hashlib
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +21,7 @@ from latflow.estimate import (
 )
 from latflow.geometry import EdgeId, Region, discretize_domain, unit_cube, unit_square_domain
 from latflow.measure import DistanceOptions, VectorMeasure, distance
-from latflow.stream import Stream, vector_measure
+from latflow.stream import Stream, dump_stream, vector_measure
 
 
 def test_wilson_interval_basics():
@@ -194,7 +197,7 @@ def test_estimate_rate_conservative_vs_oracle():
         from latflow.estimate import CubeDistanceTables
 
         tables = CubeDistanceTables(space, target, opts)
-        B = space.incidence((caps > 0).astype(float))
+        B = (space.B * (caps > 0)).astype(float)
         P = np.linalg.pinv(B @ B.T, rcond=1e-12)
         for _ in range(60):
             s = np.array([rng.uniform(-c, c) for c in caps])
@@ -358,3 +361,53 @@ def test_table_cache_keeps_only_the_latest_tables():
     assert len([entry for entry in estimate._TABLE_CACHE if entry is not None]) <= 1
     assert estimate._tables_for(2, 2, targets[-1], opts) is built[-1]
     assert estimate._tables_for(2, 2, targets[0], opts) is not built[0]
+
+
+def test_min_distance_is_bit_identical_to_recorded_values():
+    # SHA-256 of (repr(value), status, dump_stream) over nine trials, recorded
+    # with the per-block gradient loop and the dict-row exact projection
+    bern = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
+    unif = CapacityDistribution.uniform(0, 1)
+    h = hashlib.sha256()
+    statuses = []
+    for d, n, dist in ((2, 3, bern), (2, 4, unif), (3, 2, bern)):
+        target = constant_target(d, Fraction(1, 2), (1,) + (0,) * (d - 1))
+        space = CubeSpace(d, n)
+        for trial in range(3):
+            t = sample_capacities(space.edges, dist, derive_seed(5, trial), exact=False)
+            r = min_distance(n, t, target, 1.0, d=d)
+            statuses.append(r.status)
+            h.update(repr((repr(r.value), r.status, dump_stream(r.stream))).encode())
+    assert statuses.count("holds") == 6
+    assert h.hexdigest() == "ff1fbe8b2a3c980f016c9e8f58c1896ed9fc7c78417f8651235f6b23105fdf15"
+
+
+def test_shared_tables_give_every_thread_its_own_result():
+    from latflow.estimate import CubeDistanceTables
+
+    d, n = 2, 6
+    space = CubeSpace(d, n)
+    tables = CubeDistanceTables(space, constant_target(d, Fraction(1, 2), (1, 0)), DistanceOptions())
+    rng = np.random.default_rng(0)
+    vecs = [rng.uniform(-1, 1, len(space.edges)) for _ in range(2)]
+    serial = [tables.value_and_grad(s) for s in vecs]
+    results = [[], []]
+
+    def work(w):
+        for _ in range(1000):
+            results[w].append(tables.value_and_grad(vecs[w]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between nearly every bytecode
+    try:
+        workers = [threading.Thread(target=work, args=(w,)) for w in range(2)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join()
+    finally:
+        sys.setswitchinterval(old)
+    for w, (val, grad) in enumerate(serial):
+        assert len(results[w]) == 1000
+        for v, g in results[w]:
+            assert v == val and g.tobytes() == grad.tobytes()

@@ -372,12 +372,23 @@ def _golden_corner_pair():
     return mu, nu, _ODD_LAMBDAS
 
 
+def _golden_overlap_pair():
+    # overlapping boxes: their difference has cells whose face pairs list
+    # the upper cell first; recorded while _level_sum still classified the
+    # cell pairs at every level
+    F = Fraction
+    mu = VectorMeasure.from_density(((F(3, 2), F(9, 4)), (F(3, 4), F(5, 4))), (F(3, 2), F(-3)))
+    nu = VectorMeasure.from_density(((F(1), F(2)), (F(3, 4), F(7, 4))), (F(-1), F(-1, 3)))
+    return mu, nu, DistanceOptions(k_max=8)
+
+
 @pytest.mark.parametrize("pair, lower, upper", [
     (_golden_lattice_pair, "2.302579218839758", "2.303034436747456"),
     (_golden_d3_pair, "0.34193641827171845", "0.3446288310140154"),
     (_golden_face_pair, "0.887363117932348", "0.8874825368459413"),
     (_golden_corner_pair, "0.823816159485313", "0.8239201099858012"),
-], ids=["lattice-adaptive", "d3-density", "shared-face", "corner-contact"])
+    (_golden_overlap_pair, "4.085337495459816", "4.094368279798617"),
+], ids=["lattice-adaptive", "d3-density", "shared-face", "corner-contact", "overlap"])
 def test_bracket_is_bit_identical_to_recorded_values(pair, lower, upper):
     # recorded with the per-point Fraction bucketing the integer kernel replaced
     mu, nu, opts = pair()

@@ -7,6 +7,7 @@ Exit codes: 0 ok, 2 config error, 3 invariant violation.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ import yaml
 from . import __version__
 from .capacities import CapacityDistribution, sample_capacities
 from .geometry import DomainSpec, discretize_domain, frac, unit_box_domain, unit_square_domain
-from .maxflow import cylinder_flow_tau, max_flow
+from .maxflow import max_flow
 from .measure import DistanceOptions, distance, from_json
 from .stream import admissibility_report, dump_stream, load_stream
 
@@ -55,10 +56,25 @@ def _as_int(v, path, minimum=None):
 
 
 def _as_frac(v, path):
+    """A value that stays rational.  A float is taken only when it is exactly
+    the decimal written (0.5, not 0.3), so no value is rounded silently."""
     try:
-        return frac(v)
+        x = Fraction(v) if isinstance(v, float) else frac(v)
     except Exception:
         raise ConfigError(f"{path}: expected a rational like '1/2', got {v!r}")
+    if isinstance(v, float):
+        written = Fraction(repr(v))
+        if x != written:
+            raise ConfigError(f"{path}: the float {v!r} is not exactly {written}; "
+                              f"write it as the quoted rational '{written}'")
+    return x
+
+
+def _as_real(v, path):
+    """A value used as a float: a finite float as written, else a rational."""
+    if isinstance(v, float) and math.isfinite(v):
+        return v
+    return float(_as_frac(v, path))
 
 
 def parse_distribution(cfg, path="dist"):
@@ -212,16 +228,10 @@ def cmd_tau(cfg, args):
     h = _as_int(_need(sub, "h", "tau"), "tau.h", minimum=1)
     axis = _as_int(sub.get("axis", d - 1), "tau.axis")
     dist = parse_distribution(_need(sub, "dist", "tau"), "tau.dist")
-    from .capacities import region_edges
-    from .estimate import straight_base
-    from .geometry import Cylinder, Region
+    from .estimate import straight_tau_sampler
 
-    base = straight_base(d, side, axis)
-    v = tuple(1 if j == axis else 0 for j in range(d))
-    region = Region(cylinder=Cylinder(base, h, v, two_sided=True))
-    t = sample_capacities(region_edges(region, 1, d=d), dist, seed, exact=(mode == "exact"))
-    res = cylinder_flow_tau(base, h, t, n=1)
-    summary = {"tau": float(res.value), "side": side, "h": h, "d": d}
+    tau = straight_tau_sampler(d, side, h, axis, dist, exact=(mode == "exact"))(seed)
+    summary = {"tau": float(tau), "side": side, "h": h, "d": d}
     with open(os.path.join(out_dir, "tau.json"), "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -320,7 +330,7 @@ def cmd_rate(cfg, args):
     v = [_as_frac(c, "rate.v") for c in _need(sub, "v", "rate")]
     if len(v) != d:
         raise ConfigError("rate.v: must have d components")
-    eps_list = [float(_as_frac(e, "rate.eps")) for e in _need(sub, "eps", "rate")]
+    eps_list = [_as_real(e, "rate.eps") for e in _need(sub, "eps", "rate")]
     trials = _as_int(_need(sub, "trials", "rate"), "rate.trials", minimum=1)
     dist = parse_distribution(_need(sub, "dist", "rate"), "rate.dist")
     from .estimate import estimate_rate
@@ -372,12 +382,11 @@ def cmd_tail(cfg, args):
     sub = _need(cfg, "tail", "config")
     domain = parse_domain(_need(sub, "domain", "tail"), "tail.domain")
     n = _as_int(_need(sub, "n", "tail"), "tail.n", minimum=1)
-    lams = [float(_as_frac(l, "tail.lam")) for l in _need(sub, "lam", "tail")]
+    lams = [_as_real(l, "tail.lam") for l in _need(sub, "lam", "tail")]
     trials = _as_int(_need(sub, "trials", "tail"), "tail.trials", minimum=1)
     dist = parse_distribution(_need(sub, "dist", "tail"), "tail.dist")
     L = discretize_domain(domain, n)
     from .estimate import tail_probability
-    import math
 
     d = L.d
     header = ["lam", "n", "trials", "successes", "phat", "lo", "hi",

@@ -499,27 +499,37 @@ class FlowConstantPoint:
         return cls(n, h, len(vals), tuple(ratios), m, m - half, m + half)
 
 
-def estimate_flow_constant(dist: CapacityDistribution, axis, n_list, h_of_n,
-                           trials, seed, d=2, exact=True, threads=1):
-    """Per-n estimates of tau(nA, h(n)) / (n^{d-1} H^{d-1}(A)) for the straight
-    unit hyperrectangle A."""
+def straight_tau_sampler(d, side, h, axis, dist: CapacityDistribution, exact=True):
+    """seed -> tau(A, h) for one capacity sample on the two-sided straight
+    cylinder over A = straight_base(d, side, axis), at scale 1.  The
+    cylinder's edges are listed once, when the sampler is made."""
     from .capacities import region_edges
     from .geometry import Region, Cylinder
     from .maxflow import cylinder_flow_tau
 
+    base = straight_base(d, side, axis)
+    v = tuple(1 if j == axis else 0 for j in range(d))
+    edges = region_edges(Region(cylinder=Cylinder(base, h, v, two_sided=True)), 1, d=d)
+
+    def tau(seed):
+        t = sample_capacities(edges, dist, seed, exact=exact)
+        return cylinder_flow_tau(base, h, t, n=1).value
+
+    return tau
+
+
+def estimate_flow_constant(dist: CapacityDistribution, axis, n_list, h_of_n,
+                           trials, seed, d=2, exact=True, threads=1):
+    """Per-n estimates of tau(nA, h(n)) / (n^{d-1} H^{d-1}(A)) for the straight
+    unit hyperrectangle A."""
     out = []
     for n in n_list:
         h = h_of_n(n)
-        base = straight_base(d, n, axis)
-        v = tuple(1 if j == axis else 0 for j in range(d))
-        region = Region(cylinder=Cylinder(base, h, v, two_sided=True))
-        edges = region_edges(region, 1, d=d)
+        tau = straight_tau_sampler(d, n, h, axis, dist, exact=exact)
+        scale = Fraction(n ** (d - 1)) if exact else n ** (d - 1)
 
-        def one(trial, n=n, h=h, base=base, edges=edges):
-            t = sample_capacities(edges, dist, derive_seed(seed, n, trial), exact=exact)
-            res = cylinder_flow_tau(base, h, t, n=1)
-            ratio = res.value / Fraction(n ** (d - 1)) if exact else res.value / n ** (d - 1)
-            return ratio
+        def one(trial, n=n, tau=tau, scale=scale):
+            return tau(derive_seed(seed, n, trial)) / scale
 
         ratios = _run_trials(one, trials, threads)
         out.append(FlowConstantPoint.from_ratios(n, h, ratios))

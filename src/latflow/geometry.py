@@ -2,14 +2,16 @@
 
 All vertices live on the rescaled lattice Z^d/n and are stored as integer
 coordinate tuples at scale n (the point p corresponds to the tuple n*p).
-Region corners are Fractions, so every membership test used by the
-discretization is an exact rational comparison.
+Region corners are Fractions, and every "which vertices lie in this box"
+question is answered by one integer rule: the box becomes per-axis integer
+ranges at scale n (``near_ranges``, ``half_open_ranges``), so no per-vertex
+rational is ever built.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-
+from itertools import chain, product
 from typing import NamedTuple
 
 
@@ -89,21 +91,39 @@ def cube_face(d, axis, sign) -> tuple:
     return tuple((c, c) if j == axis else (-h, h) for j in range(d))
 
 
-def _interval_gap(t: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
-    if t < lo:
-        return lo - t
-    if t > hi:
-        return t - hi
-    return Fraction(0)
+def near_ranges(b, n) -> tuple:
+    """Per-axis integer ranges of the x in Z^d with d_inf(x/n, closure of b)
+    < 1/n: on each axis floor(n lo) <= x <= ceil(n hi)."""
+    return tuple(range(math.floor(lo * n), math.ceil(hi * n) + 1) for lo, hi in b)
 
 
-def dist_inf_to_box(p, b) -> Fraction:
-    """L-infinity distance from rational point p to the (closure of) box b."""
-    return max(_interval_gap(p[j], lo, hi) for j, (lo, hi) in enumerate(b))
+def half_open_ranges(b, n) -> tuple:
+    """Per-axis integer ranges of the x in Z^d with lo <= x/n < hi: on each
+    axis ceil(n lo) <= x < ceil(n hi)."""
+    return tuple(range(math.ceil(lo * n), math.ceil(hi * n)) for lo, hi in b)
 
 
-def dist_inf_to_union(p, boxes) -> Fraction:
-    return min(dist_inf_to_box(p, b) for b in boxes)
+def _in_any(v, boxes_ranges) -> bool:
+    """Is the integer vertex v in one of the per-axis range products?"""
+    return any(all(c in r for c, r in zip(v, rs)) for rs in boxes_ranges)
+
+
+def neighbors(v):
+    """The 2d lattice neighbours of the integer vertex v."""
+    for j in range(len(v)):
+        for s in (1, -1):
+            yield v[:j] + (v[j] + s,) + v[j + 1:]
+
+
+def inner_edges(verts) -> list:
+    """Lattice edges with both endpoints in the vertex set, ordered by left
+    endpoint, then axis."""
+    return [
+        EdgeId(v, j)
+        for v in sorted(verts)
+        for j in range(len(v))
+        if v[:j] + (v[j] + 1,) + v[j + 1:] in verts
+    ]
 
 
 @dataclass(frozen=True)
@@ -130,9 +150,6 @@ class DomainSpec:
             for g in self.sink:
                 if _faces_touch(f, g):
                     raise ValueError("source and sink must have positive separation")
-
-    def contains(self, p) -> bool:
-        return any(all(lo < p[j] < hi for j, (lo, hi) in enumerate(b)) for b in self.boxes)
 
 
 def _faces_touch(f, g) -> bool:
@@ -196,71 +213,37 @@ class LatticeDomain:
         return tuple(Fraction(c, self.n) for c in v)
 
 
-def _bounding_ints(boxes, n, pad=1):
-    d = len(boxes[0])
-    lo, hi = [], []
-    for j in range(d):
-        lo.append(min(b[j][0] for b in boxes))
-        hi.append(max(b[j][1] for b in boxes))
-    lo_i = [int((l * n).__floor__()) - pad for l in lo]
-    hi_i = [int((h * n).__ceil__()) + pad for h in hi]
-    return lo_i, hi_i
-
-
 def discretize_domain(spec: DomainSpec, n: int) -> LatticeDomain:
-    """Build Omega_n, Gamma_n and Gamma_n^i by exact rational comparisons.
+    """Build Omega_n, Gamma_n and Gamma_n^i by exact integer range tests.
 
-    Omega_n = {x in Z^d/n : d_inf(x, Omega) < 1/n}; Gamma_n collects the
-    vertices of Omega_n with a lattice neighbour outside; Gamma_n^i keeps the
-    Gamma_n vertices within 1/n of Gamma^i but not within 1/n of the other
-    terminal.
+    Omega_n = {x in Z^d/n : d_inf(x, Omega) < 1/n}, the union of the boxes'
+    near ranges; Gamma_n collects the vertices of Omega_n with a lattice
+    neighbour outside; Gamma_n^i keeps the Gamma_n vertices within 1/n of
+    Gamma^i but not within 1/n of the other terminal.
     """
     if n < 1:
         raise ValueError("scale n must be >= 1")
-    d = spec.d
-    lo, hi = _bounding_ints(spec.boxes, n)
-    thr = Fraction(1, n)
-    omega = set()
-    for coords in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        p = tuple(Fraction(c, n) for c in coords)
-        if dist_inf_to_union(p, spec.boxes) < thr:
-            omega.add(coords)
+    omega = frozenset(chain.from_iterable(product(*near_ranges(b, n)) for b in spec.boxes))
     if not omega:
         raise ValueError("empty discretization: n too small for the region")
-
-    def neighbors(v):
-        for j in range(d):
-            for s in (1, -1):
-                w = list(v)
-                w[j] += s
-                yield tuple(w)
-
-    gamma = {v for v in omega if any(w not in omega for w in neighbors(v))}
+    gamma = frozenset(v for v in omega if any(w not in omega for w in neighbors(v)))
+    near_source = [near_ranges(f, n) for f in spec.source]
+    near_sink = [near_ranges(f, n) for f in spec.sink]
     gamma1, gamma2 = set(), set()
     for v in gamma:
-        p = tuple(Fraction(c, n) for c in v)
-        d1 = dist_inf_to_union(p, spec.source)
-        d2 = dist_inf_to_union(p, spec.sink)
-        if d1 < thr and d2 >= thr:
+        in1, in2 = _in_any(v, near_source), _in_any(v, near_sink)
+        if in1 and not in2:
             gamma1.add(v)
-        elif d2 < thr and d1 >= thr:
+        elif in2 and not in1:
             gamma2.add(v)
-
-    edges = []
-    for v in sorted(omega):
-        for j in range(d):
-            w = list(v)
-            w[j] += 1
-            if tuple(w) in omega:
-                edges.append(EdgeId(v, j))
     return LatticeDomain(
         spec=spec,
         n=n,
-        omega=frozenset(omega),
-        gamma=frozenset(gamma),
+        omega=omega,
+        gamma=gamma,
         gamma1=frozenset(gamma1),
         gamma2=frozenset(gamma2),
-        edges=tuple(edges),
+        edges=tuple(inner_edges(omega)),
     )
 
 
@@ -269,58 +252,40 @@ def discretize_domain(spec: DomainSpec, n: int) -> LatticeDomain:
 
 
 class Region:
-    """Point-membership region backed by exact rational boxes, or a cylinder.
-
-    Axis-direction cylinders are evaluated exactly; tilted ones fall back to
-    floating point with ``tol``.
+    """Lattice-membership region: a union of half-open rational boxes, or an
+    axis-direction cylinder.  Membership at scale n is an integer range test.
     """
 
-    def __init__(self, boxes=None, cylinder=None, tol=1e-9):
+    def __init__(self, boxes=None, cylinder=None):
         if (boxes is None) == (cylinder is None):
             raise ValueError("pass exactly one of boxes / cylinder")
         self.boxes = tuple(boxes) if boxes is not None else None
         self.cylinder = cylinder
-        self.tol = tol
 
-    @classmethod
-    def from_box(cls, b):
-        return cls(boxes=(b,))
-
-    @property
-    def exact(self):
-        if self.boxes is not None:
-            return True
-        return self.cylinder.axis is not None
-
-    def contains(self, p) -> bool:
-        """Half-open membership for boxes; closed membership for cylinders."""
-        if self.boxes is not None:
-            return any(
-                all(lo <= p[j] < hi for j, (lo, hi) in enumerate(b)) for b in self.boxes
-            )
-        return self.cylinder.contains(p)
+    def _ranges(self, n):
+        """Per-box tuples of per-axis integer ranges at scale n."""
+        if self.boxes is None:
+            return [self.cylinder.ranges(n)]
+        return [half_open_ranges(b, n) for b in self.boxes]
 
     def lattice_vertices(self, n):
-        if self.boxes is not None:
-            lo, hi = _bounding_ints(self.boxes, n)
-        else:
-            lo, hi = self.cylinder.bounding_ints(n)
-        out = []
-        for coords in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-            p = tuple(Fraction(c, n) for c in coords)
-            if self.contains(p):
-                out.append(coords)
-        return out
+        """The integer vertices of the region at scale n, in lexicographic
+        order."""
+        ranges = self._ranges(n)
+        if len(ranges) == 1:
+            return list(product(*ranges[0]))
+        return sorted(set(chain.from_iterable(product(*rs) for rs in ranges)))
 
     def contains_vertex(self, v, n) -> bool:
-        return self.contains(tuple(Fraction(c, n) for c in v))
+        return _in_any(v, self._ranges(n))
 
 
 class Cylinder:
     """cyl(A, h, v): two-sided when v is normal to A, one-sided otherwise.
 
     The base A is a degenerate rational box; its non-degenerate extents are
-    read half-open so that adjacent cylinders tile without overlap.
+    read half-open so that adjacent cylinders tile without overlap, and the
+    axis extent is closed.
     """
 
     def __init__(self, base, h, v, two_sided=True, tol=1e-9):
@@ -343,9 +308,6 @@ class Cylinder:
     def d(self):
         return len(self.base)
 
-    def center(self):
-        return tuple((lo + hi) / 2 for lo, hi in self.base)
-
     def _axis_interval(self):
         c = self.base[self.axis][0]
         if self.two_sided:
@@ -354,17 +316,23 @@ class Cylinder:
             return c, c + self.h
         return c - self.h, c
 
+    def ranges(self, n):
+        """Per-axis integer ranges of the lattice vertices at scale n: the
+        base extents half-open, the axis extent closed."""
+        if self.axis is None:
+            raise NotImplementedError("lattice vertices require an axis direction")
+        lo, hi = self._axis_interval()
+        out = list(half_open_ranges(self.base, n))
+        out[self.axis] = range(math.ceil(lo * n), math.floor(hi * n) + 1)
+        return tuple(out)
+
     def contains(self, p) -> bool:
+        """Float point test for a tilted cylinder.  A straight cylinder's
+        membership is the integer range test of ``ranges(n)`` (through
+        ``Region.contains_vertex``)."""
         if self.axis is not None:
-            lo, hi = self._axis_interval()
-            if not (lo <= p[self.axis] <= hi):
-                return False
-            return all(
-                blo <= p[j] < bhi
-                for j, (blo, bhi) in enumerate(self.base)
-                if j != self.axis
-            )
-        # tilted: decompose p = q + t v with q in the base plane x_ax = c
+            raise ValueError("straight cylinder: test lattice vertices with ranges(n)")
+        # decompose p = q + t v with q in the base plane x_ax = c
         ax = face_axis(self.base)
         vf = [float(c) for c in self.v]
         if vf[ax] == 0:
@@ -381,15 +349,6 @@ class Cylinder:
                 return False
         return True
 
-    def bounding_ints(self, n):
-        los, his = [], []
-        for j in range(self.d):
-            blo, bhi = self.base[j]
-            ext = abs(float(self.v[j])) * float(self.h)
-            los.append(int((float(blo) - ext) * n) - 2)
-            his.append(int((float(bhi) + ext) * n) + 2)
-        return los, his
-
 
 def cylinder_sets(base, h, v, n=1, two_sided=True):
     """Region and the discretized vertex sets (T, B, T', B') of cyl(A, h, v).
@@ -397,44 +356,35 @@ def cylinder_sets(base, h, v, n=1, two_sided=True):
     T/B are the vertices with an edge leaving the cylinder through the shifted
     base A + hv (resp. A - hv); T'/B' split every boundary vertex by the sign
     of (x - z).v where z is the center of A, vertices on the mid-plane
-    excluded.
+    excluded.  Both tests compare integer coordinates at scale n.
     """
     cyl = Cylinder(base, h, v, two_sided=two_sided)
-    region = Region(cylinder=cyl)
-    verts = set(region.lattice_vertices(n))
-
-    def neighbors(x):
-        for j in range(cyl.d):
-            for s in (1, -1):
-                y = list(x)
-                y[j] += s
-                yield tuple(y)
-
     if cyl.axis is None:
         raise NotImplementedError("discretized top/bottom sets require an axis direction")
-    ax = cyl.axis
+    region = Region(cylinder=cyl)
+    verts = set(region.lattice_vertices(n))
+    ax, sign = cyl.axis, cyl.sign
+    c = base[ax][0]
     lo, hi = cyl._axis_interval()
     if cyl.two_sided:
-        top_val, bot_val = (hi, lo) if cyl.sign > 0 else (lo, hi)
+        top_val, bot_val = (hi, lo) if sign > 0 else (lo, hi)
     else:
-        c = cyl.base[ax][0]
-        top_val, bot_val = (hi if cyl.sign > 0 else lo), c
-    z = cyl.center()
+        top_val, bot_val = (hi if sign > 0 else lo), c
+    top_n, bot_n, c_n = top_val * n, bot_val * n, c * n
     top, bottom, top_half, bot_half = set(), set(), set(), set()
     for x in verts:
         outs = [y for y in neighbors(x) if y not in verts]
         if not outs:
             continue
-        p = tuple(Fraction(c, n) for c in x)
         # T/B: the edge to the outside must cross the shifted base plane
         for y in outs:
             if y[ax] != x[ax]:
-                seg = sorted((Fraction(x[ax], n), Fraction(y[ax], n)))
-                if seg[0] <= top_val <= seg[1]:
+                a, b = sorted((x[ax], y[ax]))
+                if a <= top_n <= b:
                     top.add(x)
-                if seg[0] <= bot_val <= seg[1]:
+                if a <= bot_n <= b:
                     bottom.add(x)
-        s = (p[ax] - z[ax]) * cyl.sign
+        s = (x[ax] - c_n) * sign
         if s > 0:
             top_half.add(x)
         elif s < 0:
@@ -451,33 +401,11 @@ def boundary_edge_set(axis, sign, face, n):
     """
     if face_axis(face) != axis:
         raise ValueError("face must be orthogonal to the given axis")
-    c = face[axis][0]
-    cn = c * n
-    if sign > 0:
-        # x_axis < c*n <= x_axis + 1
-        if cn.denominator == 1:
-            xa = int(cn) - 1
-        else:
-            xa = int(cn.__floor__())
-    else:
-        # x_axis <= c*n < x_axis + 1
-        if cn.denominator == 1:
-            xa = int(cn)
-        else:
-            xa = int(cn.__floor__())
-    out = []
-    ranges = []
-    for j, (lo, hi) in enumerate(face):
-        if j == axis:
-            continue
-        lo_i = int((lo * n).__ceil__())
-        hi_i = int((hi * n).__ceil__())  # half-open [lo, hi)
-        ranges.append(range(lo_i, hi_i))
-    for rest in product(*ranges):
-        coords = list(rest)
-        coords.insert(axis, xa)
-        out.append(EdgeId(tuple(coords), axis))
-    return out
+    # sign +1: x_axis < c n <= x_axis + 1; sign -1: x_axis <= c n < x_axis + 1
+    cn = face[axis][0] * n
+    ranges = list(half_open_ranges(face, n))
+    ranges[axis] = (math.ceil(cn) - 1 if sign > 0 else math.floor(cn),)
+    return [EdgeId(x, axis) for x in product(*ranges)]
 
 
 def face_partition(d, axis, sign, m):

@@ -9,7 +9,7 @@ Dinic's blocking-flow search keeps every quantity in the input's arithmetic
 from collections import deque
 from dataclasses import dataclass
 
-from .geometry import EdgeId
+from .geometry import inner_edges
 from .stream import Stream
 
 
@@ -210,12 +210,7 @@ def cylinder_flow_tau(base, h, t, n=1, v=None):
 def _cyl_flow(region, sources, sinks, t, n):
     verts = set(region.lattice_vertices(n))
     d = len(next(iter(verts))) if verts else 0
-    edges = []
-    for x in sorted(verts):
-        for j in range(d):
-            e = EdgeId(x, j)
-            if e.right() in verts:
-                edges.append(e)
+    edges = inner_edges(verts)
     terminals = sources | sinks
     edges = [e for e in edges if not (e.x in terminals and e.right() in terminals)]
     return _solve(d, n, verts, edges, sources, sinks, t)

@@ -8,8 +8,9 @@ operation here is agnostic to the numeric type.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
-from .geometry import EdgeId, face_axis
+from .geometry import EdgeId, face_axis, half_open_ranges
 
 
 @dataclass
@@ -209,12 +210,7 @@ def constant_stream(b, vec, n, damping=1) -> Stream:
     boundary come out exactly proportional to the cell area."""
     d = len(b)
     f = Stream(d, n)
-    ranges = []
-    for lo, hi in b:
-        ranges.append(range(int((lo * n).__ceil__()), int(((hi * n).__ceil__()) )))
-    from itertools import product as iproduct
-
-    for coords in iproduct(*ranges):
+    for coords in product(*half_open_ranges(b, n)):
         for j in range(d):
             val = damping * vec[j]
             if val != 0:

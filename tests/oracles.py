@@ -9,33 +9,139 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 
 
-def enumerate_omega(boxes, n, pad=2):
-    """Direct scan for {x in Z^d/n : d_inf(x, Omega) < 1/n}."""
+def dist_inf_to_union(p, boxes):
+    """L-infinity distance from the rational point p to the union of the
+    closed boxes."""
+
+    def gap(t, lo, hi):
+        if t < lo:
+            return lo - t
+        if t > hi:
+            return t - hi
+        return Fraction(0)
+
+    return min(max(gap(p[j], lo, hi) for j, (lo, hi) in enumerate(b)) for b in boxes)
+
+
+def _scan_window(boxes, n, pad=2):
+    """Every integer vertex of a padded bounding box of the boxes at scale n,
+    in lexicographic order."""
     d = len(boxes[0])
     lo = [min(b[j][0] for b in boxes) for j in range(d)]
     hi = [max(b[j][1] for b in boxes) for j in range(d)]
-    out = set()
-    ranges = [
+    return product(*(
         range(int(float(l) * n) - pad - 1, int(float(h) * n) + pad + 2)
         for l, h in zip(lo, hi)
+    ))
+
+
+def _neighbours(v):
+    for j in range(len(v)):
+        for s in (1, -1):
+            w = list(v)
+            w[j] += s
+            yield tuple(w)
+
+
+def enumerate_omega(boxes, n):
+    """Direct scan for {x in Z^d/n : d_inf(x, Omega) < 1/n}."""
+    return {
+        v for v in _scan_window(boxes, n)
+        if dist_inf_to_union([Fraction(c, n) for c in v], boxes) < Fraction(1, n)
+    }
+
+
+def discretize_by_scan(spec, n):
+    """(omega, gamma, gamma1, gamma2, edges) of the domain at scale n, each
+    vertex tested by its Fraction distances to the boxes and faces."""
+    thr = Fraction(1, n)
+    omega = enumerate_omega(spec.boxes, n)
+    gamma = {v for v in omega if any(w not in omega for w in _neighbours(v))}
+    gamma1, gamma2 = set(), set()
+    for v in gamma:
+        p = [Fraction(c, n) for c in v]
+        near1 = dist_inf_to_union(p, spec.source) < thr
+        near2 = dist_inf_to_union(p, spec.sink) < thr
+        if near1 and not near2:
+            gamma1.add(v)
+        if near2 and not near1:
+            gamma2.add(v)
+    edges = [
+        (v, j) for v in sorted(omega) for j in range(spec.d)
+        if tuple(c + (k == j) for k, c in enumerate(v)) in omega
     ]
-    for coords in product(*ranges):
-        p = [Fraction(c, n) for c in coords]
-        best = None
-        for b in boxes:
-            gaps = []
-            for j, (blo, bhi) in enumerate(b):
-                if p[j] < blo:
-                    gaps.append(blo - p[j])
-                elif p[j] > bhi:
-                    gaps.append(p[j] - bhi)
-                else:
-                    gaps.append(Fraction(0))
-            dist = max(gaps)
-            best = dist if best is None else min(best, dist)
-        if best < Fraction(1, n):
-            out.add(coords)
-    return out
+    return omega, gamma, gamma1, gamma2, edges
+
+
+def box_region_by_scan(boxes, n):
+    """Vertices x (lexicographic) with lo <= x/n < hi on every axis of some
+    box, tested with Fractions."""
+    return [
+        v for v in _scan_window(boxes, n)
+        if any(all(lo <= Fraction(c, n) < hi for c, (lo, hi) in zip(v, b)) for b in boxes)
+    ]
+
+
+def cylinder_by_scan(base, h, axis, sign, two_sided, n):
+    """(vertices, T, B, T', B') of the straight cylinder over the base from the
+    definitions, with Fractions: the axis extent closed, the base extents
+    half-open; T/B have an edge to the outside whose segment meets the
+    shifted base plane; T'/B' split the boundary vertices by the side of the
+    base plane."""
+    c = base[axis][0]
+    lo, hi = (c - h, c + h) if two_sided else ((c, c + h) if sign > 0 else (c - h, c))
+    if two_sided:
+        top_val, bot_val = (hi, lo) if sign > 0 else (lo, hi)
+    else:
+        top_val, bot_val = (hi if sign > 0 else lo), c
+    window = tuple((lo, hi) if j == axis else b for j, b in enumerate(base))
+    verts = [
+        v for v in _scan_window((window,), n)
+        if all(
+            (lo <= Fraction(x, n) <= hi) if j == axis else (blo <= Fraction(x, n) < bhi)
+            for j, (x, (blo, bhi)) in enumerate(zip(v, base))
+        )
+    ]
+    inside = set(verts)
+    top, bottom, top_half, bot_half = set(), set(), set(), set()
+    for v in verts:
+        outs = [w for w in _neighbours(v) if w not in inside]
+        if not outs:
+            continue
+        for w in outs:
+            if w[axis] != v[axis]:
+                a, b = sorted((Fraction(v[axis], n), Fraction(w[axis], n)))
+                if a <= top_val <= b:
+                    top.add(v)
+                if a <= bot_val <= b:
+                    bottom.add(v)
+        side = (Fraction(v[axis], n) - c) * sign
+        if side > 0:
+            top_half.add(v)
+        elif side < 0:
+            bot_half.add(v)
+    return verts, top, bottom, top_half, bot_half
+
+
+def boundary_edges_by_scan(axis, sign, face, n):
+    """(left endpoint, axis) of the edges of E_n^{axis,sign}[face], in
+    lexicographic order, from the definition with Fractions: the face value c
+    satisfies x_axis/n < c <= (x_axis + 1)/n (sign +1) or
+    x_axis/n <= c < (x_axis + 1)/n (sign -1), and lo <= x_j/n < hi on every
+    other axis."""
+    c = face[axis][0]
+
+    def meets(x):
+        a, b = Fraction(x, n), Fraction(x + 1, n)
+        return (a < c <= b) if sign > 0 else (a <= c < b)
+
+    return [
+        (v, axis) for v in _scan_window((face,), n)
+        if all(
+            meets(x) if j == axis else (lo <= Fraction(x, n) < hi)
+            for j, (x, (lo, hi)) in enumerate(zip(v, face))
+        )
+    ]
 
 
 def min_cut_by_partitions(vertices, edges, caps, sources, sinks):

@@ -324,3 +324,40 @@ def test_unreadable_or_malformed_input_files_exit_2(tmp_path, capsys):
         cfg = {"out_dir": str(tmp_path / "out"), cmd: sub}
         assert run_cli(tmp_path, f"{cmd}__{i}", cfg) == 2, (key, value)
         assert f"config error: {cmd}.{key}:" in capsys.readouterr().err
+
+
+def test_inexact_yaml_floats_in_rational_fields_exit_2(tmp_path, capsys):
+    # 0.3 parses as the double nearest 3/10, which limit_denominator(10**12)
+    # used to round to 3/10 without a word
+    from fractions import Fraction
+
+    assert Fraction(0.3).limit_denominator(10**12) != Fraction(0.3)
+    bern = {"kind": "bernoulli", "a": "0", "b": "1", "p": "1/2"}
+    rate = {"d": 2, "n": 2, "s": "1/2", "v": ["1", "0"], "eps": ["1/2"], "trials": 2, "dist": bern}
+    domain = {"d": 2, "boxes": [[["0", "1"], ["0", "1"]]],
+              "source": [[["0", "0"], ["0", "1"]]], "sink": [[["1", "1"], ["0", "1"]]]}
+    bad_domain = dict(domain, boxes=[[["0", 0.3], ["0", "1"]]])
+    cases = [
+        ("maxflow", {"domain": "unit_square", "n": 2, "dist": dict(bern, p=0.3)}, "maxflow.dist.p"),
+        ("maxflow", {"domain": bad_domain, "n": 2, "dist": bern}, "maxflow.domain.boxes[0]"),
+        ("rate", dict(rate, s=0.3), "rate.s"),
+        ("rate", dict(rate, v=[0.3, "0"]), "rate.v"),
+        ("mix-demo", {"kind": "mix2d", "M": "1", "inputs": [0.3, "-3/10"]}, "mix_demo.inputs"),
+    ]
+    for i, (cmd, sub, field) in enumerate(cases):
+        cfg = {"out_dir": str(tmp_path / "out"), cmd.replace("-", "_"): sub}
+        assert run_cli(tmp_path, f"{cmd}__{i}", cfg) == 2, field
+        assert f"config error: {field}: the float 0.3 is not exactly 3/10; " \
+               f"write it as the quoted rational '3/10'" in capsys.readouterr().err
+    # an exact binary float stays a rational; eps and lam are read as floats
+    out = tmp_path / "ok"
+    cfg = {"out_dir": str(out),
+           "maxflow": {"domain": domain, "n": 2, "dist": dict(bern, p=0.5)}}
+    assert run_cli(tmp_path, "maxflow__ok", cfg) == 0
+    rows = {}
+    for eps in ("3/10", 0.3):
+        out = tmp_path / f"rate_{eps!r}"
+        cfg = {"out_dir": str(out), "rate": dict(rate, eps=[eps], s="0")}
+        assert run_cli(tmp_path, f"rate__{len(rows)}", cfg) == 0
+        rows[eps] = (out / "rate.csv").read_bytes()
+    assert rows["3/10"] == rows[0.3]

@@ -49,8 +49,7 @@ def test_omega_matches_enumeration_oracle(n):
 
 
 def test_gamma_vertices_satisfy_defining_distances():
-    from latflow.geometry import dist_inf_to_union
-
+    dist_inf_to_union = oracles.dist_inf_to_union
     spec = unit_square_domain()
     for n in (1, 2, 3):
         L = discretize_domain(spec, n)
@@ -65,6 +64,87 @@ def test_gamma_vertices_satisfy_defining_distances():
             assert dist_inf_to_union(p, spec.source) >= thr
         assert not (L.gamma1 & L.gamma2)
         assert (L.gamma1 | L.gamma2) <= L.gamma <= L.omega
+
+
+def _random_rational_box(rng, d):
+    out = []
+    for _ in range(d):
+        lo = Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3, 4)))
+        out.append((lo, lo + Fraction(rng.randint(1, 4), rng.choice((1, 2, 3, 4)))))
+    return tuple(out)
+
+
+def _random_multibox_domain(rng, d):
+    from latflow.geometry import DomainSpec
+
+    boxes = tuple(_random_rational_box(rng, d) for _ in range(rng.randint(1, 3)))
+    axis = rng.randrange(d)
+    lo = min(b[axis][0] for b in boxes)
+    hi = max(b[axis][1] for b in boxes)
+
+    def faces(c):
+        return tuple(
+            tuple((c, c) if j == axis else ext for j, ext in enumerate(_random_rational_box(rng, d)))
+            for _ in range(rng.randint(1, 2))
+        )
+
+    return DomainSpec(d=d, boxes=boxes, source=faces(lo), sink=faces(hi))
+
+
+def _probes(rng, d):
+    """Vertices in and around the random regions, for the membership test."""
+    return [tuple(rng.randint(-14, 14) for _ in range(d)) for _ in range(60)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_integer_kernel_matches_fraction_scan(d):
+    """discretize_domain, Region, cylinder_sets and boundary_edge_set against
+    Fraction scans of the definitions on random rational multi-box domains,
+    cylinders and faces."""
+    rng = random.Random(20 + d)
+    for _ in range(12 if d == 2 else 4):
+        spec = _random_multibox_domain(rng, d)
+        region = Region(boxes=spec.boxes)
+        for n in (1, 2, 3, 4):
+            L = discretize_domain(spec, n)
+            omega, gamma, gamma1, gamma2, edges = oracles.discretize_by_scan(spec, n)
+            assert (L.omega, L.gamma, L.gamma1, L.gamma2) == (omega, gamma, gamma1, gamma2)
+            assert [(e.x, e.axis) for e in L.edges] == edges
+            want = oracles.box_region_by_scan(spec.boxes, n)
+            assert region.lattice_vertices(n) == want
+            inside = set(want)
+            for x in _probes(rng, d):
+                assert region.contains_vertex(x, n) == (x in inside)
+    for _ in range(16 if d == 2 else 5):
+        axis = rng.randrange(d)
+        c = Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+        base = tuple((c, c) if j == axis else ext for j, ext in enumerate(_random_rational_box(rng, d)))
+        h = Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))
+        for sign in (1, -1):
+            v = tuple(sign if j == axis else 0 for j in range(d))
+            for n in (1, 2, 3, 4):
+                edges = boundary_edge_set(axis, sign, base, n)
+                want = oracles.boundary_edges_by_scan(axis, sign, base, n)
+                assert [(e.x, e.axis) for e in edges] == want
+            for two_sided in (True, False):
+                for n in (1, 2, 3, 4):
+                    region, *sets = cylinder_sets(base, h, v, n=n, two_sided=two_sided)
+                    verts, *want = oracles.cylinder_by_scan(base, h, axis, sign, two_sided, n)
+                    assert region.lattice_vertices(n) == verts
+                    assert [set(s) for s in sets] == want
+                    inside = set(verts)
+                    for x in _probes(rng, d):
+                        assert region.contains_vertex(x, n) == (x in inside)
+
+
+def test_tilted_cylinder_has_no_lattice_vertices():
+    with pytest.raises(NotImplementedError):
+        Region(cylinder=Cylinder(box((0, 1), (0, 0)), 1, (1, 1))).lattice_vertices(1)
+
+
+def test_straight_cylinder_has_no_float_point_test():
+    with pytest.raises(ValueError):
+        Cylinder(box((0, 1), (0, 0)), 1, (0, 1)).contains((0.5, 0.5))
 
 
 def test_invalid_domain_specs_raise():

@@ -132,8 +132,8 @@ class CapacityDistribution:
 
         The discrete kinds compare the word exactly, so both numeric modes
         agree: u < p 2^64 is u < ceil(p 2^64), an integer fixed here once.
-        A float uniform sample is its exact rational value rounded by one
-        int true division."""
+        A uniform sample is one integer ratio: reduced once into a Fraction,
+        or rounded by one int true division into a float."""
         conv = (lambda v: v) if exact else float
         if self.kind == "constant":
             c = conv(self.params[0])
@@ -145,12 +145,12 @@ class CapacityDistribution:
         if self.kind == "uniform":
             a, b = self.params
             w = b - a
-            if exact:
-                return lambda u: a + w * Fraction(u, 1 << 64)
             # a + w u / 2^64 = (top + step u) / den
             top = a.numerator * w.denominator << 64
             step = w.numerator * a.denominator
             den = a.denominator * w.denominator << 64
+            if exact:
+                return lambda u: Fraction(top + step * u, den)
             return lambda u: (top + step * u) / den
         values, probs = self.params
         cuts = [math.ceil(acc * (1 << 64)) for acc in accumulate(probs)]

@@ -56,18 +56,19 @@ def _as_int(v, path, minimum=None):
 
 
 def _as_frac(v, path):
-    """A value that stays rational.  A float is taken only when it is exactly
-    the decimal written (0.5, not 0.3), so no value is rounded silently."""
+    """A value that stays rational, read by ``frac``: a float only when it is
+    exactly the decimal written, and never a boolean (YAML true/false)."""
+    if isinstance(v, float) and math.isfinite(v):
+        try:
+            return frac(v)
+        except ValueError as exc:  # not exactly the decimal written
+            raise ConfigError(f"{path}: {exc}")
     try:
-        x = Fraction(v) if isinstance(v, float) else frac(v)
+        if not isinstance(v, bool):
+            return frac(v)
     except Exception:
-        raise ConfigError(f"{path}: expected a rational like '1/2', got {v!r}")
-    if isinstance(v, float):
-        written = Fraction(repr(v))
-        if x != written:
-            raise ConfigError(f"{path}: the float {v!r} is not exactly {written}; "
-                              f"write it as the quoted rational '{written}'")
-    return x
+        pass
+    raise ConfigError(f"{path}: expected a rational like '1/2', got {v!r}")
 
 
 def _as_real(v, path):

@@ -502,18 +502,19 @@ class FlowConstantPoint:
 def straight_tau_sampler(d, side, h, axis, dist: CapacityDistribution, exact=True):
     """seed -> tau(A, h) for one capacity sample on the two-sided straight
     cylinder over A = straight_base(d, side, axis), at scale 1.  The
-    cylinder's edges are listed once, when the sampler is made."""
+    cylinder's edges and its flow network are built once, when the sampler
+    is made; a call only samples and solves."""
     from .capacities import region_edges
     from .geometry import Region, Cylinder
-    from .maxflow import cylinder_flow_tau
+    from .maxflow import tau_network
 
     base = straight_base(d, side, axis)
     v = tuple(1 if j == axis else 0 for j in range(d))
     edges = region_edges(Region(cylinder=Cylinder(base, h, v, two_sided=True)), 1, d=d)
+    network = tau_network(base, h, n=1, v=v)
 
     def tau(seed):
-        t = sample_capacities(edges, dist, seed, exact=exact)
-        return cylinder_flow_tau(base, h, t, n=1).value
+        return network.solve(sample_capacities(edges, dist, seed, exact=exact)).value
 
     return tau
 

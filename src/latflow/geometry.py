@@ -16,11 +16,17 @@ from typing import NamedTuple
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '1/2', floats and Fractions to Fraction."""
+    """Coerce ints, strings like '1/2', floats and Fractions to Fraction.  A
+    float is taken only when it is exactly the decimal written (0.5, not 0.3),
+    so no value is rounded silently; otherwise ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
+        written = Fraction(repr(x))  # ValueError for inf and nan
+        if Fraction(x) != written:
+            raise ValueError(f"the float {x!r} is not exactly {written}; "
+                             f"write it as the quoted rational '{written}'")
+        return written
     return Fraction(x)
 
 

@@ -2,12 +2,16 @@
 
 Each undirected lattice edge becomes two antiparallel arcs of capacity t(e);
 the net arc flow gives the stream scalar, so |s(e)| <= t(e) holds exactly.
-Dinic's blocking-flow search keeps every quantity in the input's arithmetic
-(Fractions in verification mode), which makes the duality certificate exact.
+Dinic's blocking-flow search keeps every quantity exact in verification
+mode: Fraction capacities are scaled to integers by the lcm of their
+denominators and divided back at the end, which makes the duality certificate
+exact.  Float capacities are searched as floats.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .geometry import inner_edges
 from .stream import Stream
@@ -49,7 +53,7 @@ def _dinic(adj, head, cap, s, t, big):
     where a fresh search from s would arrive again.
 
     Residual capacities never go negative, so ``cap[a]`` is tested for
-    truth: on Fractions that is far cheaper than ``cap[a] > 0``."""
+    truth rather than compared with 0."""
     total = 0
     level = _levels(adj, head, cap, s)
     while level[t] >= 0:
@@ -86,48 +90,70 @@ def _dinic(adj, head, cap, s, t, big):
     return total, level
 
 
-def _solve(d, n, vertices, edges, sources, sinks, t):
-    """Max flow on the given lattice edge set between the vertex sets, with
-    circulations cancelled from the stream.
+class FlowNetwork:
+    """Max flow on the given lattice edge set between the vertex sets: the
+    arc structure, built once, and ``solve(t)`` for each capacity sample.
 
     Edge k of ``edges`` becomes arcs 2k (+e_axis) and 2k + 1 (reverse), both
-    of capacity t(e); terminal arcs follow, with capacity above the total."""
-    index = {v: i for i, v in enumerate(sorted(vertices))}
-    S, T = len(index), len(index) + 1
-    adj = [[] for _ in range(len(index) + 2)]
-    head, cap = [], []
+    of capacity t(e); terminal arcs follow, with capacity above the total.
+    Nothing is written after construction, so one network serves any number
+    of solves, on any thread."""
 
-    def add(u, v, c_uv, c_vu):
-        adj[u].append(len(head))
-        adj[v].append(len(head) + 1)
-        head.extend((v, u))
-        cap.extend((c_uv, c_vu))
+    def __init__(self, d, n, vertices, edges, sources, sinks):
+        index = {v: i for i, v in enumerate(sorted(vertices))}
+        self.d, self.n, self.edges = d, n, list(edges)
+        self.source, self.sink = len(index), len(index) + 1
+        ends = [(index[e.x], index[e.right()]) for e in self.edges]
+        ends += [(self.source, index[v]) for v in sorted(sources)]
+        ends += [(index[v], self.sink) for v in sorted(sinks)]
+        self.adj = [[] for _ in range(len(index) + 2)]
+        self.head = []
+        for u, v in ends:
+            self.adj[u].append(len(self.head))
+            self.adj[v].append(len(self.head) + 1)
+            self.head.extend((v, u))
 
-    cap_total = 0
-    for e in edges:
-        c = t.get(e, 0)
-        if c < 0:
+    def solve(self, t) -> MaxFlowResult:
+        """Max flow for the capacities t (missing edges have capacity 0), with
+        circulations cancelled from the stream.
+
+        Rational capacities (Fractions, possibly with ints) are scaled by the
+        lcm D of their denominators and the search runs on ints: with ``big``
+        scaled too, every min, difference and truth test is the Fraction
+        run's times D, so the value and stream, divided by D, are the same
+        Fractions.  Float or pure-int capacities are used as they are."""
+        caps = [t.get(e, 0) for e in self.edges]
+        if any(c < 0 for c in caps):
             raise ValueError("negative capacity")
-        add(index[e.x], index[e.right()], c, c)
-        cap_total += c
-    big = cap_total + 1
-    for v in sorted(sources):
-        add(S, index[v], big, 0)
-    for v in sorted(sinks):
-        add(index[v], T, big, 0)
-    value, level = _dinic(adj, head, cap, S, T, big)
+        kinds = set(map(type, caps))
+        scaled = Fraction in kinds and kinds <= {Fraction, int}
+        D = 1
+        if scaled:
+            D = math.lcm(*{c.denominator for c in caps})
+            caps = [c.numerator * (D // c.denominator) for c in caps]
+        big = sum(caps) + D  # D (cap_total + 1): above every path capacity
+        m = 2 * len(caps)
+        cap = [0] * len(self.head)
+        cap[0:m:2] = caps
+        cap[1:m:2] = caps
+        cap[m::2] = [big] * ((len(cap) - m) // 2)
+        head = self.head
+        value, level = _dinic(self.adj, head, cap, self.source, self.sink, big)
 
-    stream = Stream(d, n)
-    cut = []
-    for k, e in enumerate(edges):
-        # net flow along +e_axis = flow added to the reverse arc
-        s = cap[2 * k + 1] - t.get(e, 0)
-        if s != 0:
-            stream.values[e] = s
-        if (level[head[2 * k + 1]] >= 0) != (level[head[2 * k]] >= 0):
-            cut.append(e)
-    _cancel_cycles(stream)
-    return MaxFlowResult(value=value, stream=stream, cutset=tuple(sorted(cut)))
+        stream = Stream(self.d, self.n)
+        cut = []
+        for k, e in enumerate(self.edges):
+            # net flow along +e_axis = flow added to the reverse arc
+            s = cap[2 * k + 1] - caps[k]
+            if s != 0:
+                stream.values[e] = s
+            if (level[head[2 * k + 1]] >= 0) != (level[head[2 * k]] >= 0):
+                cut.append(e)
+        _cancel_cycles(stream)
+        if scaled:
+            stream.values = {e: Fraction(s, D) for e, s in stream.values.items()}
+            value = Fraction(value, D) if value else 0  # no path: the int 0, as on Fractions
+        return MaxFlowResult(value=value, stream=stream, cutset=tuple(sorted(cut)))
 
 
 def _cancel_cycles(f: Stream):
@@ -185,7 +211,7 @@ def _cancel_cycles(f: Stream):
 def max_flow(L, t) -> MaxFlowResult:
     """phi_n(Gamma^1, Gamma^2, Omega) with a maximal admissible stream and a
     minimum cutset certificate (source-side residual reachability)."""
-    return _solve(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2, t)
+    return FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2).solve(t)
 
 
 def cylinder_flow_top_bottom(base, h, v, t, n=1):
@@ -193,24 +219,30 @@ def cylinder_flow_top_bottom(base, h, v, t, n=1):
     from .geometry import cylinder_sets
 
     region, top, bottom, _, _ = cylinder_sets(base, h, v, n)
-    return _cyl_flow(region, top, bottom, t, n)
+    return _cylinder_network(region, top, bottom, n).solve(t)
 
 
-def cylinder_flow_tau(base, h, t, n=1, v=None):
-    """tau(A, h): maximal flow from the upper to the lower half boundary."""
+def tau_network(base, h, n=1, v=None) -> FlowNetwork:
+    """The network of tau(A, h): the cylinder's upper half boundary as sources
+    and its lower half as sinks.  It depends on (base, h, n, v) only, so one
+    build serves every capacity sample."""
     from .geometry import cylinder_sets, face_axis
 
     if v is None:
         ax = face_axis(base)
         v = tuple(1 if j == ax else 0 for j in range(len(base)))
     region, _, _, top_half, bot_half = cylinder_sets(base, h, v, n)
-    return _cyl_flow(region, top_half, bot_half, t, n)
+    return _cylinder_network(region, top_half, bot_half, n)
 
 
-def _cyl_flow(region, sources, sinks, t, n):
+def cylinder_flow_tau(base, h, t, n=1, v=None):
+    """tau(A, h): maximal flow from the upper to the lower half boundary."""
+    return tau_network(base, h, n, v).solve(t)
+
+
+def _cylinder_network(region, sources, sinks, n):
     verts = set(region.lattice_vertices(n))
     d = len(next(iter(verts))) if verts else 0
-    edges = inner_edges(verts)
     terminals = sources | sinks
-    edges = [e for e in edges if not (e.x in terminals and e.right() in terminals)]
-    return _solve(d, n, verts, edges, sources, sinks, t)
+    edges = [e for e in inner_edges(verts) if not (e.x in terminals and e.right() in terminals)]
+    return FlowNetwork(d, n, verts, edges, sources, sinks)

@@ -216,3 +216,28 @@ def column_count(base, axis):
         hi_i = math.ceil(float(hi))
         count *= max(0, hi_i - lo_i)
     return count
+
+
+def fraction_max_flow(L, t):
+    """(value, stream values, cutset) of the Dinic core run on the capacities
+    as they are, in Fractions, with big = cap_total + 1: the reference for
+    the integer scaling of exact solves.  It shares the arc layout and the
+    search of ``latflow.maxflow``, which the scaling leaves alone."""
+    from latflow.maxflow import FlowNetwork, _cancel_cycles, _dinic
+    from latflow.stream import Stream
+
+    net = FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2)
+    caps = [t.get(e, 0) for e in net.edges]
+    big = sum(caps) + 1
+    cap = [c for c in caps for _ in range(2)]
+    cap += [big, 0] * ((len(net.head) - len(cap)) // 2)
+    value, level = _dinic(net.adj, net.head, cap, net.source, net.sink, big)
+    stream = Stream(L.d, L.n)
+    cut = []
+    for k, e in enumerate(net.edges):
+        if cap[2 * k + 1] != caps[k]:
+            stream.values[e] = cap[2 * k + 1] - caps[k]
+        if (level[net.head[2 * k + 1]] >= 0) != (level[net.head[2 * k]] >= 0):
+            cut.append(e)
+    _cancel_cycles(stream)
+    return value, stream.values, tuple(sorted(cut))

@@ -361,3 +361,20 @@ def test_inexact_yaml_floats_in_rational_fields_exit_2(tmp_path, capsys):
         assert run_cli(tmp_path, f"rate__{len(rows)}", cfg) == 0
         rows[eps] = (out / "rate.csv").read_bytes()
     assert rows["3/10"] == rows[0.3]
+
+
+def test_yaml_booleans_in_rational_fields_exit_2(tmp_path, capsys):
+    # a YAML boolean is an int subclass, so `p: true` used to read as 1
+    bern = {"kind": "bernoulli", "a": "0", "b": "1", "p": "1/2"}
+    rate = {"d": 2, "n": 2, "s": "1/2", "v": ["1", "0"], "eps": ["1/2"], "trials": 2, "dist": bern}
+    cases = [
+        ("maxflow", {"domain": "unit_square", "n": 2, "dist": dict(bern, p=True)}, "maxflow.dist.p", True),
+        ("maxflow", {"domain": "unit_square", "n": 2, "dist": dict(bern, b=False)}, "maxflow.dist.b", False),
+        ("rate", dict(rate, s=True), "rate.s", True),
+        ("rate", dict(rate, v=[True, "0"]), "rate.v", True),
+    ]
+    for i, (cmd, sub, field, value) in enumerate(cases):
+        cfg = {"out_dir": str(tmp_path / "out"), cmd: sub}
+        assert run_cli(tmp_path, f"{cmd}__{i}", cfg) == 2, field
+        assert f"config error: {field}: expected a rational like '1/2', got {value!r}" \
+            in capsys.readouterr().err

@@ -303,3 +303,22 @@ def test_edge_count_in_cube_is_d_n_d():
             lo, hi = cube_box(d, n)
             count = sum(1 for _ in product(range(lo, hi), repeat=d)) * d
             assert count == d * n**d
+
+
+def test_library_floats_must_be_exactly_the_decimal_written():
+    # 0.3 and 1e-13 used to be rounded to 3/10 and 0 without a word
+    from latflow.continuous import ContinuousField
+
+    assert box((0, 0.5), (0.25, 1)) == box((0, Fraction(1, 2)), (Fraction(1, 4), 1))
+    assert Cylinder(box((0, 1), (0, 0)), 0.5, (0, 1)).h == Fraction(1, 2)
+    assert ContinuousField.constant(box((0, 1), (0, 1)), (0.5, 0)).cells[0][1] == (Fraction(1, 2), 0)
+    for make in (
+        lambda: box((0, 0.3), (0, 1)),
+        lambda: box((1e-13, 1), (0, 1)),
+        lambda: box((0, float("inf")), (0, 1)),
+        lambda: Cylinder(box((0, 1), (0, 0)), 0.3, (0, 1)),
+        lambda: ContinuousField.constant(box((0, 1), (0, 1)), (0.3, 0)),
+        lambda: ContinuousField.constant(((0, 0.1), (0, 1)), (1, 0)),
+    ):
+        with pytest.raises(ValueError, match="is not exactly|Invalid literal"):
+            make()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import sys
@@ -284,3 +285,79 @@ def test_value_matches_networkx_on_random_domains():
             else:
                 assert res.value == pytest.approx(ref, rel=1e-12, abs=1e-12)
                 assert res.cut_capacity(t) == pytest.approx(res.value, rel=1e-12, abs=1e-12)
+
+
+def _exact_golden_solves():
+    """(name, result) of exact solves: straight tau cylinders, the unit
+    square under three rational laws, and a vertex in both terminal sets.
+    With disjoint terminal sets a terminal arc always keeps more residual
+    capacity than the first or last edge arc of its path; a vertex in both
+    gives the path S -> v -> T, whose bottleneck is the terminal arc ``big``."""
+    for side in (8, 16):
+        base = straight_base(2, side, 1)
+        region = Region(cylinder=Cylinder(base, side, (0, 1), two_sided=True))
+        t = sample_capacities(region_edges(region, 1, d=2), CapacityDistribution.uniform(0, 1), side)
+        yield f"tau-n{side}", cylinder_flow_tau(base, side, t)
+    L = discretize_domain(unit_square_domain(), 12)
+    third = Fraction(1, 3)
+    for name, dist in (
+        ("uniform", CapacityDistribution.uniform(third, 2)),
+        ("bernoulli", CapacityDistribution.bernoulli(0, 1, third)),
+        ("discrete", CapacityDistribution.discrete([0, third, 2 * third, 5 * third], [Fraction(1, 4)] * 4)),
+    ):
+        yield name, max_flow(L, sample_capacities(L, dist, 12))
+    L = discretize_domain(unit_square_domain(), 2)
+    both = dataclasses.replace(L, gamma1=L.gamma1 | {(1, 1)}, gamma2=L.gamma2 | {(1, 1)})
+    yield "terminal-bottleneck", max_flow(both, sample_capacities(both, CapacityDistribution.uniform(third, 2), 5))
+
+
+# SHA-256 of repr(value), dump_stream and repr(cutset) for the exact
+# instances above, recorded with Dinic on Fraction capacities.
+GOLDEN_EXACT = {
+    "tau-n8": "d358ba5c96bee4c82e38af0826fb4b4a1433e731b69c7c825cf45cac3d681f74",
+    "tau-n16": "3fb90a34a309939a40b8cec92344f1a59a42f79039ec019e02bf4b9914039ad1",
+    "uniform": "a2e7c055cca73126a8b91525dc68fe7483daca1a1c3756da02c2b7f5e175bec8",
+    "bernoulli": "d29bcedb87dec4ecad5bbff67632b84656d6743107e77b3316dc42ba7df2f832",
+    "discrete": "21d02b469bbfbefc685d9c6ccb65112724d836081241e099ba7329f12218a077",
+    "terminal-bottleneck": "48fdf1a827f91113dc1e3377c80480543045b6d68bb0e5afd9bdf1613c3d334e",
+}
+
+
+def test_exact_solve_is_bit_identical_to_recorded_values():
+    digests = {}
+    for name, res in _exact_golden_solves():
+        text = "\n".join((repr(res.value), dump_stream(res.stream), repr(res.cutset)))
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == GOLDEN_EXACT
+
+
+def _mixed_capacities(rng, edges):
+    """Ints and Fractions of assorted denominators, with some edges left out."""
+    t = {}
+    for e in edges:
+        r = rng.random()
+        if r < 0.15:
+            continue
+        if r < 0.4:
+            t[e] = rng.randint(0, 3)
+        else:
+            t[e] = Fraction(rng.randint(0, 40), rng.choice([1, 2, 3, 7, 12, 1 << 20]))
+    return t
+
+
+def test_integer_path_equals_the_fraction_run_on_random_instances():
+    rng = random.Random(606)
+    for _ in range(50):
+        L = discretize_domain(_random_box_domain(rng), rng.randint(1, 3))
+        if rng.random() < 0.2 and len(L.omega) > 2:
+            # a vertex in both terminal sets: the terminal arc is a bottleneck
+            v = rng.choice(sorted(L.omega))
+            L = dataclasses.replace(L, gamma1=L.gamma1 | {v}, gamma2=L.gamma2 | {v})
+        t = _mixed_capacities(rng, L.active_edges)
+        res = max_flow(L, t)
+        value, stream, cutset = oracles.fraction_max_flow(L, t)
+        assert res.value == value
+        assert res.stream.values == stream
+        assert res.cutset == cutset
+        if any(isinstance(c, Fraction) for c in t.values()):
+            assert all(isinstance(s, Fraction) for s in res.stream.values.values())

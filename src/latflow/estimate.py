@@ -501,20 +501,16 @@ class FlowConstantPoint:
 
 def straight_tau_sampler(d, side, h, axis, dist: CapacityDistribution, exact=True):
     """seed -> tau(A, h) for one capacity sample on the two-sided straight
-    cylinder over A = straight_base(d, side, axis), at scale 1.  The
-    cylinder's edges and its flow network are built once, when the sampler
-    is made; a call only samples and solves."""
-    from .capacities import region_edges
-    from .geometry import Region, Cylinder
+    cylinder over A = straight_base(d, side, axis), at scale 1.  The flow
+    network is built once, when the sampler is made; a call samples the
+    network's edges only and computes the flow value."""
     from .maxflow import tau_network
 
-    base = straight_base(d, side, axis)
     v = tuple(1 if j == axis else 0 for j in range(d))
-    edges = region_edges(Region(cylinder=Cylinder(base, h, v, two_sided=True)), 1, d=d)
-    network = tau_network(base, h, n=1, v=v)
+    network = tau_network(straight_base(d, side, axis), h, n=1, v=v)
 
     def tau(seed):
-        return network.solve(sample_capacities(edges, dist, seed, exact=exact)).value
+        return network.value(sample_capacities(network.edges, dist, seed, exact=exact))
 
     return tau
 

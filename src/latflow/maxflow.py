@@ -5,9 +5,13 @@ the net arc flow gives the stream scalar, so |s(e)| <= t(e) holds exactly.
 Dinic's blocking-flow search keeps every quantity exact in verification
 mode: Fraction capacities are scaled to integers by the lcm of their
 denominators and divided back at the end, which makes the duality certificate
-exact.  Float capacities are searched as floats.
+exact.  Float capacities are searched as floats.  When only the value is
+wanted and the network is a planar d=2 one, a shortest path in its dual
+gives the same exact value (``FlowNetwork.value``).
 """
 
+import functools
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -27,8 +31,14 @@ class MaxFlowResult:
         return sum(t[e] for e in self.cutset)
 
 
-def _levels(adj, head, cap, s):
-    """BFS distances from s over arcs with residual capacity (-1: unreached)."""
+def _levels(adj, head, cap, s, t):
+    """BFS distances from s over arcs with residual capacity (-1: unreached).
+
+    The search stops once t is labelled: every level below t's is complete
+    then, and the blocking-flow walk never uses a level at or above t's
+    except t itself, so it makes the same augmentations.  When t is not
+    reached the search is complete, and its reached set is the source side
+    of a minimum cut."""
     level = [-1] * len(adj)
     level[s] = 0
     q = deque([s])
@@ -38,6 +48,8 @@ def _levels(adj, head, cap, s):
             v = head[a]
             if level[v] < 0 and cap[a]:
                 level[v] = level[u] + 1
+                if v == t:
+                    return level
                 q.append(v)
     return level
 
@@ -55,7 +67,7 @@ def _dinic(adj, head, cap, s, t, big):
     Residual capacities never go negative, so ``cap[a]`` is tested for
     truth rather than compared with 0."""
     total = 0
-    level = _levels(adj, head, cap, s)
+    level = _levels(adj, head, cap, s, t)
     while level[t] >= 0:
         it = [0] * len(adj)
         path = []
@@ -86,18 +98,22 @@ def _dinic(adj, head, cap, s, t, big):
                 it[u] += 1
             else:
                 break
-        level = _levels(adj, head, cap, s)
+        level = _levels(adj, head, cap, s, t)
     return total, level
 
 
 class FlowNetwork:
     """Max flow on the given lattice edge set between the vertex sets: the
-    arc structure, built once, and ``solve(t)`` for each capacity sample.
+    arc structure, built once, and ``solve(t)`` or ``value(t)`` for each
+    capacity sample.
 
     Edge k of ``edges`` becomes arcs 2k (+e_axis) and 2k + 1 (reverse), both
     of capacity t(e); terminal arcs follow, with capacity above the total.
-    Nothing is written after construction, so one network serves any number
-    of solves, on any thread."""
+    A d=2 network with its terminals on the outer face also has a planar
+    dual (``dual``, else None), built on first use: ``max_flow`` builds a
+    network per call and never needs it.  Nothing else is written after
+    construction, and the dual depends on the construction arguments only,
+    so one network serves any number of solves, on any thread."""
 
     def __init__(self, d, n, vertices, edges, sources, sinks):
         index = {v: i for i, v in enumerate(sorted(vertices))}
@@ -112,34 +128,55 @@ class FlowNetwork:
             self.adj[u].append(len(self.head))
             self.adj[v].append(len(self.head) + 1)
             self.head.extend((v, u))
+        self._sets = index, set(sources), set(sinks)
 
-    def solve(self, t) -> MaxFlowResult:
-        """Max flow for the capacities t (missing edges have capacity 0), with
-        circulations cancelled from the stream.
+    @functools.cached_property
+    def dual(self):
+        """The planar dual (``_PlanarDual``), or None when there is none."""
+        vertices, sources, sinks = self._sets
+        return _planar_dual(self.d, vertices, self.edges, sources, sinks)
 
-        Rational capacities (Fractions, possibly with ints) are scaled by the
-        lcm D of their denominators and the search runs on ints: with ``big``
-        scaled too, every min, difference and truth test is the Fraction
-        run's times D, so the value and stream, divided by D, are the same
-        Fractions.  Float or pure-int capacities are used as they are."""
+    def _capacities(self, t):
+        """(caps, D, frac) for the capacities t of ``edges`` (missing edges
+        have capacity 0).  Rational capacities (Fractions, possibly with
+        ints) come back as ints scaled by the lcm D of their denominators,
+        with D = 1 when all are ints; with a float among them they are kept
+        as they are and D is None.  ``frac``: a Fraction was among them, so
+        a result is divided back by D."""
         caps = [t.get(e, 0) for e in self.edges]
         if any(c < 0 for c in caps):
             raise ValueError("negative capacity")
         kinds = set(map(type, caps))
-        scaled = Fraction in kinds and kinds <= {Fraction, int}
-        D = 1
-        if scaled:
-            D = math.lcm(*{c.denominator for c in caps})
-            caps = [c.numerator * (D // c.denominator) for c in caps]
-        big = sum(caps) + D  # D (cap_total + 1): above every path capacity
+        if not kinds <= {Fraction, int}:
+            return caps, None, False
+        if Fraction not in kinds:
+            return caps, 1, False
+        D = math.lcm(*{c.denominator for c in caps})
+        return [c.numerator * (D // c.denominator) for c in caps], D, True
+
+    def _max_flow(self, caps, D):
+        """Dinic on the capacities: the value, the residual arc capacities
+        and the final levels."""
+        big = sum(caps) + (D or 1)  # D (cap_total + 1): above every path capacity
         m = 2 * len(caps)
         cap = [0] * len(self.head)
         cap[0:m:2] = caps
         cap[1:m:2] = caps
         cap[m::2] = [big] * ((len(cap) - m) // 2)
-        head = self.head
-        value, level = _dinic(self.adj, head, cap, self.source, self.sink, big)
+        value, level = _dinic(self.adj, self.head, cap, self.source, self.sink, big)
+        return value, cap, level
 
+    def solve(self, t) -> MaxFlowResult:
+        """Max flow for the capacities t (missing edges have capacity 0), with
+        circulations cancelled from the stream.
+
+        Rational capacities run on ints scaled by D: with ``big`` scaled too,
+        every min, difference and truth test is the Fraction run's times D,
+        so the value and stream, divided by D, are the same Fractions.
+        Float capacities are searched as they are."""
+        caps, D, frac = self._capacities(t)
+        value, cap, level = self._max_flow(caps, D)
+        head = self.head
         stream = Stream(self.d, self.n)
         cut = []
         for k, e in enumerate(self.edges):
@@ -150,10 +187,113 @@ class FlowNetwork:
             if (level[head[2 * k + 1]] >= 0) != (level[head[2 * k]] >= 0):
                 cut.append(e)
         _cancel_cycles(stream)
-        if scaled:
+        if frac:
             stream.values = {e: Fraction(s, D) for e, s in stream.values.items()}
             value = Fraction(value, D) if value else 0  # no path: the int 0, as on Fractions
         return MaxFlowResult(value=value, stream=stream, cutset=tuple(sorted(cut)))
+
+    def value(self, t):
+        """``solve(t).value``, the same in value and type, without the stream
+        or the cut.  Rational capacities take the planar dual's shortest path
+        when there is a dual; every other case runs Dinic for the value."""
+        caps, D, frac = self._capacities(t)
+        if D is not None and self.dual is not None:
+            value = self.dual.shortest_path(caps)
+        else:
+            value = self._max_flow(caps, D)[0]
+        return Fraction(value, D) if frac and value else value
+
+
+class _PlanarDual:
+    """The dual of an (s, t)-planar network, whose max-flow value is the
+    length of a shortest path between two outer faces (Hassin 1981).
+
+    ``faces[f]`` lists (g, slot) for the primal edge in ``slot`` between
+    faces f and g; network edge k is in ``slots[k]``, and a slot that holds
+    no network edge weighs 0."""
+
+    def __init__(self, faces, slots, nslots, start, stop):
+        self.faces, self.slots, self.nslots = faces, slots, nslots
+        self.start, self.stop = start, stop
+
+    def shortest_path(self, caps):
+        """Dijkstra from ``start`` to ``stop``, edge weights being the
+        capacities (ints, so the length is exact)."""
+        weight = [0] * self.nslots
+        for slot, c in zip(self.slots, caps):
+            weight[slot] += c
+        faces, stop = self.faces, self.stop
+        best = [sum(weight) + 1] * len(faces)
+        best[self.start] = 0
+        heap = [(0, self.start)]
+        while True:
+            du, u = heapq.heappop(heap)
+            if u == stop:
+                return du
+            if du > best[u]:
+                continue
+            for v, slot in faces[u]:
+                dv = du + weight[slot]
+                if dv < best[v]:
+                    best[v] = dv
+                    heapq.heappush(heap, (dv, v))
+
+
+def _planar_dual(d, vertices, edges, sources, sinks):
+    """The planar dual of the network, or None.  It exists when d == 2, the
+    vertices fill a lattice rectangle with at least one edge on each side,
+    no vertex is both a source and a sink, and every terminal lies on the
+    boundary cycle, where the sources form one arc and the sinks another.
+
+    Join a super source to the sources and a super sink to the sinks, and
+    draw an edge between the two outside the rectangle: the graph stays
+    plane, and a minimum cut is a shortest dual path between the two faces
+    beside that edge.  Dual nodes: one per unit cell, then one per run of
+    boundary edges between consecutive terminals of the cycle, the outer
+    face beyond those edges (terminal arcs are never cut, so their duals
+    are left out).  The two runs from a source to a sink are the faces
+    beside the added edge."""
+    if d != 2 or not vertices or sources & sinks:
+        return None
+    (x0, x1), (y0, y1) = ((min(c), max(c)) for c in zip(*vertices))
+    width, height = x1 - x0, y1 - y0
+    if width < 1 or height < 1 or len(vertices) != (width + 1) * (height + 1):
+        return None
+    # the boundary cycle, counterclockwise from the lower left corner
+    ring = ([(x, y0) for x in range(x0, x1)] + [(x1, y) for y in range(y0, y1)]
+            + [(x, y1) for x in range(x1, x0, -1)] + [(x0, y) for y in range(y1, y0, -1)])
+    label = [1 if v in sources else 2 if v in sinks else 0 for v in ring]
+    at = [k for k, lab in enumerate(label) if lab]
+    if len(at) != len(sources) + len(sinks):
+        return None  # a terminal off the boundary cycle
+    if sum(label[at[i - 1]] != label[at[i]] for i in range(len(at))) != 2:
+        return None  # not one source arc and one sink arc
+    # cell c = i * height + j has its lower left corner at (x0 + i, y0 + j);
+    # edge (x, y, axis) is in slot 2 ((x - x0) (height + 1) + y - y0) + axis
+    cells, step = width * height, 2 * (height + 1)
+    faces = []
+    for i in range(width):
+        for j in range(height):
+            c, s = i * height + j, i * step + 2 * j  # s: the cell's lower edge
+            faces.append([(g, e) for g, e, inside in (
+                (c - 1, s, j > 0), (c + 1, s + 2, j + 1 < height),
+                (c - height, s + 1, i > 0), (c + height, s + step + 1, i + 1 < width)) if inside])
+    ends = []
+    for r, k in enumerate(at):
+        stop = at[r + 1] if r + 1 < len(at) else at[0] + len(ring)
+        if label[k] != label[stop % len(ring)]:
+            ends.append(cells + r)
+        run = []
+        for j in range(k, stop):
+            (x, y), (u, w) = ring[j % len(ring)], ring[(j + 1) % len(ring)]
+            axis, x, y = int(x == u), min(x, u) - x0, min(y, w) - y0
+            e = x * step + 2 * y + axis
+            c = (x - (x == width)) * height + y - (y == height)  # the cell inside
+            run.append((c, e))
+            faces[c].append((cells + r, e))
+        faces.append(run)
+    slots = [(e.x[0] - x0) * step + 2 * (e.x[1] - y0) + e.axis for e in edges]
+    return _PlanarDual(faces, slots, 2 * len(vertices), *ends)
 
 
 def _cancel_cycles(f: Stream):

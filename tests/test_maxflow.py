@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from latflow.capacities import CapacityDistribution, region_edges, sample_capacities
-from latflow.geometry import Cylinder, DomainSpec, Region, box, discretize_domain, unit_square_domain
-from latflow.maxflow import cylinder_flow_tau, cylinder_flow_top_bottom, max_flow
+from latflow.geometry import (
+    Cylinder, DomainSpec, Region, box, discretize_domain, inner_edges, unit_square_domain,
+)
+from latflow.maxflow import FlowNetwork, cylinder_flow_tau, cylinder_flow_top_bottom, max_flow, tau_network
 from latflow.stream import admissibility_report, dump_stream, flow_value
-from latflow.estimate import straight_base
+from latflow.estimate import straight_base, straight_tau_sampler
 
 import oracles
 
@@ -361,3 +363,124 @@ def test_integer_path_equals_the_fraction_run_on_random_instances():
         assert res.cutset == cutset
         if any(isinstance(c, Fraction) for c in t.values()):
             assert all(isinstance(s, Fraction) for s in res.stream.values.values())
+
+
+THIRD = Fraction(1, 3)
+EXACT_LAWS = (
+    CapacityDistribution.uniform(0, 1),
+    CapacityDistribution.uniform(THIRD, 2),
+    CapacityDistribution.bernoulli(0, 1, Fraction(1, 2)),
+    CapacityDistribution.discrete([0, THIRD, 2 * THIRD, 5 * THIRD], [Fraction(1, 4)] * 4),
+)
+
+
+def _assert_value_is_the_solve_value(network, t):
+    value, ref = network.value(t), network.solve(t).value
+    assert value == ref and type(value) is type(ref), (value, ref)
+
+
+def test_planar_value_equals_solve_on_random_exact_cylinders():
+    rng = random.Random(707)
+    for side in range(2, 14):
+        for h in (1, side, 2 * side):
+            for axis in (0, 1):
+                network = tau_network(straight_base(2, side, axis), h, 1, (1 - axis, axis))
+                assert network.dual is not None
+                for _ in range(3):
+                    law = rng.randrange(len(EXACT_LAWS) + 1)
+                    if law == len(EXACT_LAWS):
+                        # pure ints, some edges left out (capacity 0)
+                        t = {e: rng.randint(0, 3) for e in network.edges if rng.random() < 0.9}
+                    else:
+                        t = sample_capacities(network.edges, EXACT_LAWS[law], rng.getrandbits(32))
+                    _assert_value_is_the_solve_value(network, t)
+
+
+def test_planar_value_equals_solve_on_random_box_domains():
+    rng = random.Random(808)
+    built = 0
+    for _ in range(60):
+        L = discretize_domain(_random_box_domain(rng), rng.randint(1, 3))
+        network = FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2)
+        built += network.dual is not None
+        _assert_value_is_the_solve_value(network, _mixed_capacities(rng, L.active_edges))
+    assert built >= 20
+
+
+def _grid_network(sources, sinks, hole=()):
+    """The network on the 4 x 4 vertex grid {0..3}^2 less ``hole``."""
+    verts = {(x, y) for x in range(4) for y in range(4)} - set(hole)
+    return FlowNetwork(2, 1, verts, inner_edges(verts), sources, sinks)
+
+
+def _no_dual_networks():
+    for axis in (0, 1):
+        yield f"side-1-axis{axis}", tau_network(straight_base(2, 1, axis), 3, 1, (1 - axis, axis))
+    yield "d3", tau_network(straight_base(3, 3, 2), 3, 1, (0, 0, 1))
+    L = discretize_domain(unit_square_domain(), 3)
+    yield "both-terminals", FlowNetwork(2, 3, L.omega, L.active_edges, L.gamma1 | {(1, 1)}, L.gamma2 | {(1, 1)})
+    left, right = {(0, y) for y in range(4)}, {(3, y) for y in range(4)}
+    yield "interior-terminal", _grid_network(left | {(1, 1)}, right)
+    yield "two-source-arcs", _grid_network({(0, 1), (3, 1)}, {(1, 0), (1, 3)})
+    yield "no-sinks", _grid_network(left, set())
+    yield "not-a-rectangle", _grid_network(left, right, hole=[(2, 3)])
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _no_dual_networks()])
+def test_value_falls_back_to_dinic_without_a_planar_dual(name):
+    network = dict(_no_dual_networks())[name]
+    assert network.dual is None
+    for seed in range(3):
+        for law in EXACT_LAWS:
+            _assert_value_is_the_solve_value(network, sample_capacities(network.edges, law, seed))
+        t = sample_capacities(network.edges, EXACT_LAWS[0], seed, exact=False)
+        assert repr(network.value(t)) == repr(network.solve(t).value)
+
+
+def test_float_capacities_keep_dinic_on_a_planar_network(monkeypatch):
+    network = tau_network(straight_base(2, 6, 1), 6, 1, (0, 1))
+    assert network.dual is not None
+    monkeypatch.setattr(network.dual, "shortest_path", None)  # a call would raise
+    for seed in range(3):
+        t = sample_capacities(network.edges, CapacityDistribution.uniform(0, 1), seed, exact=False)
+        assert repr(network.value(t)) == repr(network.solve(t).value)
+
+
+# SHA-256 of the repr of straight_tau_sampler values, h = side, seeds 0..3,
+# both axes, under uniform[1/3, 2] and Bernoulli(0, 1, 1/2) (exact) and
+# uniform(0, 1) (float): recorded with Dinic on every capacity sample of the
+# cylinder's region edges.
+GOLDEN_TAU = {
+    (2, (4, 8, 16)): "1cc638fd509ae0b9472df23b4d99b0eb47c0b1b77d098b40ec0f92a56ca15db8",
+    (3, (3,)): "926375135b33d5260df3376041bbac3649e19296781585f05f47a4157cebfa07",
+}
+
+
+@pytest.mark.parametrize("d, sides", sorted(GOLDEN_TAU))
+def test_tau_sampler_is_bit_identical_to_recorded_values(d, sides):
+    laws = ((EXACT_LAWS[1], True), (EXACT_LAWS[2], True), (CapacityDistribution.uniform(0, 1), False))
+    lines = []
+    for side in sides:
+        for axis in range(d):
+            for dist, exact in laws:
+                tau = straight_tau_sampler(d, side, side, axis, dist, exact=exact)
+                lines.extend(repr(tau(seed)) for seed in range(4))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_TAU[d, sides]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tau_sampler_samples_the_network_edges_only(d, monkeypatch):
+    import latflow.estimate
+
+    sampled = []
+
+    def recording(edges, *args, **kwargs):
+        t = sample_capacities(edges, *args, **kwargs)
+        sampled.append(set(t.values))
+        return t
+
+    monkeypatch.setattr(latflow.estimate, "sample_capacities", recording)
+    side = 4
+    v = tuple(int(j == d - 1) for j in range(d))
+    straight_tau_sampler(d, side, side, d - 1, CapacityDistribution.uniform(0, 1))(5)
+    assert sampled == [set(tau_network(straight_base(d, side, d - 1), side, 1, v).edges)]

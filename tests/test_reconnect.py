@@ -710,3 +710,129 @@ def test_recompose_rejects_steps_that_are_not_lattice_edges():
             recompose([(((0, 0), (1, 0)), 1), (jump, 1)], 2, 1)
     f = recompose([(((0, 0), (1, 0), (1, 1)), 2), (((1, 1), (1, 0)), 1)], 2, 1)
     assert f.values == {EdgeId((0, 0), 0): 2, EdgeId((1, 0), 1): 1}
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+
+
+def _golden_texts():
+    """One text per result of a fixed seeded list of reconnect calls on int,
+    Fraction and float inputs at d = 2 and 3: ``dump_stream`` for a stream,
+    ``repr`` for anything else, the message for a ValueError."""
+    from latflow.geometry import unit_box_domain
+    from latflow.reconnect import well_behaved_target
+    from latflow.stream import dump_stream
+
+    rng = random.Random(8)
+
+    def text(fn, *args):
+        try:
+            res = fn(*args)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+        if isinstance(res, Stream):
+            return dump_stream(res)
+        if isinstance(res, dict):
+            return repr(sorted(res.items()))
+        return repr(res)
+
+    def value(kind, lo, hi):
+        if kind == "int":
+            return rng.randint(lo, hi)
+        if kind == "frac":
+            return rand_frac(rng, lo, hi)
+        return rng.uniform(lo, hi)
+
+    kinds = ("int", "frac", "float")
+    out = []
+    for kind in kinds:
+        for r in range(1, 6):
+            vals = [value(kind, -3, 3) for _ in range(r)]
+            out.append(text(mix2d, vals, 3))
+            out.append(text(mix2d, vals, 2))
+    for kind in kinds:
+        for d, r in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
+            keys = list(product(range(1, r + 1), repeat=d - 1))
+            L = (d - 1) * r
+            for _ in range(2):
+                f_in = {y: value(kind, -2, 2) for y in keys}
+                f_out = {y: value(kind, -2, 2) for y in keys}
+                f_out[keys[-1]] += sum(f_in.values()) - sum(f_out.values())
+                mean = sum(f_in.values()) / len(keys)
+                uniform = {y: mean for y in keys}
+                for m in (L, L + 2):
+                    out.append(text(mix, f_in, uniform, m, 4))
+                for m in (2 * L, 2 * L + 3, 2 * L - 1):
+                    out.append(text(mix, f_in, f_out, m, 8))
+    for kind in kinds:
+        for d, r in ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3)):
+            keys = list(product(range(1, r + 1), repeat=d - 1))
+            for lo, hi in ((0, 1), (-1, 1), (-1, 0)):
+                f_in = {y: value(kind, lo, hi) for y in keys}
+                for eps in (1, Fraction(1, 2)):
+                    out.append(text(mix_precise, f_in, 2, eps))
+    for kind in kinds:
+        for d, K, r0, n in ((2, 2, 2, None), (2, 3, 3, 9), (3, 4, 2, None)):
+            keys = [tuple(K * c for c in y) for y in product(range(1, r0 + 1), repeat=d - 1)]
+            f_in = {y: value(kind, -1, 1) for y in keys}
+            f_out = {y: value(kind, -1, 1) for y in keys}
+            f_out[keys[0]] += sum(f_in.values()) - sum(f_out.values())
+            out.append(text(mix_sparse, f_in, f_out, K, 4, n))
+    for kind in kinds:
+        for d, n, m, K in ((2, 8, 1, 2), (2, 8, 2, 2), (2, 12, 2, 3), (3, 8, 1, 4)):
+            for _ in range(3):
+                lam = {k: value(kind, -1, 1) / 8 for k in _face_cells(d, m)}
+                beta = {k: value(kind, -1, 1) / 4 for k in _face_cells(d, m)}
+                for fl in (lam, beta):
+                    key0 = next(k for k in fl if k[1] == 1)
+                    fl[key0] += sum(v for k, v in fl.items() if k[1] == -1) - sum(
+                        v for k, v in fl.items() if k[1] == 1
+                    )
+                out.append(text(balance_faces, lam, beta, K, m, d, n))
+    d, n, m, side = 2, 8, 2, 8
+    gap = 2 * (d - 1) * (side // m)
+    box_a = ((0, side), (0, side))
+    box_b = ((side + gap, 2 * side + gap), (0, side))
+    for kind in ("frac", "float"):
+        for _ in range(3):
+            s = Fraction(rng.randint(1, 4), 8)
+            damping = Fraction(rng.randint(6, 9), 10)
+            v = (Fraction(1), Fraction(0))
+            fa = random_well_behaved(rng, box_a, n, d, s, v, damping, Fraction(1))
+            fb = random_well_behaved(rng, box_b, n, d, s, v, damping, Fraction(1))
+            if kind == "float":
+                fa, fb = fa.scaled(1.0), fb.scaled(1.0)
+            out.append(text(glue_adjacent, fa, box_a, fb, box_b, m, 1))
+            for f, b in ((fa, box_a), (fb, box_b)):
+                out.append(text(measure_face_fluxes, f, m, b))
+                out.append(text(measure_face_fluxes, f, m + 2, b))
+    dist = CapacityDistribution.uniform(0, 1)
+    for d, n in ((2, 3), (2, 4), (3, 2)):
+        L = discretize_domain(unit_box_domain(d), n)
+        for exact in (True, False):
+            f = max_flow(L, sample_capacities(L, dist, seed=n, exact=exact)).stream
+            out.append(text(decompose, f, L))
+            box = tuple((0, n) for _ in range(d))
+            for m in (1, 2, 3):
+                out.append(text(measure_face_fluxes, f, m, box))
+                out.append(text(measure_face_fluxes, f, m))
+    for d in (2, 3):
+        box = tuple((-3, 5) for _ in range(d))
+        for s, v, damping in (
+            (Fraction(1, 2), (Fraction(3, 5), Fraction(4, 5), Fraction(0))[:d], Fraction(9, 10)),
+            (0.5, (0.6, 0.8, 0.0)[:d], 0.9),
+        ):
+            for m in (1, 2, 4):
+                out.append(text(well_behaved_target, d, s, v, m, 8, damping, box))
+                out.append(text(well_behaved_target, d, s, v, m, 8, damping))
+    return out
+
+
+def test_golden_outputs_of_the_reconnect_builders():
+    import hashlib
+
+    texts = _golden_texts()
+    assert len(texts) == 411
+    digest = hashlib.sha256("\x00".join(texts).encode()).hexdigest()
+    assert digest == "9df7f9bb3e0b50138b7ee213e25139227070a3875beb59309a5f15e81963298d"

@@ -11,6 +11,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import product
 
 import yaml
 
@@ -248,7 +249,10 @@ def cmd_decompose(cfg, args):
     from .reconnect import decompose, recompose
 
     L = discretize_domain(domain, f.n)
-    paths = decompose(f, L)
+    try:
+        paths = decompose(f, L)
+    except ValueError as exc:  # the stream breaks the node law or has a circulation
+        raise ConfigError(f"decompose.stream: {exc}")
     rebuilt = recompose(paths, f.d, f.n)
     exact = rebuilt.values == f.values
     payload = {
@@ -266,6 +270,16 @@ def cmd_decompose(cfg, args):
     return 0 if exact else 3
 
 
+def _mix_values(sub, key, count=None):
+    """The rationals listed in mix_demo[key], exactly count of them when
+    count is given."""
+    vals = _need(sub, key, "mix_demo")
+    if not isinstance(vals, list) or (count is not None and len(vals) != count):
+        want = "a list" if count is None else f"a list of r^(d-1) = {count} values"
+        raise ConfigError(f"mix_demo.{key}: expected {want}, got {vals!r}")
+    return [_as_frac(v, f"mix_demo.{key}") for v in vals]
+
+
 def cmd_mix_demo(cfg, args):
     seed, threads, out_dir, mode = _common(cfg, args)
     sub = _need(cfg, "mix_demo", "config")
@@ -274,19 +288,21 @@ def cmd_mix_demo(cfg, args):
     from . import reconnect
 
     if kind == "mix2d":
-        inputs = [_as_frac(v, "mix_demo.inputs") for v in _need(sub, "inputs", "mix_demo")]
-        g = reconnect.mix2d(inputs, M)
+        build, build_args = reconnect.mix2d, (_mix_values(sub, "inputs"), M)
     elif kind == "mix":
         r = _as_int(_need(sub, "r", "mix_demo"), "mix_demo.r", minimum=1)
         d = _as_int(sub.get("d", 2), "mix_demo.d", minimum=2)
-        from itertools import product
-
+        fin = _mix_values(sub, "inputs", r ** (d - 1))
+        fout = _mix_values(sub, "outputs", r ** (d - 1))
         keys = list(product(range(1, r + 1), repeat=d - 1))
-        fin = {k: _as_frac(v, "mix_demo.inputs") for k, v in zip(keys, _need(sub, "inputs", "mix_demo"))}
-        fout = {k: _as_frac(v, "mix_demo.outputs") for k, v in zip(keys, _need(sub, "outputs", "mix_demo"))}
-        g = reconnect.mix(fin, fout, _as_int(_need(sub, "m", "mix_demo"), "mix_demo.m"), M)
+        m = _as_int(_need(sub, "m", "mix_demo"), "mix_demo.m")
+        build, build_args = reconnect.mix, (dict(zip(keys, fin)), dict(zip(keys, fout)), m, M)
     else:
         raise ConfigError(f"mix_demo.kind: unsupported kind {kind!r}")
+    try:
+        g = build(*build_args)
+    except ValueError as exc:  # inputs the construction rejects
+        raise ConfigError(f"mix_demo: {exc}")
     with open(os.path.join(out_dir, "mix_stream.txt"), "w") as fh:
         fh.write(dump_stream(g))
     summary = {

@@ -538,12 +538,15 @@ def tail_probability(lams, n, trials, dist: CapacityDistribution, seed, L, threa
     independent capacity samples: one (p, (lo, hi), successes) per lam.
 
     Each trial is sampled and solved once and its flow value compared against
-    every threshold, so the counts are nested by construction."""
-    from .maxflow import max_flow
+    every threshold, so the counts are nested by construction.  One network
+    serves every trial, on any thread."""
+    from .maxflow import FlowNetwork
+
+    network = FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2)
 
     def one(trial):
         t = sample_capacities(L, dist, derive_seed(seed, trial), exact=False)
-        return max_flow(L, t).value
+        return network.value(t)
 
     values = _run_trials(one, trials, threads)
     out = []

@@ -414,13 +414,17 @@ def boundary_edge_set(axis, sign, face, n):
     return [EdgeId(x, axis) for x in product(*ranges)]
 
 
-def face_partition(d, axis, sign, m):
-    """Partition the cube face C_axis^sign into m^(d-1) half-open cells of
-    side 1/m, each of (d-1)-measure 1/m^(d-1)."""
+def face_partition(d, axis, sign, m, b=None):
+    """Partition the face of the rational box b (default the unit cube)
+    orthogonal to e_axis on side ``sign`` into m^(d-1) half-open cells, m
+    equal parts per side, listed in ``product(range(m), repeat=d - 1)``
+    order.  On the unit cube each cell has side 1/m and (d-1)-measure
+    1/m^(d-1)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    h = Fraction(1, 2)
-    c = h if sign > 0 else -h
+    b = unit_cube(d) if b is None else b
+    c = b[axis][1] if sign > 0 else b[axis][0]
+    widths = [Fraction(hi - lo, m) for lo, hi in b]
     cells = []
     for offs in product(range(m), repeat=d - 1):
         cell = []
@@ -429,9 +433,8 @@ def face_partition(d, axis, sign, m):
             if j == axis:
                 cell.append((c, c))
             else:
-                a = next(it)
-                lo = -h + Fraction(a, m)
-                cell.append((lo, lo + Fraction(1, m)))
+                lo = b[j][0] + next(it) * widths[j]
+                cell.append((lo, lo + widths[j]))
         cells.append(tuple(cell))
     return cells
 

@@ -8,16 +8,22 @@ All algorithms run unchanged on Fractions or floats.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 from .geometry import EdgeId, boundary_edge_set, face_area, face_partition
-from .stream import Stream, divergence_at, incident_edges, transform
+from .stream import Stream, divergence_at, face_flux, incident_edges, transform
 
 MATCH_TOL = 1e-12
 
 
 def _is_exact(*vals):
     return all(isinstance(v, (int, Fraction)) for v in vals)
+
+
+def _div(a, b):
+    """a / b, as a Fraction when both are exact."""
+    return Fraction(a, b) if _is_exact(a, b) else a / b
 
 
 def _sums_match(a, b):
@@ -49,32 +55,22 @@ def decompose(f: Stream, L):
     res = f.copy()
     paths = []
 
-    def aligned_out(x):
-        """Edges carrying flow out of x, lexicographic order."""
+    def aligned(x, sign):
+        """(edge, direction, far end) for the edges carrying flow out of x
+        (sign 1) or into x (sign -1), lexicographic order."""
         out = []
         for e, orient in incident_edges(x, f.d):
             v = res.values.get(e)
-            if v and v * orient > tol:
-                y = e.right() if orient > 0 else e.x
-                out.append((e, orient, y))
-        out.sort(key=lambda t: (t[0].x, t[0].axis))
-        return out
-
-    def aligned_in(x):
-        out = []
-        for e, orient in incident_edges(x, f.d):
-            v = res.values.get(e)
-            if v and v * orient < -tol:
-                y = e.right() if orient > 0 else e.x
-                out.append((e, -orient, y))
+            if v and sign * v * orient > tol:
+                out.append((e, sign * orient, e.right() if orient > 0 else e.x))
         out.sort(key=lambda t: (t[0].x, t[0].axis))
         return out
 
     def walk(start, forward):
         """Self-avoiding walk along aligned residual edges from a terminal to
         another terminal; backtracking DFS, deterministic order."""
-        nxt = aligned_out if forward else aligned_in
-        stack = [(start, iter(nxt(start)))]
+        sign = 1 if forward else -1
+        stack = [(start, iter(aligned(start, sign)))]
         on_path = {start}
         edges = []
         while stack:
@@ -96,7 +92,7 @@ def decompose(f: Stream, L):
             if y in terminals:
                 return edges, y
             on_path.add(y)
-            stack.append((y, iter(nxt(y))))
+            stack.append((y, iter(aligned(y, sign))))
         raise ValueError("no terminal-to-terminal path found (dangling flux)")
 
     while True:
@@ -174,7 +170,7 @@ def _mix2d_core(f_in, M, instrument=None):
     total = sum(f_in)
     if total < 0:
         raise ValueError("core mixer needs a nonnegative input sum")
-    beta = total / r if not _is_exact(total) else Fraction(total, r)
+    beta = _div(total, r)
 
     f = Stream(2, 1)
     for i in range(1, r + 1):
@@ -270,8 +266,6 @@ def mix2d(f_in, M, instrument=None) -> Stream:
 
 
 def _grid_keys(r, k):
-    from itertools import product
-
     return list(product(range(1, r + 1), repeat=k))
 
 
@@ -305,38 +299,28 @@ def embed(f: Stream, d, axis_map, pinned=None, offset=None, n=None) -> Stream:
     return out
 
 
-def _mix_uniform(d, r, f_in, M) -> Stream:
-    """Mix to uniform outputs in [0, (d-1)r) x [1, r]^{d-1}; f_in keyed by
-    {1..r}^{d-1} tuples."""
+def _mix_nested(d, r, f_in, mix2) -> Stream:
+    """Mix to uniform outputs in [0, (d-1)r) x [1, r]^{d-1} by dimension
+    reduction; f_in keyed by {1..r}^{d-1} tuples, mix2 the 2-d kernel on a
+    list of r inputs.
+
+    Each row i is mixed in dimension d-1 to its mean, then one 2-d mix of the
+    row means runs along axis 1 for every remaining transverse position."""
     if d == 2:
-        return mix2d([f_in[(i,)] for i in range(1, r + 1)], M)
+        return mix2([f_in[(i,)] for i in range(1, r + 1)])
     total = Stream(d, 1)
-    means = {}
+    means = []
+    # abstract axes (0, 1..d-2) -> (0, 2..d-1), row coordinate pinned on axis 1
+    amap = [0] + list(range(2, d))
     for i in range(1, r + 1):
         sub = {z: f_in[(i,) + z] for z in _grid_keys(r, d - 2)}
-        s_i = _mix_uniform(d - 1, r, sub, M)
-        # abstract axes (0, 1..d-2) -> (0, 2..d-1), row coordinate pinned on axis 1
-        amap = [0] + [k + 1 for k in range(1, d - 1)]
-        total += embed(s_i, d, amap, pinned={1: i})
-        vals = [f_in[(i,) + z] for z in _grid_keys(r, d - 2)]
-        m = sum(vals)
-        means[i] = Fraction(m, r ** (d - 2)) if _is_exact(m) else m / r ** (d - 2)
+        total += embed(_mix_nested(d - 1, r, sub, mix2), d, amap, pinned={1: i})
+        means.append(_div(sum(sub.values()), r ** (d - 2)))
+    t = mix2(means)
     for x in _grid_keys(r, d - 2):
-        t_x = mix2d([means[i] for i in range(1, r + 1)], M)
-        amap = [0, 1]
-        pinned = {k + 2: x[k] for k in range(d - 2)}
-        total += embed(t_x, d, amap, pinned=pinned, offset=[(d - 2) * r] + [0] * (d - 1))
+        pinned = {k + 2: c for k, c in enumerate(x)}
+        total += embed(t, d, [0, 1], pinned=pinned, offset=[(d - 2) * r] + [0] * (d - 1))
     return total
-
-
-def _straight_lines(d, profile, cols) -> Stream:
-    f = Stream(d, 1)
-    for y, v in profile.items():
-        if v == 0:
-            continue
-        for k in cols:
-            f.add(EdgeId((k,) + y, 0), v)
-    return f
 
 
 def mix(f_in, f_out, m, M) -> Stream:
@@ -357,30 +341,32 @@ def mix(f_in, f_out, m, M) -> Stream:
     s_out = sum(f_out.values())
     if not _sums_match(s_in, s_out):
         raise ValueError("input and output sums do not match")
-    mean = Fraction(s_in, r ** (d - 1)) if _is_exact(s_in) else s_in / r ** (d - 1)
+    mean = _div(s_in, r ** (d - 1))
     uniform = all(_sums_match(v, mean) for v in f_out.values())
     L = (d - 1) * r
     need = L if uniform else 2 * L
     if m < need:
         raise ValueError(f"corridor too short: need m >= {need}, got {m}")
 
-    fi = _mix_uniform(d, r, f_in, M)
-    if uniform:
-        g = fi
-        if m > L:
-            g += _straight_lines(d, f_out, range(L, m))
-        return g
+    def mix2(vals):
+        return mix2d(vals, M)
 
-    fo = _mix_uniform(d, r, f_out, M)
-    # reversed copy: reflect axis 0 and negate, so the f_out side feeds the
-    # shared uniform seam at column L-1 and exposes f_out at column 2L-2
-    rev = transform(fo, flips=[True] + [False] * (d - 1), offset=[2 * L] + [0] * (d - 1)).scaled(-1)
-    g = fi + rev
-    for y in _grid_keys(r, d - 1):
-        seam = EdgeId((L - 1,) + y, 0)
-        g.add(seam, -mean)  # both halves carry the seam edge; count it once
-    if m > 2 * L - 1:
-        g += _straight_lines(d, f_out, range(2 * L - 1, m))
+    g = _mix_nested(d, r, f_in, mix2)
+    start = L
+    if not uniform:
+        fo = _mix_nested(d, r, f_out, mix2)
+        # reversed copy: reflect axis 0 and negate, so the f_out side feeds the
+        # shared uniform seam at column L-1 and exposes f_out at column 2L-2
+        rev = transform(fo, flips=[True] + [False] * (d - 1), offset=[2 * L] + [0] * (d - 1))
+        g += rev.scaled(-1)
+        for y in _grid_keys(r, d - 1):
+            g.add(EdgeId((L - 1,) + y, 0), -mean)  # both halves carry the seam edge; count it once
+        start = 2 * L - 1
+    # straight lines carry the outputs on to column m-1
+    for y, v in f_out.items():
+        if v != 0:
+            for c in range(start, m):
+                g.add(EdgeId((c,) + y, 0), v)
     return g
 
 
@@ -436,8 +422,6 @@ def mix_sparse(f_in, f_out, K, M, n=None) -> Stream:
 
 
 def _check_precise_conditions(f_in, r, k, M, eps):
-    from itertools import product
-
     for level in range(k):
         for y in product(range(1, r + 1), repeat=level):
             vals = [f_in[y + x] for x in product(range(1, r + 1), repeat=k - level)]
@@ -470,26 +454,9 @@ def mix_precise(f_in, M, eps) -> Stream:
     mean.  Inputs must satisfy the nested prefix conditions, which are checked
     and reported by level."""
     r, k = _infer_grid(f_in)
-    d = k + 1
+    # the conditions on every prefix imply those of each sub-grid mixed below
     _check_precise_conditions(f_in, r, k, M, eps)
-    if d == 2:
-        return _mix_precise_2d([f_in[(i,)] for i in range(1, r + 1)], M, eps)
-    total = Stream(d, 1)
-    means = {}
-    for i in range(1, r + 1):
-        sub = {z: f_in[(i,) + z] for z in _grid_keys(r, d - 2)}
-        s_i = mix_precise(sub, M, eps)
-        amap = [0] + [kk + 1 for kk in range(1, d - 1)]
-        total += embed(s_i, d, amap, pinned={1: i})
-        m = sum(sub.values())
-        means[i] = Fraction(m, r ** (d - 2)) if _is_exact(m) else m / r ** (d - 2)
-    for x in _grid_keys(r, d - 2):
-        t_x = _mix_precise_2d([means[i] for i in range(1, r + 1)], M, eps)
-        total += embed(
-            t_x, d, [0, 1], pinned={kk + 2: x[kk] for kk in range(d - 2)},
-            offset=[(d - 2) * r] + [0] * (d - 1),
-        )
-    return total
+    return _mix_nested(k + 1, r, f_in, lambda vals: _mix_precise_2d(vals, M, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -560,40 +527,21 @@ def _sparse_coords(n, K):
 def _face_cells(d, m, lattice_box=None, n=None):
     """Mesoscopic face cells keyed by (axis, sign, offsets); the default box
     is the centered unit cube, otherwise an integer-coordinate box at scale n."""
-    from itertools import product as iproduct
-
+    b = None
+    if lattice_box is not None:
+        b = tuple((Fraction(lo, n), Fraction(hi, n)) for lo, hi in lattice_box)
     out = {}
-    if lattice_box is None:
-        for axis in range(d):
-            for sign in (1, -1):
-                cells = face_partition(d, axis, sign, m)
-                for offs, cell in zip(iproduct(range(m), repeat=d - 1), cells):
-                    out[(axis, sign, offs)] = cell
-        return out
     for axis in range(d):
         for sign in (1, -1):
-            c = Fraction(lattice_box[axis][1] if sign > 0 else lattice_box[axis][0], n)
-            trans = [j for j in range(d) if j != axis]
-            widths = {j: Fraction(lattice_box[j][1] - lattice_box[j][0], n * m) for j in trans}
-            for offs in iproduct(range(m), repeat=d - 1):
-                cell = []
-                it = iter(offs)
-                for j in range(d):
-                    if j == axis:
-                        cell.append((c, c))
-                    else:
-                        a = next(it)
-                        lo = Fraction(lattice_box[j][0], n) + a * widths[j]
-                        cell.append((lo, lo + widths[j]))
-                out[(axis, sign, offs)] = tuple(cell)
+            cells = face_partition(d, axis, sign, m, b)
+            for offs, cell in zip(product(range(m), repeat=d - 1), cells):
+                out[(axis, sign, offs)] = cell
     return out
 
 
 def measure_face_fluxes(f: Stream, m, lattice_box=None):
     """psi_axis^sign(f, A) for every mesoscopic face cell, keyed by
     (axis, sign, cell offsets)."""
-    from .stream import face_flux
-
     cells = _face_cells(f.d, m, lattice_box, f.n)
     return {key: face_flux(f, cell, key[0], key[1]) for key, cell in cells.items()}
 
@@ -655,9 +603,7 @@ def _axis_sparse_mix(d, n, K, axis, entry_sign, inflow, outflow, M, interior_ent
 
 
 def _full_sparse_grid(count, k, K):
-    from itertools import product as iproduct
-
-    return [tuple((a + 1) * K for a in key) for key in iproduct(range(count), repeat=k)]
+    return [tuple((a + 1) * K for a in key) for key in product(range(count), repeat=k)]
 
 
 def _l_path(d, n, x, axis_i, sign_i, axis_j, delivery, weight) -> Stream:
@@ -698,8 +644,12 @@ def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
     lam/beta are keyed by (axis, sign, cell offsets) as produced by
     measure_face_fluxes.  Faces with zero net difference get a single sparse
     mix; surplus faces are paired with deficit faces through sparse mixes and
-    disjoint transfer paths, at most (2d)^2 pairings.
+    disjoint transfer paths, at most (2d)^2 pairings.  n must be even.
     """
+    if n % 2:
+        # the sparse mixes start their columns at cube_box's -(n // 2), the
+        # face-crossing edges of boundary_edge_set sit at floor(-n / 2)
+        raise ValueError(f"balance_faces needs an even n, got {n}")
     cells = _face_cells(d, m)
     if sorted(lam) != sorted(cells) or sorted(beta) != sorted(cells):
         raise ValueError("lam and beta must cover every face cell")
@@ -730,26 +680,17 @@ def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
         pts_of[key] = pts
         mu[(axis, sign)] += diff
         for p in pts:
-            share = Fraction(diff, len(pts)) if _is_exact(diff) else diff / len(pts)
-            w[p] = share
+            w[p] = _div(diff, len(pts))
 
     max_w = max((abs(v) for v in w.values()), default=0)
     bound = M if M is not None else (max_w * 2 * (2 * d) ** 2 + 1)
 
-    def face_profile(axis, sign, scale=1):
+    def face_profile(axis, sign):
         prof = {}
         for key, pts in pts_of.items():
             if key[0] == axis and key[1] == sign:
                 for p in pts:
-                    prof[_transverse(p, axis)] = w[p] * scale
-        return prof
-
-    def zero_profile(axis):
-        prof = {}
-        for key, pts in pts_of.items():
-            if key[0] == axis and key[1] == -1:
-                for p in pts:
-                    prof[_transverse(p, axis)] = 0
+                    prof[_transverse(p, axis)] = w[p]
         return prof
 
     f_res = Stream(d, n)
@@ -769,10 +710,9 @@ def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
         prof = face_profile(axis, sign)
         if all(v == 0 for v in prof.values()):
             continue
-        if sign < 0:
-            f_res += _axis_sparse_mix(d, n, K, axis, -1, prof, zero_profile(axis), bound)
-        else:
-            f_res += _axis_sparse_mix(d, n, K, axis, -1, zero_profile(axis), prof, bound)
+        zero = {y: 0 for y in face_profile(axis, -1)}
+        inflow, outflow = (prof, zero) if sign < 0 else (zero, prof)
+        f_res += _axis_sparse_mix(d, n, K, axis, -1, inflow, outflow, bound)
 
     sent = {face: 0 for face in f_in_faces}
     received = {face: 0 for face in f_out_faces}
@@ -807,26 +747,21 @@ def _transverse(pt, axis):
 def _transfer(d, n, K, face_in, face_out, amount, mu, face_profile, bound) -> Stream:
     ax_i, s_i = face_in
     ax_j, s_j = face_out
-    scale_in = Fraction(amount, abs(mu[face_in])) if _is_exact(amount, mu[face_in]) else amount / abs(mu[face_in])
-    scale_out = Fraction(amount, abs(mu[face_out])) if _is_exact(amount, mu[face_out]) else amount / abs(mu[face_out])
+    scale_in = _div(amount, abs(mu[face_in]))
+    scale_out = _div(amount, abs(mu[face_out]))
     # inflow rate a(x) = -s_i w(x) scale; outflow rate b(x) = s_j w(x) scale
     prof_in = {y: -s_i * v * scale_in for y, v in face_profile(ax_i, s_i).items()}
     prof_out = {y: s_j * v * scale_out for y, v in face_profile(ax_j, s_j).items()}
 
     if ax_i == ax_j:
-        if s_i < 0:
-            return _axis_sparse_mix(d, n, K, ax_i, -1, prof_in, prof_out, bound)
-        return _axis_sparse_mix(d, n, K, ax_i, 1, prof_in, prof_out, bound)
+        return _axis_sparse_mix(d, n, K, ax_i, s_i, prof_in, prof_out, bound)
 
     lo, hi = cube_box(1, n)
     delivery = lo if s_j > 0 else hi - 1
     entry_sign = -s_j
     paths = Stream(d, n)
     delivered = {}
-    full_in = {}
-    for key_pt, a in _profile_points(d, n, K, ax_i, s_i, prof_in).items():
-        full_in[key_pt] = a
-        x = key_pt
+    for x, a in _profile_points(d, n, K, ax_i, s_i, prof_in).items():
         pth = _l_path(d, n, x, ax_i, s_i, ax_j, delivery, a)
         paths += pth
         y = list(x)
@@ -922,15 +857,13 @@ def glue_adjacent(f_a: Stream, box_a, f_b: Stream, box_b, m, M) -> Stream:
 
     out = f_a + f_b
     trans_axes = [j for j in range(d) if j != axis]
-    from itertools import product as iproduct
-
-    for offs in iproduct(range(m), repeat=d - 1):
+    for offs in product(range(m), repeat=d - 1):
         f_in, f_out = {}, {}
         windows = []
         for k, j in enumerate(trans_axes):
             lo = box_a[j][0] + offs[k] * cell_side
             windows.append(range(lo, lo + cell_side))
-        for coords in iproduct(*windows):
+        for coords in product(*windows):
             key = tuple(c - wnd.start + 1 for c, wnd in zip(coords, windows))
             left_a = list(coords)
             left_a.insert(axis, a1 - 1)

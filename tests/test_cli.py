@@ -102,6 +102,34 @@ def test_mix_demo_subcommand(tmp_path):
     assert data["within_bound"] is True
 
 
+@pytest.mark.parametrize(
+    "sub",
+    [
+        {"kind": "mix", "r": 2, "m": 4, "inputs": ["1/2", "0", "1/4"], "outputs": ["1/4", "1/4"]},
+        {"kind": "mix", "r": 2, "m": 4, "inputs": ["1/2"], "outputs": ["1/2"]},
+        {"kind": "mix", "r": 2, "m": 4, "inputs": ["1/2", "0"], "outputs": "1"},
+        {"kind": "mix2d", "inputs": []},
+        {"kind": "mix2d", "inputs": ["2", "0"]},
+        {"kind": "mix", "r": 2, "m": 4, "inputs": ["1/2", "0"], "outputs": ["1/2", "1/2"]},
+    ],
+    ids=["r2-three-inputs", "r2-one-input", "outputs-not-a-list", "empty", "above-M",
+         "sums-differ"],
+)
+def test_mix_demo_rejected_input_exits_2(tmp_path, sub):
+    cfg = {"seed": 0, "out_dir": str(tmp_path / "mix"), "mix_demo": {"M": "1", **sub}}
+    assert run_cli(tmp_path, "mix-demo", cfg) == 2
+
+
+def test_decompose_stream_breaking_the_node_law_exits_2(tmp_path):
+    stream = tmp_path / "stream.txt"
+    stream.write_text("2 2\n0 1 0 1/2\n")  # (1, 1) is interior: flow ends there
+    cfg = {
+        "out_dir": str(tmp_path / "dec"),
+        "decompose": {"domain": "unit_square", "stream": str(stream)},
+    }
+    assert run_cli(tmp_path, "decompose", cfg) == 2
+
+
 def test_distance_subcommand(tmp_path):
     from latflow.measure import VectorMeasure, to_json
     from latflow.geometry import unit_cube

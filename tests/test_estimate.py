@@ -259,16 +259,16 @@ def test_tail_probability_extremes_and_consistency():
 
 
 def test_tail_probability_solves_each_trial_once_for_all_lams(monkeypatch):
-    import latflow.maxflow
+    from latflow.maxflow import FlowNetwork
 
     solves = []
-    real = latflow.maxflow.max_flow
+    real = FlowNetwork.value
 
-    def counting(L, t):
+    def counting(network, t):
         solves.append(1)
-        return real(L, t)
+        return real(network, t)
 
-    monkeypatch.setattr(latflow.maxflow, "max_flow", counting)
+    monkeypatch.setattr(FlowNetwork, "value", counting)
     L = discretize_domain(unit_square_domain(), 4)
     dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
     lams = [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1]

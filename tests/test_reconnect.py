@@ -559,6 +559,18 @@ def test_balance_rejects_total_mismatch():
         balance_faces(lam, beta, K, m, d, n)
 
 
+def test_balance_rejects_odd_n():
+    # at odd n the construction misses the left face's target: reject it
+    d, m, K = 2, 1, 2
+    lam = zero_fluxes(d, m)
+    beta = zero_fluxes(d, m)
+    beta[(0, -1, (0,))] = Fraction(1, 4)
+    beta[(1, 1, (0,))] = Fraction(1, 4)
+    for n in (7, 11):
+        with pytest.raises(ValueError, match="even n"):
+            balance_faces(lam, beta, K, m, d, n)
+
+
 # ---------------------------------------------------------------------------
 # well-behaved and gluing
 

@@ -48,11 +48,22 @@ def _read_file(cfg, key, path, parse):
         raise ConfigError(f"{path}.{key}: malformed file {name!r}: {type(exc).__name__}: {exc}")
 
 
-def _as_int(v, path, minimum=None):
+def _need_list(cfg, key, path):
+    """cfg[key] as a non-empty YAML list: a scalar or a string is never read
+    as a sequence of its characters."""
+    vals = _need(cfg, key, path)
+    if not isinstance(vals, list) or not vals:
+        raise ConfigError(f"{path}.{key}: expected a non-empty list, got {vals!r}")
+    return vals
+
+
+def _as_int(v, path, minimum=None, maximum=None):
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"{path}: expected an integer, got {v!r}")
     if minimum is not None and v < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
+        raise ConfigError(f"{path}: must be >= {minimum}, got {v!r}")
+    if maximum is not None and v > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {v!r}")
     return v
 
 
@@ -97,8 +108,8 @@ def parse_distribution(cfg, path="dist"):
             )
         if kind == "discrete":
             return CapacityDistribution.discrete(
-                [_as_frac(v, f"{path}.values") for v in _need(cfg, "values", path)],
-                [_as_frac(p, f"{path}.probs") for p in _need(cfg, "probs", path)],
+                [_as_frac(v, f"{path}.values") for v in _need_list(cfg, "values", path)],
+                [_as_frac(p, f"{path}.probs") for p in _need_list(cfg, "probs", path)],
             )
     except ConfigError:
         raise
@@ -119,18 +130,32 @@ def parse_domain(cfg, path="domain"):
         raise ConfigError(f"{path}: unknown named domain {cfg!r}")
     d = _as_int(_need(cfg, "d", path), f"{path}.d", minimum=2)
 
-    def read_box(b, p):
-        if len(b) != d:
-            raise ConfigError(f"{p}: box must have {d} axis intervals")
-        return tuple((_as_frac(lo, p), _as_frac(hi, p)) for lo, hi in b)
+    def read_boxes(key):
+        boxes = []
+        for i, b in enumerate(_need_list(cfg, key, path)):
+            p = f"{path}.{key}[{i}]"
+            if not isinstance(b, list) or len(b) != d or any(
+                    not isinstance(iv, list) or len(iv) != 2 for iv in b):
+                raise ConfigError(f"{p}: expected {d} [lo, hi] axis intervals, got {b!r}")
+            boxes.append(tuple((_as_frac(lo, p), _as_frac(hi, p)) for lo, hi in b))
+        return tuple(boxes)
 
-    boxes = tuple(read_box(b, f"{path}.boxes[{i}]") for i, b in enumerate(_need(cfg, "boxes", path)))
-    source = tuple(read_box(b, f"{path}.source[{i}]") for i, b in enumerate(_need(cfg, "source", path)))
-    sink = tuple(read_box(b, f"{path}.sink[{i}]") for i, b in enumerate(_need(cfg, "sink", path)))
+    boxes, source, sink = read_boxes("boxes"), read_boxes("source"), read_boxes("sink")
     try:
         return DomainSpec(d=d, boxes=boxes, source=source, sink=sink)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}")
+
+
+def _versions():
+    """Python, PyYAML and numpy as this process loaded them; numpy is None
+    when the run never imported it (only the rate solver does)."""
+    numpy = sys.modules.get("numpy")
+    return {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "pyyaml": yaml.__version__,
+        "numpy": numpy.__version__ if numpy is not None else None,
+    }
 
 
 def _write_manifest(out_dir, subcommand, cfg, seed, mode, threads):
@@ -144,6 +169,7 @@ def _write_manifest(out_dir, subcommand, cfg, seed, mode, threads):
         "mode": mode,
         "threads": threads,
         "version": __version__,
+        "versions": _versions(),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, default=str)
@@ -228,7 +254,7 @@ def cmd_tau(cfg, args):
     d = _as_int(sub.get("d", 2), "tau.d", minimum=2)
     side = _as_int(_need(sub, "side", "tau"), "tau.side", minimum=1)
     h = _as_int(_need(sub, "h", "tau"), "tau.h", minimum=1)
-    axis = _as_int(sub.get("axis", d - 1), "tau.axis")
+    axis = _as_int(sub.get("axis", d - 1), "tau.axis", minimum=0, maximum=d - 1)
     dist = parse_distribution(_need(sub, "dist", "tau"), "tau.dist")
     from .estimate import straight_tau_sampler
 
@@ -273,10 +299,9 @@ def cmd_decompose(cfg, args):
 def _mix_values(sub, key, count=None):
     """The rationals listed in mix_demo[key], exactly count of them when
     count is given."""
-    vals = _need(sub, key, "mix_demo")
-    if not isinstance(vals, list) or (count is not None and len(vals) != count):
-        want = "a list" if count is None else f"a list of r^(d-1) = {count} values"
-        raise ConfigError(f"mix_demo.{key}: expected {want}, got {vals!r}")
+    vals = _need_list(sub, key, "mix_demo")
+    if count is not None and len(vals) != count:
+        raise ConfigError(f"mix_demo.{key}: expected a list of r^(d-1) = {count} values, got {vals!r}")
     return [_as_frac(v, f"mix_demo.{key}") for v in vals]
 
 
@@ -344,10 +369,10 @@ def cmd_rate(cfg, args):
     d = _as_int(sub.get("d", 2), "rate.d", minimum=2)
     n = _as_int(_need(sub, "n", "rate"), "rate.n", minimum=1)
     s = _as_frac(_need(sub, "s", "rate"), "rate.s")
-    v = [_as_frac(c, "rate.v") for c in _need(sub, "v", "rate")]
+    v = [_as_frac(c, "rate.v") for c in _need_list(sub, "v", "rate")]
     if len(v) != d:
         raise ConfigError("rate.v: must have d components")
-    eps_list = [_as_real(e, "rate.eps") for e in _need(sub, "eps", "rate")]
+    eps_list = [_as_real(e, "rate.eps") for e in _need_list(sub, "eps", "rate")]
     trials = _as_int(_need(sub, "trials", "rate"), "rate.trials", minimum=1)
     dist = parse_distribution(_need(sub, "dist", "rate"), "rate.dist")
     from .estimate import estimate_rate
@@ -372,17 +397,17 @@ def cmd_flow_constant(cfg, args):
     seed, threads, out_dir, mode = _common(cfg, args)
     sub = _need(cfg, "flow_constant", "config")
     d = _as_int(sub.get("d", 2), "flow_constant.d", minimum=2)
-    axis = _as_int(sub.get("axis", d - 1), "flow_constant.axis")
-    n_list = [_as_int(n, "flow_constant.n_list", minimum=1) for n in _need(sub, "n_list", "flow_constant")]
+    axis = _as_int(sub.get("axis", d - 1), "flow_constant.axis", minimum=0, maximum=d - 1)
+    n_list = [_as_int(n, "flow_constant.n_list", minimum=1)
+              for n in _need_list(sub, "n_list", "flow_constant")]
     h_mode = sub.get("h", "n")
     trials = _as_int(_need(sub, "trials", "flow_constant"), "flow_constant.trials", minimum=1)
     dist = parse_distribution(_need(sub, "dist", "flow_constant"), "flow_constant.dist")
     if h_mode == "n":
         h_of_n = lambda n: n
-    elif isinstance(h_mode, int):
-        h_of_n = lambda n: h_mode
     else:
-        raise ConfigError("flow_constant.h: expected 'n' or an integer")
+        h = _as_int(h_mode, "flow_constant.h", minimum=1)
+        h_of_n = lambda n: h
     from .estimate import estimate_flow_constant
 
     points = estimate_flow_constant(dist, axis, n_list, h_of_n, trials, seed,
@@ -399,7 +424,7 @@ def cmd_tail(cfg, args):
     sub = _need(cfg, "tail", "config")
     domain = parse_domain(_need(sub, "domain", "tail"), "tail.domain")
     n = _as_int(_need(sub, "n", "tail"), "tail.n", minimum=1)
-    lams = [_as_real(l, "tail.lam") for l in _need(sub, "lam", "tail")]
+    lams = [_as_real(l, "tail.lam") for l in _need_list(sub, "lam", "tail")]
     trials = _as_int(_need(sub, "trials", "tail"), "tail.trials", minimum=1)
     dist = parse_distribution(_need(sub, "dist", "tail"), "tail.dist")
     L = discretize_domain(domain, n)

@@ -8,11 +8,8 @@ probability and I_hat is an upper estimate of the decay rate.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .capacities import CapacityDistribution, derive_seed, sample_capacities
 from .geometry import EdgeId, box_volume, unit_cube
@@ -77,6 +74,9 @@ def rate_upper_bound(dist: CapacityDistribution, vec):
 
 # ---------------------------------------------------------------------------
 # cube stream space and precompiled distance tables
+#
+# numpy is imported inside each function of the rate solver, not at module
+# level: every other subcommand runs in pure Python and so never loads it.
 
 
 class CubeSpace:
@@ -88,8 +88,11 @@ class CubeSpace:
     +1 on the edges leaving a vertex, -1 on those entering it."""
 
     def __init__(self, d, n, region=None):
-        self.d, self.n = d, n
         from itertools import product
+
+        import numpy as np
+
+        self.d, self.n = d, n
 
         if region is None:
             lo, hi = cube_box(d, n)
@@ -138,6 +141,8 @@ class CubeDistanceTables:
     """
 
     def __init__(self, space: CubeSpace, target: VectorMeasure, opts: DistanceOptions):
+        import numpy as np
+
         self.space = space
         self.opts = opts
         self.target = target
@@ -210,6 +215,8 @@ class CubeDistanceTables:
 
     def _residual(self, s_vec):
         """Per-grid-point values, and the per-slot mass residual and its norms."""
+        import numpy as np
+
         contrib = np.tile(s_vec * self.scale, len(self.index))
         mass = np.bincount(self.index.ravel(), weights=contrib, minlength=self.b_all.size)
         diff = mass.reshape(self.b_all.shape) - self.b_all
@@ -220,6 +227,8 @@ class CubeDistanceTables:
         return per_point + self.const_point, diff, norms
 
     def value_and_grad(self, s_vec):
+        import numpy as np
+
         vals, diff, norms = self._residual(s_vec)
         pid = int(np.argmax(vals))
         safe = np.where(norms > 0, norms, 1.0)
@@ -229,11 +238,15 @@ class CubeDistanceTables:
         return float(vals[pid]), terms.sum(axis=0)
 
     def value(self, s_vec):
+        import numpy as np
+
         return float(np.max(self._residual(s_vec)[0]))
 
     def certified_upper(self, f):
         """Grid value of the exact stream plus the truncation tail: matches
         measure.distance(vector_measure(f), target).upper on this grid."""
+        import numpy as np
+
         s = np.zeros(self.ne)
         for i, e in enumerate(self.space.edges):
             s[i] = float(f.get(e))
@@ -271,6 +284,8 @@ class MinDistanceResult:
 def _exact_div_project(B, s_vals):
     """Exact node-law projection s - B^T (B B^T)^+ B s of rational edge
     values, for the integer incidence B of the active edges."""
+    import numpy as np
+
     rows = [[(int(i), int(B[a, i])) for i in np.flatnonzero(B[a])] for a in range(len(B))]
     G = [[Fraction(int(c)) for c in row] for row in B @ B.T]
     rhs = [sum((c * s_vals[i] for i, c in row), Fraction(0)) for row in rows]
@@ -318,6 +333,8 @@ def min_distance(n, t, target: VectorMeasure, eps, d=None, opts=None,
     box clipping) driven by subgradient steps; the final stream is polished
     to exact rational admissibility, so a "holds" verdict is certified by an
     explicit member of S_n(C)."""
+    import numpy as np
+
     d = d or target.d
     opts = opts or DistanceOptions()
     tables = _tables_for(d, n, target, opts, region=region)
@@ -405,6 +422,8 @@ def constant_target(d, s, v) -> VectorMeasure:
 
 def _run_trials(fn, trials, threads):
     if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(fn, range(trials)))
     return [fn(i) for i in range(trials)]

@@ -1,7 +1,10 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
+import numpy
 import pytest
 import yaml
 
@@ -406,3 +409,102 @@ def test_yaml_booleans_in_rational_fields_exit_2(tmp_path, capsys):
         assert run_cli(tmp_path, f"{cmd}__{i}", cfg) == 2, field
         assert f"config error: {field}: expected a rational like '1/2', got {value!r}" \
             in capsys.readouterr().err
+
+
+CONST = {"kind": "constant", "c": "1"}
+# one tiny valid config per subcommand; the files they name are written by
+# write_inputs
+TINY = {
+    "maxflow": {"domain": "unit_square", "n": 2, "dist": CONST},
+    "tau": {"d": 2, "side": 2, "h": 2, "dist": CONST},
+    "decompose": {"domain": "unit_square", "stream": "stream.txt"},
+    "mix-demo": {"kind": "mix2d", "M": "1", "inputs": ["1", "-1", "1/2"]},
+    "distance": {"measure_a": "a.json", "measure_b": "b.json", "k_max": 4},
+    "rate": {"d": 2, "n": 2, "s": "1/2", "v": ["1", "0"], "eps": ["1/2"], "trials": 1,
+             "dist": CONST},
+    "flow-constant": {"d": 2, "n_list": [2], "h": "n", "trials": 1, "dist": CONST},
+    "tail": {"domain": "unit_square", "n": 2, "lam": ["1/2"], "trials": 1, "dist": CONST},
+}
+
+
+def write_inputs(tmp_path):
+    from fractions import Fraction
+
+    from latflow.geometry import unit_cube
+    from latflow.measure import VectorMeasure, to_json
+
+    (tmp_path / "stream.txt").write_text("2 2\n0 1 0 1\n1 1 0 1\n")
+    for name, c in (("a.json", 1), ("b.json", Fraction(1, 2))):
+        mu = VectorMeasure.from_density(unit_cube(2), (Fraction(c), Fraction(0)))
+        (tmp_path / name).write_text(to_json(mu))
+
+
+def tiny_config(tmp_path, cmd, **changes):
+    sub = dict(TINY[cmd], **changes)
+    for key in ("stream", "measure_a", "measure_b"):
+        if key in sub:
+            sub[key] = str(tmp_path / sub[key])
+    return {"seed": 1, "out_dir": str(tmp_path / "out"), cmd.replace("-", "_"): sub}
+
+
+@pytest.mark.parametrize(
+    "cmd, field, value",
+    [
+        ("flow-constant", "axis", 5),
+        ("tau", "axis", 7),
+        ("tau", "axis", -1),
+        ("flow-constant", "h", 0),
+        ("flow-constant", "h", -3),
+        ("flow-constant", "h", True),
+        ("rate", "eps", []),
+        ("rate", "eps", 0.5),
+        ("flow-constant", "n_list", 4),
+        ("rate", "v", "10"),
+        ("tail", "lam", "1/2"),
+    ],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, cmd, field, value):
+    # each used to raise a traceback (exit 1), to be read silently (h: true
+    # as 1, v: "10" as ["1", "0"]) or to name one character (lam: got '/')
+    cfg = tiny_config(tmp_path, cmd, **{field: value})
+    assert run_cli(tmp_path, cmd, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cmd.replace('-', '_')}.{field}: ")
+    assert err.endswith(f", got {value!r}\n")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("boxes", 5), ("boxes", [[["0", "1", "2"], ["0", "1"]]]), ("source", []),
+     ("sink", [5])],
+)
+def test_malformed_domain_boxes_exit_2(tmp_path, capsys, key, value):
+    domain = {"d": 2, "boxes": [[["0", "1"], ["0", "1"]]],
+              "source": [[["0", "0"], ["0", "1"]]], "sink": [[["1", "1"], ["0", "1"]]]}
+    cfg = tiny_config(tmp_path, "maxflow", domain=dict(domain, **{key: value}))
+    assert run_cli(tmp_path, "maxflow", cfg) == 2
+    assert capsys.readouterr().err.startswith(f"config error: maxflow.domain.{key}")
+
+
+@pytest.mark.parametrize("cmd", sorted(TINY))
+def test_only_the_rate_solver_loads_numpy(tmp_path, cmd):
+    # a fresh process per subcommand, since the test process has numpy loaded
+    # already; the manifest names the numpy version only where the run loaded it
+    write_inputs(tmp_path)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(tiny_config(tmp_path, cmd)))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; from latflow.cli import main; "
+            "rc = main(sys.argv[1:]); print(rc, 'numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, cmd, "--config", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = cmd == "rate"
+    assert proc.stdout.split() == ["0", str(loaded)]
+    versions = json.loads((tmp_path / "out" / "manifest.json").read_text())["versions"]
+    assert versions == {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "pyyaml": yaml.__version__,
+        "numpy": numpy.__version__ if loaded else None,
+    }

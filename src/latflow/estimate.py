@@ -126,18 +126,96 @@ class CubeSpace:
                         self.B[r, i] += sign
 
 
-class CubeDistanceTables:
-    """Flattened cube assignments of the cube's edge midpoints against a
-    fixed target measure, over every (shift, lambda, level) of the grid.
+def _cube_cells(space: CubeSpace, target: VectorMeasure, opts: DistanceOptions):
+    """The cube assignments of the space's edge midpoints against a fixed
+    target measure, over every (shift, lambda, level) of the grid.
 
-    A block is one (grid point, level).  ``index[b, i]`` is the flat
-    ``axis * slots + slot`` cell that edge i adds its mass to in block b,
-    and ``b_all`` (axes x slots) holds the target mass per slot.  One
-    bincount evaluates the truncated distance at every grid point at once;
-    the grid and truncation match ``measure.distance`` exactly (the same
-    integer cube kernel), so values agree with the bracket's lower + tail.
-    Nothing is written after ``__init__``, so one object may serve many
-    threads.
+    A block is one (grid point, level); a point's blocks are consecutive, by
+    level.  Returns ``(slot_of, b_all, block_point, block_weight,
+    block_slots, const_point)``: ``slot_of[b, i]`` is the slot (cube) that
+    edge i's midpoint falls in within block b, slots numbered across all
+    blocks in block order, ``block_slots[b]`` of them in block b; ``b_all``
+    (axes x slots) holds the target mass per slot; ``const_point`` the
+    weighted target mass no edge reaches, per point.  The grid
+    and truncation match ``measure.distance`` exactly (the same integer cube
+    kernel)."""
+    import numpy as np
+
+    d, n = space.d, space.n
+    mids = [e.midpoint(n) for e in space.edges]
+    grid = CubeGrid(d, opts, [c for p in mids for c in p]
+                    + [c for p, _ in target.atoms for c in p])
+    mids = [tuple(map(grid.scale, p)) for p in mids]
+    atoms = [(tuple(map(grid.scale, p)), np.array([float(c) for c in w]))
+             for p, w in target.atoms]
+    # (float box, float value, |value|, volume) per density cell
+    cells = [(tuple((float(lo), float(hi)) for lo, hi in b), [float(c) for c in v],
+              math.sqrt(sum(float(c) ** 2 for c in v)), float(box_volume(b)))
+             for b, v in target.densities]
+    ne = len(mids)
+    slot_rows = []
+    b_rows = []
+    block_point, block_weight, block_slots = [], [], []
+    const_point = np.zeros(len(grid.points))
+    base = 0
+    for pid, (xs, lam) in enumerate(grid.points):
+        X, sides = grid.levels(xs, lam)
+        for k, S in enumerate(sides):
+            idx_of = {}
+            slots = np.empty(ne, dtype=np.int64)
+            for i, p in enumerate(mids):
+                slots[i] = idx_of.setdefault(cube_key(p, X, S), len(idx_of))
+            nb = len(idx_of)
+            b = np.zeros((nb, d))
+            const = 0.0
+            leftover = {}
+            for p, w in atoms:
+                key = cube_key(p, X, S)
+                if key in idx_of:
+                    b[idx_of[key]] += w
+                else:
+                    acc = leftover.setdefault(key, np.zeros(d))
+                    acc += w
+            for acc in leftover.values():
+                const += float(np.linalg.norm(acc))
+            covered = [0.0] * len(cells)
+            for key, slot in idx_of.items():
+                bounds = grid.bounds(X, S, key)
+                for ci, (fbox, fval, _, _) in enumerate(cells):
+                    vol = overlap_volume(bounds, fbox)
+                    if vol > 0:
+                        covered[ci] += vol
+                        b[slot] += np.array([c * vol for c in fval])
+            for (_, _, vnorm, volume), cov in zip(cells, covered):
+                const += vnorm * max(volume - cov, 0.0)
+            slot_rows.append(slots + base)
+            b_rows.append(b)
+            const_point[pid] += const / 2**k
+            block_point.append(pid)
+            block_weight.append(1.0 / 2**k)
+            block_slots.append(nb)
+            base += nb
+    return (np.vstack(slot_rows), np.vstack(b_rows).T.copy(),
+            np.array(block_point, dtype=np.int64), np.array(block_weight),
+            np.array(block_slots, dtype=np.int64), const_point)
+
+
+class CubeDistanceTables:
+    """The truncated distance between mu_n(s) and a fixed target measure at
+    every grid point, for any edge vector s of the space, over the cube
+    cells of ``_cube_cells``.  Values agree with the bracket's lower + tail
+    of ``measure.distance``.  Nothing is written after ``__init__``, so one
+    object may serve many threads.
+
+    Most slots hold exactly one edge midpoint (93-96% of them at d=2, n=3..6
+    and at d=3, n=2).  There the residual is ``s_e * scale - b`` on the
+    edge's axis and ``-b`` on the others: a gather, with the squares of the
+    other axes fixed when the tables are built.  Only the other slots add
+    their edges with a bincount.  Every float is computed as by one dense
+    bincount over all (block, edge) cells, bit for bit: a slot's edges add
+    to 0.0 in block order (a single edge's -0.0 only shows in the residual's
+    sign, which squaring drops), and its squared norm sums the axes in the
+    order 0..d-1.
     """
 
     def __init__(self, space: CubeSpace, target: VectorMeasure, opts: DistanceOptions):
@@ -146,101 +224,110 @@ class CubeDistanceTables:
         self.space = space
         self.opts = opts
         self.target = target
-        d, n = space.d, space.n
-        axes = np.array([e.axis for e in space.edges])
-        self.scale = 1.0 / n**d
-        mids = [e.midpoint(n) for e in space.edges]
-        grid = CubeGrid(d, opts, [c for p in mids for c in p]
-                        + [c for p, _ in target.atoms for c in p])
-        mids = [tuple(map(grid.scale, p)) for p in mids]
-        atoms = [(tuple(map(grid.scale, p)), np.array([float(c) for c in w]))
-                 for p, w in target.atoms]
-        # (float box, float value, |value|, volume) per density cell
-        cells = [(tuple((float(lo), float(hi)) for lo, hi in b), [float(c) for c in v],
-                  math.sqrt(sum(float(c) ** 2 for c in v)), float(box_volume(b)))
-                 for b, v in target.densities]
-        ne = len(mids)
-        index_rows = []
-        b_rows = []
-        block_point, block_weight, block_slots = [], [], []
-        const_point = np.zeros(len(grid.points))
-        base = 0
-        for pid, (xs, lam) in enumerate(grid.points):
-            X, sides = grid.levels(xs, lam)
-            for k, S in enumerate(sides):
-                idx_of = {}
-                slots = np.empty(ne, dtype=np.int64)
-                for i, p in enumerate(mids):
-                    slots[i] = idx_of.setdefault(cube_key(p, X, S), len(idx_of))
-                nb = len(idx_of)
-                b = np.zeros((nb, d))
-                const = 0.0
-                leftover = {}
-                for p, w in atoms:
-                    key = cube_key(p, X, S)
-                    if key in idx_of:
-                        b[idx_of[key]] += w
-                    else:
-                        acc = leftover.setdefault(key, np.zeros(d))
-                        acc += w
-                for acc in leftover.values():
-                    const += float(np.linalg.norm(acc))
-                covered = [0.0] * len(cells)
-                for key, slot in idx_of.items():
-                    bounds = grid.bounds(X, S, key)
-                    for ci, (fbox, fval, _, _) in enumerate(cells):
-                        vol = overlap_volume(bounds, fbox)
-                        if vol > 0:
-                            covered[ci] += vol
-                            b[slot] += np.array([c * vol for c in fval])
-                for (_, _, vnorm, volume), cov in zip(cells, covered):
-                    const += vnorm * max(volume - cov, 0.0)
-                index_rows.append(slots + base)
-                b_rows.append(b)
-                const_point[pid] += const / 2**k
-                block_point.append(pid)
-                block_weight.append(1.0 / 2**k)
-                block_slots.append(nb)
-                base += nb
-        # axis-major, so the per-slot norms sum d long rows, not many short ones
-        self.index = axes * base + np.vstack(index_rows)  # (blocks, ne)
-        self.block_point = np.array(block_point, dtype=np.int64)
-        self.block_weight = np.array(block_weight)
-        self.b_all = np.vstack(b_rows).T.copy()  # (d, slots)
-        self.slot_weight = np.repeat(self.block_weight, block_slots)
-        self.slot_point = np.repeat(self.block_point, block_slots)
-        self.const_point = const_point
+        d, ne = space.d, len(space.edges)
         self.ne = ne
-        self.n_points = len(grid.points)
+        self.scale = 1.0 / space.n**d
+        (slot_of, b_all, block_point, block_weight, block_slots,
+         self.const_point) = _cube_cells(space, target, opts)
+        # The index arrays read on every call are intp: numpy would cast
+        # int32 ones to a fresh slot-length array per call.
+        axes = np.array([e.axis for e in space.edges], dtype=np.intp)
+        flat = slot_of.ravel()
+        edge = np.tile(np.arange(ne, dtype=np.intp), len(slot_of))
+        single = np.bincount(flat, minlength=b_all.shape[1]) == 1
 
-    def _residual(self, s_vec):
-        """Per-grid-point values, and the per-slot mass residual and its norms."""
+        # single-edge slots: a block numbers its slots in the order edges
+        # first reach them, so these come in slot order
+        one = single[flat]
+        self.one_slot = flat[one]
+        self.one_edge = edge[one]
+        one_axis = axes[self.one_edge]
+        self.one_b = b_all[one_axis, self.one_slot]
+        # The dense squared norm is (sq_0 + sq_1) + sq_2 ..., sq_a = r * r on
+        # the edge's axis a and b_j^2 on the others.  Here it is (r * r +
+        # fixed) + tail_1 + ... + tail_{d-2}: fixed is the first other axis
+        # when a = 0, else the axes before a summed in order; the tails are
+        # the remaining axes in order, padded with zeros, which leave a sum
+        # of squares unchanged.
+        sq = b_all[:, self.one_slot] ** 2
+        self.one_fixed = np.zeros(len(self.one_slot))
+        self.one_tail = np.zeros((max(d - 2, 0), len(self.one_slot)))
+        for a in range(d):
+            mask = one_axis == a
+            for j in (range(a) if a else range(1, min(d, 2))):
+                self.one_fixed[mask] += sq[j, mask]
+            for row, j in enumerate(range(max(a + 1, 2), d)):
+                self.one_tail[row, mask] = sq[j, mask]
+
+        # the other slots: one (axis, slot) bincount over their entries, in
+        # block order
+        self.many_slot = np.flatnonzero(~single)
+        pos = np.zeros(len(single), dtype=np.intp)
+        pos[self.many_slot] = np.arange(len(self.many_slot))
+        self.many_edge = edge[~one]
+        self.many_cell = axes[self.many_edge] * len(self.many_slot) + pos[flat[~one]]
+        self.many_b = b_all[:, self.many_slot]
+
+        self.slot_point = np.repeat(block_point, block_slots)
+        self.slot_weight = np.repeat(block_weight, block_slots)
+
+        # The gradient's cells: point p owns the blocks point_block[p] to
+        # point_block[p + 1] and the slots point_slot[p] to point_slot[p + 1];
+        # cell_local[b, i] is edge i's axis * (the point's slot count) + its
+        # slot within the point.
+        self.point_block = np.searchsorted(block_point, np.arange(len(self.const_point) + 1))
+        self.point_slot = np.concatenate(([0], np.cumsum(block_slots)))[self.point_block]
+        first = self.point_slot[block_point]
+        width = self.point_slot[block_point + 1] - first
+        self.cell_local = (axes * width[:, None] + slot_of - first[:, None]).astype(np.int32)
+        self.b_all = b_all
+        self.block_weight = block_weight
+
+    def _point_values(self, sv):
+        """Per-grid-point values for the scaled edge vector sv."""
         import numpy as np
 
-        contrib = np.tile(s_vec * self.scale, len(self.index))
-        mass = np.bincount(self.index.ravel(), weights=contrib, minlength=self.b_all.size)
-        diff = mass.reshape(self.b_all.shape) - self.b_all
-        norms = np.sqrt((diff * diff).sum(axis=0))
-        per_point = np.bincount(
-            self.slot_point, weights=norms * self.slot_weight, minlength=self.n_points
-        )
-        return per_point + self.const_point, diff, norms
+        # in place: a fresh slot-length temporary per step costs about as
+        # much as the step itself
+        sq = sv.take(self.one_edge)
+        sq -= self.one_b
+        sq *= sq
+        sq += self.one_fixed
+        for tail in self.one_tail:
+            sq += tail
+        mass = np.bincount(self.many_cell, weights=sv.take(self.many_edge),
+                           minlength=self.many_b.size)
+        diff = mass.reshape(self.many_b.shape) - self.many_b
+        diff *= diff
+        norms = np.empty(len(self.slot_point))
+        norms[self.one_slot] = np.sqrt(sq, out=sq)
+        norms[self.many_slot] = np.sqrt(diff.sum(axis=0))
+        norms *= self.slot_weight
+        return np.bincount(self.slot_point, weights=norms, minlength=len(self.const_point)) \
+            + self.const_point
 
     def value_and_grad(self, s_vec):
+        """The largest grid-point value, and its gradient in s from that
+        point's cells alone."""
         import numpy as np
 
-        vals, diff, norms = self._residual(s_vec)
+        sv = s_vec * self.scale
+        vals = self._point_values(sv)
         pid = int(np.argmax(vals))
-        safe = np.where(norms > 0, norms, 1.0)
-        coeff = diff / safe
-        mine = self.block_point == pid
-        terms = coeff.ravel()[self.index[mine]] * (self.scale * self.block_weight[mine])[:, None]
+        b0, b1 = self.point_block[pid], self.point_block[pid + 1]
+        b = self.b_all[:, self.point_slot[pid]:self.point_slot[pid + 1]]
+        cells = self.cell_local[b0:b1]
+        mass = np.bincount(cells.ravel(), weights=np.tile(sv, b1 - b0), minlength=b.size)
+        diff = mass.reshape(b.shape) - b
+        norms = np.sqrt((diff * diff).sum(axis=0))
+        coeff = diff / np.where(norms > 0, norms, 1.0)
+        terms = coeff.ravel()[cells] * (self.scale * self.block_weight[b0:b1])[:, None]
         return float(vals[pid]), terms.sum(axis=0)
 
     def value(self, s_vec):
         import numpy as np
 
-        return float(np.max(self._residual(s_vec)[0]))
+        return float(np.max(self._point_values(s_vec * self.scale)))
 
     def certified_upper(self, f):
         """Grid value of the exact stream plus the truncation tail: matches
@@ -278,49 +365,73 @@ class MinDistanceResult:
     value: float  # distance upper bound of the returned stream
     stream: Stream
     status: str  # "holds" or "unknown"
-    iterations: int
+    iterations: int  # value_and_grad evaluations made
 
 
 def _exact_div_project(B, s_vals):
     """Exact node-law projection s - B^T (B B^T)^+ B s of rational edge
-    values, for the integer incidence B of the active edges."""
+    values, for the integer incidence B of the active edges.
+
+    The projection is unique, so any solution of the Gram system gives the
+    same Fractions.  It is solved on integers: the edge values are scaled by
+    the lcm D of their denominators, and only the back substitution and the
+    result are Fractions."""
     import numpy as np
 
     rows = [[(int(i), int(B[a, i])) for i in np.flatnonzero(B[a])] for a in range(len(B))]
-    G = [[Fraction(int(c)) for c in row] for row in B @ B.T]
-    rhs = [sum((c * s_vals[i] for i, c in row), Fraction(0)) for row in rows]
-    y = _solve_psd_fraction(G, rhs)
-    out = list(s_vals)
+    touched = {i for row in rows for i, _ in row}
+    D = math.lcm(*(s_vals[i].denominator for i in touched))
+    scaled = {i: s_vals[i].numerator * (D // s_vals[i].denominator) for i in touched}
+    y = _solve_gram((B @ B.T).tolist(), [sum(c * scaled[i] for i, c in row) for row in rows])
+    z = {}
     for row, ya in zip(rows, y):
         for i, c in row:
-            out[i] -= c * ya
+            z[i] = z.get(i, 0) + c * ya
+    out = list(s_vals)
+    for i, zi in z.items():
+        out[i] = Fraction(scaled[i] * zi.denominator - zi.numerator, zi.denominator * D)
     return out
 
 
-def _solve_psd_fraction(G, rhs):
-    """Gaussian elimination with free-variable zeroing (G may be singular)."""
+def _solve_gram(G, rhs):
+    """A solution y (Fractions) of G y = rhs, for a symmetric positive
+    semidefinite integer matrix G (a list of rows) and an integer rhs in its
+    range.
+
+    Fraction-free elimination on sparse rows: a row is cleared below a
+    pivot by cross-multiplying and is then divided by the gcd of its
+    entries, so the banded Gram rows stay short and their entries small.
+    Columns without a pivot (G singular) get y = 0; the rows left empty
+    then have rhs 0, since the system is consistent."""
     m = len(G)
-    A = [row[:] + [rhs[i]] for i, row in enumerate(G)]
-    piv_cols = []
-    r = 0
+    rows = [({j: g for j, g in enumerate(row) if g}, r) for row, r in zip(G, rhs)]
+    live = list(range(m))
+    pivots = []
     for c in range(m):
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
+        piv = next((i for i in live if c in rows[i][0]), None)
         if piv is None:
             continue
-        A[r], A[piv] = A[piv], A[r]
-        pv = A[r][c]
-        A[r] = [a / pv for a in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    y = [Fraction(0)] * m
-    for i, c in enumerate(piv_cols):
-        y[c] = A[i][m]
+        live.remove(piv)
+        prow, prhs = rows[piv]
+        p = prow[c]
+        for i in live:
+            row, r = rows[i]
+            q = row.get(c)
+            if q is None:
+                continue
+            g = math.gcd(p, q)
+            a, b = p // g, q // g
+            new = {j: a * v for j, v in row.items()}
+            for j, v in prow.items():
+                new[j] = new.get(j, 0) - b * v
+            new = {j: v for j, v in new.items() if v}
+            r = a * r - b * prhs
+            h = math.gcd(math.gcd(*new.values()), r) if new else 1
+            rows[i] = ({j: v // h for j, v in new.items()}, r // h)
+        pivots.append((c, prow, prhs))
+    y = [0] * m
+    for c, prow, prhs in reversed(pivots):
+        y[c] = Fraction(prhs - sum(v * y[j] for j, v in prow.items() if j != c), prow[c])
     return y
 
 
@@ -375,8 +486,10 @@ def min_distance(n, t, target: VectorMeasure, eps, d=None, opts=None,
     step0 = max(caps.max(), 1e-9)
     best_val = float("inf")
     best_s = s.copy()
+    evaluations = 0
     for it in range(iters):
         val, g = tables.value_and_grad(s)
+        evaluations += 1
         if val < best_val:
             best_val = val
             best_s = s.copy()
@@ -411,7 +524,7 @@ def min_distance(n, t, target: VectorMeasure, eps, d=None, opts=None,
             f.values[space.edges[i]] = x
     val = tables.certified_upper(f)
     status = "holds" if val <= float(eps) else "unknown"
-    return MinDistanceResult(val, f, status, iters)
+    return MinDistanceResult(val, f, status, evaluations)
 
 
 def constant_target(d, s, v) -> VectorMeasure:

@@ -241,3 +241,82 @@ def fraction_max_flow(L, t):
             cut.append(e)
     _cancel_cycles(stream)
     return value, stream.values, tuple(sorted(cut))
+
+
+class BincountTables:
+    """The rate solver's distance at every grid point by the dense formula:
+    every (block, edge) cell of ``latflow.estimate._cube_cells`` is added to
+    its (axis, slot) mass with one bincount, the per-slot norms sum the
+    axes' squared residuals in order, and one more bincount sums the
+    weighted norms per point.  The reference for the evaluation layout of
+    ``CubeDistanceTables``, which must agree with it bit for bit."""
+
+    def __init__(self, space, target, opts):
+        import numpy as np
+
+        from latflow.estimate import _cube_cells
+
+        (slot_of, self.b_all, self.block_point, self.block_weight, block_slots,
+         self.const_point) = _cube_cells(space, target, opts)
+        axes = np.array([e.axis for e in space.edges])
+        self.scale = 1.0 / space.n**space.d
+        self.index = axes * self.b_all.shape[1] + slot_of
+        self.slot_weight = np.repeat(self.block_weight, block_slots)
+        self.slot_point = np.repeat(self.block_point, block_slots)
+
+    def _residual(self, s_vec):
+        import numpy as np
+
+        contrib = np.tile(s_vec * self.scale, len(self.index))
+        mass = np.bincount(self.index.ravel(), weights=contrib, minlength=self.b_all.size)
+        diff = mass.reshape(self.b_all.shape) - self.b_all
+        norms = np.sqrt((diff * diff).sum(axis=0))
+        per_point = np.bincount(
+            self.slot_point, weights=norms * self.slot_weight, minlength=len(self.const_point)
+        )
+        return per_point + self.const_point, diff, norms
+
+    def value_and_grad(self, s_vec):
+        import numpy as np
+
+        vals, diff, norms = self._residual(s_vec)
+        pid = int(np.argmax(vals))
+        safe = np.where(norms > 0, norms, 1.0)
+        coeff = diff / safe
+        mine = self.block_point == pid
+        terms = coeff.ravel()[self.index[mine]] * (self.scale * self.block_weight[mine])[:, None]
+        return float(vals[pid]), terms.sum(axis=0)
+
+    def value(self, s_vec):
+        import numpy as np
+
+        return float(np.max(self._residual(s_vec)[0]))
+
+
+def fraction_gauss_jordan(G, rhs):
+    """A solution of G y = rhs by dense Gauss-Jordan elimination on Fraction
+    rows, free variables zero (G may be singular): the reference for the
+    rate solver's integer Gram elimination."""
+    m = len(G)
+    A = [[Fraction(a) for a in row] + [Fraction(rhs[i])] for i, row in enumerate(G)]
+    piv_cols = []
+    r = 0
+    for c in range(m):
+        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        pv = A[r][c]
+        A[r] = [a / pv for a in A[r]]
+        for i in range(m):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    y = [Fraction(0)] * m
+    for i, c in enumerate(piv_cols):
+        y[c] = A[i][m]
+    return y

@@ -382,6 +382,125 @@ def test_min_distance_is_bit_identical_to_recorded_values():
     assert h.hexdigest() == "ff1fbe8b2a3c980f016c9e8f58c1896ed9fc7c78417f8651235f6b23105fdf15"
 
 
+def test_min_distance_at_the_bench_size_is_bit_identical_to_recorded_values():
+    # SHA-256 of (repr(value), status, dump_stream) over four trials of the
+    # benchmark's rate instance (d=2, n=6), recorded with the dense bincount
+    # evaluation and the Fraction Gauss-Jordan polish
+    dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
+    target = constant_target(2, Fraction(1, 2), (1, 0))
+    space = CubeSpace(2, 6)
+    h = hashlib.sha256()
+    for trial in range(4):
+        t = sample_capacities(space.edges, dist, derive_seed(1, trial), exact=False)
+        r = min_distance(6, t, target, 1.0, d=2)
+        h.update(repr((repr(r.value), r.status, dump_stream(r.stream))).encode())
+    assert h.hexdigest() == "0e4a7f19e650ee45a4f071bc95646cde2fe59f35c24a32faf801223cfdfa2ee4"
+
+
+def _table_case(d, n, kind):
+    """(space, target) of a constant target on the cube, a mixed target on the
+    cube (atoms on and off the edge midpoints, and a density with every
+    component nonzero), or a mixed target on an explicit region."""
+    from latflow.geometry import box
+
+    if kind == "constant":
+        return CubeSpace(d, n), constant_target(d, Fraction(1, 2), (1,) + (0,) * (d - 1))
+    region = Region(boxes=(box(*[(0, 1)] * d),)) if kind == "region" else None
+    space = CubeSpace(d, n, region=region)
+    lo = Fraction(0) if region else Fraction(-1, 2)
+    atoms = tuple(
+        (space.edges[i].midpoint(n), tuple(Fraction(j - i, 5) for j in range(d)))
+        for i in (0, len(space.edges) // 2, len(space.edges) - 1)
+    ) + ((tuple(lo + Fraction(j + 2, 7) for j in range(d)), (Fraction(1, 3),) * d),)
+    cell = tuple((lo + Fraction(1, 4), lo + Fraction(2, 3)) for _ in range(d))
+    values = tuple(Fraction((-1) ** j * (j + 1), 4) for j in range(d))
+    return space, VectorMeasure(d=d, atoms=atoms, densities=((cell, values),))
+
+
+@pytest.mark.parametrize("kind", ["constant", "mixed", "region"])
+@pytest.mark.parametrize("d, n", [(2, 3), (2, 6), (3, 2)])
+def test_tables_match_the_bincount_reference_bit_for_bit(d, n, kind):
+    from latflow.estimate import CubeDistanceTables
+    from oracles import BincountTables
+
+    space, target = _table_case(d, n, kind)
+    opts = DistanceOptions()
+    tables = CubeDistanceTables(space, target, opts)
+    ref = BincountTables(space, target, opts)
+    ne = len(space.edges)
+    rng = np.random.default_rng(1000 * d + 10 * n + len(kind))
+    # the solver's warm start: zero residual, so zero norms, where atoms sit
+    warm = np.zeros(ne)
+    mid_index = {e.midpoint(n): i for i, e in enumerate(space.edges)}
+    for p, w in target.atoms:
+        if p in mid_index:
+            warm[mid_index[p]] += float(w[space.edges[mid_index[p]].axis]) * n**d
+    vecs = [np.zeros(ne), -np.zeros(ne), warm]
+    for _ in range(40):
+        caps = rng.uniform(0, 1, ne) * (rng.random(ne) < 0.6)
+        vecs.append(np.clip(rng.uniform(-1.5, 1.5, ne), -caps, caps) * (caps > 0))
+        vecs.append(rng.integers(-2, 3, ne) / 2.0)
+    for s in vecs:
+        val, grad = tables.value_and_grad(s)
+        ref_val, ref_grad = ref.value_and_grad(s)
+        assert repr(val) == repr(ref_val)
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert repr(tables.value(s)) == repr(ref.value(s))
+
+
+def test_min_distance_reports_the_evaluations_it_made():
+    d, n = 2, 3
+    space = CubeSpace(d, n)
+    t = sample_capacities(space.edges, CapacityDistribution.constant(1), 0, exact=False)
+    # a zero target: the zero warm start has a zero gradient at once
+    res = min_distance(n, t, constant_target(d, 0, (1, 0)), eps=0.1, d=d)
+    assert res.iterations == 1 and res.status == "holds"
+    res = min_distance(n, t, constant_target(d, Fraction(1, 2), (1, 0)), eps=0.1, d=d, iters=25)
+    assert res.iterations == 25
+
+
+def _cycle_mask(space):
+    """Only the four edges of one unit square whose corners are all interior
+    vertices: a component that reaches no other vertex."""
+    lo = min(e.x[0] for e in space.edges)
+    x = (lo + 1,) * space.d
+    corner = tuple(c + (j == 0) for j, c in enumerate(x)), tuple(c + (j == 1) for j, c in enumerate(x))
+    keep = {EdgeId(x, 0), EdgeId(x, 1), EdgeId(corner[0], 1), EdgeId(corner[1], 0)}
+    return [e in keep for e in space.edges]
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2)])
+def test_exact_projection_matches_fraction_gauss_jordan(d, n):
+    from latflow.estimate import _exact_div_project
+    from oracles import fraction_gauss_jordan
+
+    space = CubeSpace(d, n)
+    ne = len(space.edges)
+    rng = random.Random(7 * d + n)
+    masks = [[rng.random() < p for _ in range(ne)] for p in (0.2, 0.5, 0.5, 0.8, 1.0)]
+    # an interior vertex with no active edge: a zero row of the Gram matrix
+    masks.append([m and not space.B[0, i] for i, m in enumerate(masks[3])])
+    if n >= 3:
+        masks.append(_cycle_mask(space))
+    zero_rows = cycles = 0
+    for mask in masks:
+        B = space.B * np.array(mask)
+        s = [Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) if m else Fraction(0)
+             for m in mask]
+        G = (B @ B.T).tolist()
+        empty = sum(not any(row) for row in G)
+        zero_rows += empty > 0
+        cycles += np.linalg.matrix_rank(B @ B.T) < len(B) - empty
+        rhs = [sum(int(B[a, i]) * s[i] for i in range(ne)) for a in range(len(B))]
+        y = fraction_gauss_jordan(G, rhs)
+        want = [s[i] - sum(int(B[a, i]) * y[a] for a in range(len(B))) for i in range(ne)]
+        got = _exact_div_project(B, s)
+        assert got == want
+        assert all(sum(int(B[a, i]) * got[i] for i in range(ne)) == 0 for a in range(len(B)))
+    assert zero_rows >= 1
+    assert cycles >= (1 if n >= 3 else 0)
+
+
 def test_shared_tables_give_every_thread_its_own_result():
     from latflow.estimate import CubeDistanceTables
 

@@ -180,8 +180,10 @@ def _mix2d_core(f_in, M, instrument=None):
                 f.values[EdgeId((k, i), 0)] = v
 
     # transfer column per deficit source: n - i, except that a source at row r
-    # borrows the (never used) column of the smallest non-deficit source.
-    deficit = [i for i in range(1, r + 1) if f_in[i - 1] > beta]
+    # borrows the (never used) column of the smallest non-deficit source.  A
+    # row within the rerouting loop's gap of the mean sends nothing.
+    gap = 0 if all(_is_exact(v) for v in f_in) else 1e-13 * float(max(abs(M), 1))
+    deficit = [i for i in range(1, r + 1) if f_in[i - 1] - beta > gap]
     col = {}
     for i in deficit:
         if i < r:
@@ -196,7 +198,6 @@ def _mix2d_core(f_in, M, instrument=None):
     def out_val(j):
         return f.get(EdgeId((r - 1, j), 0))
 
-    gap = 0 if all(_is_exact(v) for v in f_in) else 1e-13 * float(max(abs(M), 1))
     while True:
         i = next(
             (i for i in range(1, r + 1) if abs(f_in[i - 1]) - abs(in_val(i)) > gap), None

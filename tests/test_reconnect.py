@@ -202,6 +202,16 @@ def test_mix2d_rejects_oversized_inputs():
         mix2d([Fraction(3)], M=2)
 
 
+def test_mix2d_float_mean_below_every_equal_input():
+    # 3x / 3 rounds below x: no row is a deficit source beyond the gap, so no
+    # row at r borrows a column and the search for one cannot run dry
+    x = 0.36151742956066213
+    assert sum([x, x, x]) / 3 < x
+    g = mix2d([x, x, x], 1.0)
+    for e, v in g.values.items():
+        assert e.axis == 0 and v == pytest.approx(x, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # mix
 
@@ -548,6 +558,22 @@ def test_balance_per_edge_magnitude_bound():
             per_point.append(abs(beta[key] - lam[key]) / len(pts))
         bound = 2 * (2 * d) ** 2 * max(per_point)
         assert f_res.max_magnitude() <= bound
+
+
+def test_balance_float_targets_hit_within_rounding():
+    # seed 1 of a uniform-float scan at (d, n, m, K) = (2, 8, 1, 2): a mix2d
+    # inside the construction once got a float mean below all of its inputs
+    d, n, m, K = 2, 8, 1, 2
+    rng = random.Random(1)
+    cells = _face_cells(d, m)
+    lam = {k: rng.uniform(-1, 1) / 8 for k in cells}
+    beta = {k: rng.uniform(-1, 1) / 4 for k in cells}
+    for fl in (lam, beta):
+        key0 = next(k for k in fl if k[1] == 1)
+        fl[key0] += sum(v for k, v in fl.items() if k[1] == -1) - sum(v for k, v in fl.items() if k[1] == 1)
+    got = measure_face_fluxes(balance_faces(lam, beta, K, m, d, n), m)
+    for key in cells:
+        assert got[key] == pytest.approx(beta[key] - lam[key], abs=1e-12), key
 
 
 def test_balance_rejects_total_mismatch():

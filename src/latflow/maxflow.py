@@ -2,12 +2,14 @@
 
 Each undirected lattice edge becomes two antiparallel arcs of capacity t(e);
 the net arc flow gives the stream scalar, so |s(e)| <= t(e) holds exactly.
-Dinic's blocking-flow search keeps every quantity exact in verification
-mode: Fraction capacities are scaled to integers by the lcm of their
-denominators and divided back at the end, which makes the duality certificate
-exact.  Float capacities are searched as floats.  When only the value is
-wanted and the network is a planar d=2 one, a shortest path in its dual
-gives the same exact value (``FlowNetwork.value``).
+Every capacity is an exact rational (a float is a dyadic one), so one
+integer search serves every numeric mode: the capacities are scaled to ints
+by the lcm D of their denominators, Dinic's blocking-flow search runs on
+them, and the value and stream are divided back by D once at the end, into
+Fractions, or, with a float among the capacities, into the correctly rounded
+floats of the exact answer.  When only the value is wanted and the network
+is a planar d=2 one, a shortest path in its dual gives the same value
+(``FlowNetwork.value``).
 """
 
 import functools
@@ -137,27 +139,29 @@ class FlowNetwork:
         return _planar_dual(self.d, vertices, self.edges, sources, sinks)
 
     def _capacities(self, t):
-        """(caps, D, frac) for the capacities t of ``edges`` (missing edges
-        have capacity 0).  Rational capacities (Fractions, possibly with
-        ints) come back as ints scaled by the lcm D of their denominators,
-        with D = 1 when all are ints; with a float among them they are kept
-        as they are and D is None.  ``frac``: a Fraction was among them, so
-        a result is divided back by D."""
+        """(caps, D, back) for the capacities t of ``edges`` (missing edges
+        have capacity 0): ints scaled by the lcm D of their denominators, a
+        float's being those of ``float.as_integer_ratio``, and the map of a
+        scaled result x back.  With a float among the capacities that is the
+        int true division x / D, which rounds the exact result once and
+        correctly; else Fraction(x, D) with a Fraction among them (the int 0
+        for no flow, as on Fractions), and x itself for ints."""
         caps = [t.get(e, 0) for e in self.edges]
         if any(c < 0 for c in caps):
             raise ValueError("negative capacity")
-        kinds = set(map(type, caps))
-        if not kinds <= {Fraction, int}:
-            return caps, None, False
-        if Fraction not in kinds:
-            return caps, 1, False
-        D = math.lcm(*{c.denominator for c in caps})
-        return [c.numerator * (D // c.denominator) for c in caps], D, True
+        ratios = [c.as_integer_ratio() for c in caps]
+        D = math.lcm(*{q for _, q in ratios})
+        scaled = [p * (D // q) for p, q in ratios]
+        if any(isinstance(c, float) for c in caps):
+            return scaled, D, lambda x: x / D
+        if any(isinstance(c, Fraction) for c in caps):
+            return scaled, D, lambda x: Fraction(x, D) if x else 0
+        return scaled, D, lambda x: x
 
     def _max_flow(self, caps, D):
         """Dinic on the capacities: the value, the residual arc capacities
         and the final levels."""
-        big = sum(caps) + (D or 1)  # D (cap_total + 1): above every path capacity
+        big = sum(caps) + D  # D (cap_total + 1): above every path capacity
         m = 2 * len(caps)
         cap = [0] * len(self.head)
         cap[0:m:2] = caps
@@ -170,11 +174,11 @@ class FlowNetwork:
         """Max flow for the capacities t (missing edges have capacity 0), with
         circulations cancelled from the stream.
 
-        Rational capacities run on ints scaled by D: with ``big`` scaled too,
+        The search runs on the ints scaled by D: with ``big`` scaled too,
         every min, difference and truth test is the Fraction run's times D,
-        so the value and stream, divided by D, are the same Fractions.
-        Float capacities are searched as they are."""
-        caps, D, frac = self._capacities(t)
+        so the value and stream, divided by D, are the same Fractions, or
+        their correctly rounded floats for float capacities."""
+        caps, D, back = self._capacities(t)
         value, cap, level = self._max_flow(caps, D)
         head = self.head
         stream = Stream(self.d, self.n)
@@ -187,21 +191,17 @@ class FlowNetwork:
             if (level[head[2 * k + 1]] >= 0) != (level[head[2 * k]] >= 0):
                 cut.append(e)
         _cancel_cycles(stream)
-        if frac:
-            stream.values = {e: Fraction(s, D) for e, s in stream.values.items()}
-            value = Fraction(value, D) if value else 0  # no path: the int 0, as on Fractions
-        return MaxFlowResult(value=value, stream=stream, cutset=tuple(sorted(cut)))
+        stream.values = {e: back(s) for e, s in stream.values.items()}
+        return MaxFlowResult(value=back(value), stream=stream, cutset=tuple(sorted(cut)))
 
     def value(self, t):
         """``solve(t).value``, the same in value and type, without the stream
-        or the cut.  Rational capacities take the planar dual's shortest path
-        when there is a dual; every other case runs Dinic for the value."""
-        caps, D, frac = self._capacities(t)
-        if D is not None and self.dual is not None:
-            value = self.dual.shortest_path(caps)
-        else:
-            value = self._max_flow(caps, D)[0]
-        return Fraction(value, D) if frac and value else value
+        or the cut: the planar dual's shortest path when there is a dual,
+        else Dinic for the value."""
+        caps, D, back = self._capacities(t)
+        if self.dual is not None:
+            return back(self.dual.shortest_path(caps))
+        return back(self._max_flow(caps, D)[0])
 
 
 class _PlanarDual:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,11 @@ import pytest
 import yaml
 
 from latflow import cli
+from latflow.capacities import CapacityDistribution, sample_capacities
 from latflow.cli import main
+from latflow.geometry import discretize_domain, unit_square_domain
+from latflow.maxflow import max_flow
+from latflow.stream import dump_stream
 
 
 def run_cli(tmp_path, name, cfg, *args):
@@ -43,6 +48,40 @@ def test_maxflow_subcommand_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "maxflow"
     assert manifest["seed"] == 3
+
+
+def _float_maxflow_config(out):
+    return {
+        "seed": 3,
+        "mode": "float",
+        "out_dir": str(out),
+        "maxflow": {"domain": "unit_square", "n": 8, "dist": {"kind": "uniform", "a": "0", "b": "1"}},
+    }
+
+
+def test_float_maxflow_certifies_the_cut_without_a_tolerance(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, "maxflow", _float_maxflow_config(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["flow_equals_cut"] is True and summary["admissible"] is True
+    assert summary["cut_capacity"] == summary["value"]
+    # the outputs are the library's float solve of the same sample
+    L = discretize_domain(unit_square_domain(), 8)
+    res = max_flow(L, sample_capacities(L, CapacityDistribution.uniform(0, 1), 3, exact=False))
+    assert summary["value"] == res.value
+    assert (out / "stream.txt").read_text() == dump_stream(res.stream)
+
+
+def test_float_maxflow_with_a_cut_missing_an_edge_exits_3(tmp_path, monkeypatch):
+    def short_cut(L, t):
+        res = cli_max_flow(L, t)
+        return dataclasses.replace(res, cutset=res.cutset[1:])
+
+    cli_max_flow = cli.max_flow
+    monkeypatch.setattr(cli, "max_flow", short_cut)
+    out = tmp_path / "out"
+    assert run_cli(tmp_path, "maxflow", _float_maxflow_config(out)) == 3
+    assert json.loads((out / "summary.json").read_text())["flow_equals_cut"] is False
 
 
 def test_tau_subcommand(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from latflow.capacities import CapacityDistribution, region_edges, sample_capacities
 from latflow.geometry import (
-    Cylinder, DomainSpec, Region, box, discretize_domain, inner_edges, unit_square_domain,
+    Cylinder, DomainSpec, Region, box, discretize_domain, inner_edges, unit_box_domain, unit_square_domain,
 )
 from latflow.maxflow import FlowNetwork, cylinder_flow_tau, cylinder_flow_top_bottom, max_flow, tau_network
 from latflow.stream import admissibility_report, dump_stream, flow_value
@@ -225,27 +225,53 @@ def test_solve_leaves_the_recursion_limit_alone():
         t = sample_capacities(L, CapacityDistribution.uniform(0, 1), seed=1, exact=False)
         res = max_flow(L, t)
         assert sys.getrecursionlimit() == 1000
-        assert abs(res.cut_capacity(t) - res.value) < 1e-9
+        assert float(sum(Fraction(t[e]) for e in res.cutset)) == res.value
     finally:
         sys.setrecursionlimit(old)
 
 
-# repr(value) and the SHA-256 of dump_stream for uniform(0, 1) float
-# capacities on the unit square at n=12, recorded with the recursive Dinic
-# search: float sums depend on the augmentation order, so these pin it.
-GOLDEN_N12 = {
-    1: ("4.340787722412657", "8458ca4b6c0fc78d8a350377d139bd44efc7d3fe685ec747f97032d437d458a0"),
-    2: ("4.697528984450197", "a88f932add31af8b9b11b4d90164134110d1464c03cd4a71c0295292a6f19490"),
-    3: ("3.8273576674770333", "b173e37638b54f5f1a71242cda441ca437faebc7beeca08b1ce273529cab7377"),
-}
+def _assert_rounded_exact(network, t):
+    """For float capacities t, ``value(t)``, ``solve(t).value`` and every
+    stream entry are floats, each the result of the same call on the exact
+    rationals of t rounded once; |s(e)| <= t(e) holds in float."""
+    ref = network.solve({e: Fraction(c) for e, c in t.values.items()})
+    res = network.solve(t)
+    for got in (network.value(t), res.value):
+        assert type(got) is float and got == float(ref.value), (got, ref.value)
+    assert res.stream.values.keys() == ref.stream.values.keys()
+    for e, s in res.stream.values.items():
+        assert type(s) is float and s == float(ref.stream.values[e]), (e, s)
+        assert abs(s) <= t[e]
+    assert res.cutset == ref.cutset
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN_N12))
-def test_float_solve_is_bit_identical_to_recorded_values(seed):
-    L = discretize_domain(unit_square_domain(), 12)
-    res = max_flow(L, sample_capacities(L, CapacityDistribution.uniform(0, 1), seed, exact=False))
-    digest = hashlib.sha256(dump_stream(res.stream).encode()).hexdigest()
-    assert (repr(res.value), digest) == GOLDEN_N12[seed]
+def _network(L):
+    return FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2)
+
+
+def _rounded_exact_networks():
+    yield "square-n24", _network(discretize_domain(unit_square_domain(), 24))
+    yield "tau-d2", tau_network(straight_base(2, 8, 1), 8, 1, (0, 1))
+    yield "d3", _network(discretize_domain(unit_box_domain(3), 4))
+
+
+# a float Bernoulli whose values are not dyadic: float sums of 1/3 round
+FLOAT_LAWS = (CapacityDistribution.uniform(0, 1), CapacityDistribution.bernoulli(Fraction(1, 3), 2, Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_float_solve_at_n12_is_the_exact_solve_rounded_once(seed):
+    network = _network(discretize_domain(unit_square_domain(), 12))
+    _assert_rounded_exact(network, sample_capacities(network.edges, FLOAT_LAWS[0], seed, exact=False))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _rounded_exact_networks()])
+def test_float_results_are_the_exact_results_rounded_once(name):
+    network = dict(_rounded_exact_networks())[name]
+    assert (network.dual is None) == (name == "d3")
+    for seed in (1, 2, 3):
+        for law in FLOAT_LAWS:
+            _assert_rounded_exact(network, sample_capacities(network.edges, law, seed, exact=False))
 
 
 def _random_box_domain(rng):
@@ -437,34 +463,44 @@ def test_value_falls_back_to_dinic_without_a_planar_dual(name):
         assert repr(network.value(t)) == repr(network.solve(t).value)
 
 
-def test_float_capacities_keep_dinic_on_a_planar_network(monkeypatch):
+def test_float_capacities_take_the_dual_on_a_planar_network(monkeypatch):
+    import latflow.maxflow
+
     network = tau_network(straight_base(2, 6, 1), 6, 1, (0, 1))
     assert network.dual is not None
-    monkeypatch.setattr(network.dual, "shortest_path", None)  # a call would raise
-    for seed in range(3):
-        t = sample_capacities(network.edges, CapacityDistribution.uniform(0, 1), seed, exact=False)
-        assert repr(network.value(t)) == repr(network.solve(t).value)
+    samples = [sample_capacities(network.edges, CapacityDistribution.uniform(0, 1), seed, exact=False)
+               for seed in range(3)]
+    values = [network.solve(t).value for t in samples]
+    monkeypatch.setattr(latflow.maxflow, "_dinic", None)  # a call would raise
+    assert [network.value(t) for t in samples] == values
 
 
 # SHA-256 of the repr of straight_tau_sampler values, h = side, seeds 0..3,
-# both axes, under uniform[1/3, 2] and Bernoulli(0, 1, 1/2) (exact) and
-# uniform(0, 1) (float): recorded with Dinic on every capacity sample of the
-# cylinder's region edges.
+# both axes, under uniform[1/3, 2] and Bernoulli(0, 1, 1/2) (exact): recorded
+# with Dinic on every capacity sample of the cylinder's region edges.
 GOLDEN_TAU = {
-    (2, (4, 8, 16)): "1cc638fd509ae0b9472df23b4d99b0eb47c0b1b77d098b40ec0f92a56ca15db8",
-    (3, (3,)): "926375135b33d5260df3376041bbac3649e19296781585f05f47a4157cebfa07",
+    (2, (4, 8, 16)): "1470a8c68ef24af8aaa25aed46912f038175724f42735e16b151e1e49a52301e",
+    (3, (3,)): "d9d681a619193bd01e30abaff81ce61a68f12d7679b3d3bdfb6fd55860413f7c",
 }
 
 
 @pytest.mark.parametrize("d, sides", sorted(GOLDEN_TAU))
 def test_tau_sampler_is_bit_identical_to_recorded_values(d, sides):
-    laws = ((EXACT_LAWS[1], True), (EXACT_LAWS[2], True), (CapacityDistribution.uniform(0, 1), False))
     lines = []
     for side in sides:
         for axis in range(d):
-            for dist, exact in laws:
-                tau = straight_tau_sampler(d, side, side, axis, dist, exact=exact)
+            for dist in (EXACT_LAWS[1], EXACT_LAWS[2]):
+                tau = straight_tau_sampler(d, side, side, axis, dist)
                 lines.extend(repr(tau(seed)) for seed in range(4))
+            # uniform(0, 1) floats: the exact value of the same sample, rounded once
+            tau = straight_tau_sampler(d, side, side, axis, FLOAT_LAWS[0], exact=False)
+            v = tuple(int(j == axis) for j in range(d))
+            network = tau_network(straight_base(d, side, axis), side, 1, v)
+            for seed in range(4):
+                t = sample_capacities(network.edges, FLOAT_LAWS[0], seed, exact=False)
+                got = tau(seed)
+                assert type(got) is float
+                assert got == float(network.value({e: Fraction(c) for e, c in t.values.items()}))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_TAU[d, sides]
 
 

@@ -873,4 +873,4 @@ def test_golden_outputs_of_the_reconnect_builders():
     texts = _golden_texts()
     assert len(texts) == 411
     digest = hashlib.sha256("\x00".join(texts).encode()).hexdigest()
-    assert digest == "9df7f9bb3e0b50138b7ee213e25139227070a3875beb59309a5f15e81963298d"
+    assert digest == "4870f2274c431038d1a9a5e8fda1f19217451c41da3aa43690871dd124f8b11b"

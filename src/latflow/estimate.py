@@ -671,13 +671,14 @@ def tail_probability(lams, n, trials, dist: CapacityDistribution, seed, L, threa
 
     Each trial is sampled and solved once and its flow value compared against
     every threshold, so the counts are nested by construction.  One network
-    serves every trial, on any thread."""
+    serves every trial, on any thread; a trial samples the network's edges
+    only."""
     from .maxflow import FlowNetwork
 
     network = FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2)
 
     def one(trial):
-        t = sample_capacities(L, dist, derive_seed(seed, trial), exact=False)
+        t = sample_capacities(network.edges, dist, derive_seed(seed, trial), exact=False)
         return network.value(t)
 
     values = _run_trials(one, trials, threads)

@@ -4,7 +4,10 @@ balancing and corridor gluing.
 The mixing builders work on abstract boxes [0, m) x [1, r]^{d-1} of the unit
 lattice (scale 1), with inputs on the column-0 edges and outputs on the
 column-(m-1) edges; ``embed``/``transform`` place them inside concrete cubes.
-All algorithms run unchanged on Fractions or floats.
+
+The builders compute exactly.  A float argument is read as the dyadic
+rational it is, and when one was given each value of the returned stream is
+rounded once to the nearest float.
 """
 
 from fractions import Fraction
@@ -14,23 +17,39 @@ from math import isqrt
 from .geometry import EdgeId, boundary_edge_set, face_area, face_partition
 from .stream import Stream, divergence_at, face_flux, incident_edges, transform
 
-MATCH_TOL = 1e-12
+
+def _exact(*args):
+    """(whether a float was among args, args with every float read as its
+    Fraction); an argument is a number, a list or dict of numbers or a Stream.
+    Ints and Fractions are kept, so exact callers get their own types back."""
+    floats = False
+
+    def read(v):
+        nonlocal floats
+        if isinstance(v, float):
+            floats = True
+            return Fraction(v)
+        return v
+
+    out = []
+    for a in args:
+        if isinstance(a, Stream):
+            a = Stream(a.d, a.n, {e: read(v) for e, v in a.values.items()})
+        elif isinstance(a, dict):
+            a = {k: read(v) for k, v in a.items()}
+        elif isinstance(a, (list, tuple)):
+            a = [read(v) for v in a]
+        else:
+            a = read(a)
+        out.append(a)
+    return floats, out
 
 
-def _is_exact(*vals):
-    return all(isinstance(v, (int, Fraction)) for v in vals)
-
-
-def _div(a, b):
-    """a / b, as a Fraction when both are exact."""
-    return Fraction(a, b) if _is_exact(a, b) else a / b
-
-
-def _sums_match(a, b):
-    if _is_exact(a, b):
-        return a == b
-    scale = max(abs(a), abs(b), 1.0)
-    return abs(a - b) <= MATCH_TOL * scale
+def _rounded(g: Stream, floats) -> Stream:
+    """g with each value rounded once to the nearest float if floats."""
+    if floats:
+        g.values = {e: float(v) for e, v in g.values.items()}
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -43,16 +62,14 @@ def decompose(f: Stream, L):
 
     Returns a list of (vertex tuple path, weight); the weighted sum of unit
     path streams reproduces f exactly and every path edge is strictly aligned
-    with the flow.
+    with the flow.  The weights are exact, also for a float stream.
     """
     terminals = L.gamma1 | L.gamma2
-    exact = all(_is_exact(v) for v in f.values.values())
-    tol = 0 if exact else MATCH_TOL * float(max((abs(v) for v in f.values.values()), default=1))
+    _, [res] = _exact(f)  # a copy, peeled down to zero below
     for x in sorted(L.omega - terminals):
-        if abs(divergence_at(f, x)) > tol:
+        if divergence_at(res, x) != 0:
             raise ValueError(f"node law violated at interior vertex {x}")
 
-    res = f.copy()
     paths = []
 
     def aligned(x, sign):
@@ -60,8 +77,7 @@ def decompose(f: Stream, L):
         (sign 1) or into x (sign -1), lexicographic order."""
         out = []
         for e, orient in incident_edges(x, f.d):
-            v = res.values.get(e)
-            if v and sign * v * orient > tol:
+            if sign * res.get(e) * orient > 0:
                 out.append((e, sign * orient, e.right() if orient > 0 else e.x))
         out.sort(key=lambda t: (t[0].x, t[0].axis))
         return out
@@ -75,12 +91,7 @@ def decompose(f: Stream, L):
         edges = []
         while stack:
             x, it = stack[-1]
-            step = None
-            for e, direction, y in it:
-                if y in on_path:
-                    continue
-                step = (e, direction, y)
-                break
+            step = next((t for t in it if t[2] not in on_path), None)
             if step is None:
                 stack.pop()
                 if edges:
@@ -96,19 +107,13 @@ def decompose(f: Stream, L):
         raise ValueError("no terminal-to-terminal path found (dangling flux)")
 
     while True:
-        pick = None
-        for x in sorted(terminals):
-            for e, orient in incident_edges(x, f.d):
-                v = res.values.get(e)
-                if not v or abs(v) <= tol:
-                    continue
-                other = e.right() if orient > 0 else e.x
-                if other not in L.omega:
-                    continue
-                pick = (x, v * orient > 0)
-                break
-            if pick:
-                break
+        pick = next(
+            ((x, res.get(e) * orient > 0)
+             for x in sorted(terminals)
+             for e, orient in incident_edges(x, f.d)
+             if res.get(e) and (e.right() if orient > 0 else e.x) in L.omega),
+            None,
+        )
         if pick is None:
             break
         x, forward = pick
@@ -126,8 +131,7 @@ def decompose(f: Stream, L):
             res.add(e, -d * weight)
         paths.append((tuple(verts), weight))
 
-    leftover = [e for e, v in res.values.items() if abs(v) > tol]
-    if leftover:
+    if res.values:
         raise ValueError(
             "stream contains a circulation component; it cannot be written as "
             "boundary-to-boundary paths"
@@ -170,7 +174,7 @@ def _mix2d_core(f_in, M, instrument=None):
     total = sum(f_in)
     if total < 0:
         raise ValueError("core mixer needs a nonnegative input sum")
-    beta = _div(total, r)
+    beta = Fraction(total, r)
 
     f = Stream(2, 1)
     for i in range(1, r + 1):
@@ -180,10 +184,8 @@ def _mix2d_core(f_in, M, instrument=None):
                 f.values[EdgeId((k, i), 0)] = v
 
     # transfer column per deficit source: n - i, except that a source at row r
-    # borrows the (never used) column of the smallest non-deficit source.  A
-    # row within the rerouting loop's gap of the mean sends nothing.
-    gap = 0 if all(_is_exact(v) for v in f_in) else 1e-13 * float(max(abs(M), 1))
-    deficit = [i for i in range(1, r + 1) if f_in[i - 1] - beta > gap]
+    # borrows the (never used) column of the smallest non-deficit source
+    deficit = [i for i in range(1, r + 1) if f_in[i - 1] > beta]
     col = {}
     for i in deficit:
         if i < r:
@@ -199,12 +201,10 @@ def _mix2d_core(f_in, M, instrument=None):
         return f.get(EdgeId((r - 1, j), 0))
 
     while True:
-        i = next(
-            (i for i in range(1, r + 1) if abs(f_in[i - 1]) - abs(in_val(i)) > gap), None
-        )
+        i = next((i for i in range(1, r + 1) if abs(in_val(i)) < abs(f_in[i - 1])), None)
         if i is None:
             break
-        j = next(j for j in range(1, r + 1) if beta - out_val(j) > gap)
+        j = next(j for j in range(1, r + 1) if out_val(j) < beta)
         amount = min(f_in[i - 1] - in_val(i), beta - out_val(j))
         c = col[i]
         for k in range(c):
@@ -253,13 +253,12 @@ def mix2d(f_in, M, instrument=None) -> Stream:
     """Two-dimensional mixing: reproduce the inputs on the column-0 edges and
     deliver their mean on every column-(r-1) edge, magnitudes bounded by M and
     node law away from the two boundary columns."""
-    r = len(f_in)
-    if r < 1:
+    if len(f_in) < 1:
         raise ValueError("need at least one input")
-    if sum(f_in) >= 0:
-        return _mix2d_core(list(f_in), M, instrument)
-    g = _mix2d_core([-v for v in f_in], M, instrument)
-    return g.scaled(-1)
+    floats, [f_in, M] = _exact(f_in, M)
+    sign = 1 if sum(f_in) >= 0 else -1
+    g = _mix2d_core([sign * v for v in f_in], M, instrument)
+    return _rounded(g.scaled(sign), floats)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,7 @@ def _mix_nested(d, r, f_in, mix2) -> Stream:
     for i in range(1, r + 1):
         sub = {z: f_in[(i,) + z] for z in _grid_keys(r, d - 2)}
         total += embed(_mix_nested(d - 1, r, sub, mix2), d, amap, pinned={1: i})
-        means.append(_div(sum(sub.values()), r ** (d - 2)))
+        means.append(Fraction(sum(sub.values()), r ** (d - 2)))
     t = mix2(means)
     for x in _grid_keys(r, d - 2):
         pinned = {k + 2: c for k, c in enumerate(x)}
@@ -336,14 +335,15 @@ def mix(f_in, f_out, m, M) -> Stream:
     d = k + 1
     if sorted(f_out) != sorted(f_in):
         raise ValueError("output grid must match the input grid")
+    floats, [f_in, f_out, M] = _exact(f_in, f_out, M)
     if any(abs(v) > M for v in f_in.values()) or any(abs(v) > M for v in f_out.values()):
         raise ValueError("magnitude exceeds the bound M")
     s_in = sum(f_in.values())
     s_out = sum(f_out.values())
-    if not _sums_match(s_in, s_out):
+    if s_in != s_out:
         raise ValueError("input and output sums do not match")
-    mean = _div(s_in, r ** (d - 1))
-    uniform = all(_sums_match(v, mean) for v in f_out.values())
+    mean = Fraction(s_in, r ** (d - 1))
+    uniform = all(v == mean for v in f_out.values())
     L = (d - 1) * r
     need = L if uniform else 2 * L
     if m < need:
@@ -368,7 +368,7 @@ def mix(f_in, f_out, m, M) -> Stream:
         if v != 0:
             for c in range(start, m):
                 g.add(EdgeId((c,) + y, 0), v)
-    return g
+    return _rounded(g, floats)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +455,11 @@ def mix_precise(f_in, M, eps) -> Stream:
     mean.  Inputs must satisfy the nested prefix conditions, which are checked
     and reported by level."""
     r, k = _infer_grid(f_in)
+    floats, [f_in, M, eps] = _exact(f_in, M, eps)
     # the conditions on every prefix imply those of each sub-grid mixed below
     _check_precise_conditions(f_in, r, k, M, eps)
-    return _mix_nested(k + 1, r, f_in, lambda vals: _mix_precise_2d(vals, M, eps))
+    g = _mix_nested(k + 1, r, f_in, lambda vals: _mix_precise_2d(vals, M, eps))
+    return _rounded(g, floats)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +521,7 @@ def _sparse_coords(n, K):
     """Transverse sparse levels inside the cube, kept off the extreme planes
     so rail edges never cross a face."""
     lo, hi = cube_box(1, n)
-    coords = [c for c in range(lo + 1, hi) if c % K == 0]
+    coords = [c for c in range(lo + 1, hi - 1) if c % K == 0]
     if not coords:
         raise ValueError("K too large: no sparse levels inside the cube")
     return coords
@@ -654,6 +656,7 @@ def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
     cells = _face_cells(d, m)
     if sorted(lam) != sorted(cells) or sorted(beta) != sorted(cells):
         raise ValueError("lam and beta must cover every face cell")
+    floats, [lam, beta, M, f] = _exact(lam, beta, M, f)
     if f is not None:
         got = measure_face_fluxes(f, m)
         bad = [k for k in cells if got[k] != lam[k]]
@@ -661,17 +664,14 @@ def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
             raise ValueError(f"lam disagrees with the stream's measured fluxes at {bad[0]}")
     total_minus = sum(beta[k] - lam[k] for k in cells if k[1] == -1)
     total_plus = sum(beta[k] - lam[k] for k in cells if k[1] == 1)
-    if not _sums_match(total_minus, total_plus):
+    if total_minus != total_plus:
         raise ValueError("total flux mismatch between the two face families")
 
     levels = _sparse_coords(n, K)
     level_set = set(levels)
     w = {}  # per sparse in-plane point
     pts_of = {}
-    mu = {}
-    for axis in range(d):
-        for sign in (1, -1):
-            mu[(axis, sign)] = 0
+    mu = {(axis, sign): 0 for axis in range(d) for sign in (1, -1)}
     for key, cell in cells.items():
         axis, sign, _ = key
         diff = beta[key] - lam[key]
@@ -681,7 +681,7 @@ def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
         pts_of[key] = pts
         mu[(axis, sign)] += diff
         for p in pts:
-            w[p] = _div(diff, len(pts))
+            w[p] = Fraction(diff, len(pts))
 
     max_w = max((abs(v) for v in w.values()), default=0)
     bound = M if M is not None else (max_w * 2 * (2 * d) ** 2 + 1)
@@ -717,15 +717,10 @@ def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
 
     sent = {face: 0 for face in f_in_faces}
     received = {face: 0 for face in f_out_faces}
-    exact_mode = all(_is_exact(v) for v in list(lam.values()) + list(beta.values()))
-    big = float(max((abs(v) for v in mu.values()), default=1) or 1)
-    slack = 0 if exact_mode else 1e-12 * big
     steps = 0
     for face_in in f_in_faces:
-        while abs(mu[face_in]) - abs(sent[face_in]) > slack:
-            face_out = next(
-                fo for fo in f_out_faces if abs(mu[fo]) - abs(received[fo]) > slack
-            )
+        while abs(sent[face_in]) < abs(mu[face_in]):
+            face_out = next(fo for fo in f_out_faces if abs(received[fo]) < abs(mu[fo]))
             amount = min(
                 abs(mu[face_in]) - abs(sent[face_in]),
                 abs(mu[face_out]) - abs(received[face_out]),
@@ -738,7 +733,7 @@ def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
             steps += 1
             if steps > (2 * d) ** 2:
                 raise RuntimeError("face pairing failed to terminate")
-    return f_res
+    return _rounded(f_res, floats)
 
 
 def _transverse(pt, axis):
@@ -748,8 +743,8 @@ def _transverse(pt, axis):
 def _transfer(d, n, K, face_in, face_out, amount, mu, face_profile, bound) -> Stream:
     ax_i, s_i = face_in
     ax_j, s_j = face_out
-    scale_in = _div(amount, abs(mu[face_in]))
-    scale_out = _div(amount, abs(mu[face_out]))
+    scale_in = Fraction(amount, abs(mu[face_in]))
+    scale_out = Fraction(amount, abs(mu[face_out]))
     # inflow rate a(x) = -s_i w(x) scale; outflow rate b(x) = s_j w(x) scale
     prof_in = {y: -s_i * v * scale_in for y, v in face_profile(ax_i, s_i).items()}
     prof_out = {y: s_j * v * scale_out for y, v in face_profile(ax_j, s_j).items()}
@@ -813,7 +808,7 @@ def is_well_behaved(f: Stream, eps, s, v, m, damping=None, lattice_box=None, tol
     got = measure_face_fluxes(f, m, lattice_box)
     for key, want in target.items():
         have = got[key]
-        if _is_exact(have, want) and tol == 0:
+        if tol == 0 and not isinstance(have - want, float):
             if have != want:
                 return False
         elif abs(float(have) - float(want)) > max(tol, 1e-9):
@@ -834,6 +829,7 @@ def glue_adjacent(f_a: Stream, box_a, f_b: Stream, box_b, m, M) -> Stream:
     n = f_a.n
     if (f_b.d, f_b.n) != (d, n):
         raise ValueError("streams must share lattice and dimension")
+    floats, [f_a, f_b, M] = _exact(f_a, f_b, M)
     diffs = [j for j in range(d) if box_a[j] != box_b[j]]
     if len(diffs) != 1:
         raise ValueError("cubes must be translates along a single axis")
@@ -872,7 +868,7 @@ def glue_adjacent(f_a: Stream, box_a, f_b: Stream, box_b, m, M) -> Stream:
             left_b.insert(axis, b0)
             f_in[key] = f_a.get(EdgeId(tuple(left_a), axis))
             f_out[key] = f_b.get(EdgeId(tuple(left_b), axis))
-        if not _sums_match(sum(f_in.values()), sum(f_out.values())):
+        if sum(f_in.values()) != sum(f_out.values()):
             raise ValueError(f"face cell {offs}: flux mismatch between the two streams")
         g = mix(f_in, f_out, gap, M)
         amap = [axis] + trans_axes
@@ -881,4 +877,4 @@ def glue_adjacent(f_a: Stream, box_a, f_b: Stream, box_b, m, M) -> Stream:
         for k, j in enumerate(trans_axes):
             offset[j] = windows[k].start - 1
         out += embed(g, d, amap, offset=offset, n=n)
-    return out
+    return _rounded(out, floats)

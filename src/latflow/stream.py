@@ -3,7 +3,8 @@
 A stream assigns to each lattice edge a signed magnitude in the canonical
 +e_axis orientation; the vector value on edge e is s(e) * e_axis.  Magnitudes
 may be Fractions (verification mode) or floats (Monte Carlo mode); every
-operation here is agnostic to the numeric type.
+operation here is agnostic to the numeric type, except that the node law is
+decided exactly on floats too.
 """
 
 from dataclasses import dataclass, field
@@ -78,13 +79,15 @@ def incident_edges(x, d):
 def divergence_at(f: Stream, x) -> object:
     """Discrete divergence d f_n(x) = n * sum f(e).(y->x): the amount of water
     appearing at x.  A single edge of magnitude s gives -s at its left
-    endpoint and +s at its right one; zero exactly when the node law holds."""
+    endpoint and +s at its right one; zero exactly when the node law holds.
+    A float is summed as the Fraction it equals, so no cancellation hides a
+    violation."""
     acc = 0
     for e, orient in incident_edges(x, f.d):
         v = f.values.get(e)
         if v:
             # f(e).(vector y->x) * n = -orient * s(e)
-            acc += -orient * v
+            acc += -orient * (Fraction(v) if isinstance(v, float) else v)
     return acc
 
 

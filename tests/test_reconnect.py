@@ -203,8 +203,8 @@ def test_mix2d_rejects_oversized_inputs():
 
 
 def test_mix2d_float_mean_below_every_equal_input():
-    # 3x / 3 rounds below x: no row is a deficit source beyond the gap, so no
-    # row at r borrows a column and the search for one cannot run dry
+    # 3x / 3 rounds below x in floats; the exact mean is x, so no row is a
+    # deficit source and no row at r borrows a column
     x = 0.36151742956066213
     assert sum([x, x, x]) / 3 < x
     g = mix2d([x, x, x], 1.0)
@@ -576,6 +576,25 @@ def test_balance_float_targets_hit_within_rounding():
         assert got[key] == pytest.approx(beta[key] - lam[key], abs=1e-12), key
 
 
+def test_balance_hits_targets_when_K_divides_the_last_interior_plane():
+    # K | (n/2 - 1) puts a sparse level on the cube's last vertex plane
+    # n/2 - 1, which the rails must stay off
+    configs = [(2, n, m, K) for n in range(6, 21, 2) for m in (1, 2) for K in range(2, 6)]
+    configs += [(3, n, m, K) for n in (8, 10, 12) for m in (1, 2) for K in (4, 5)]
+    configs = [c for c in configs if (c[1] // 2 - 1) % c[3] == 0]
+    assert len(configs) == 24
+    rng = random.Random(12)
+    for d, n, m, K in configs:
+        lam = random_balanced_targets(rng, d, m)
+        beta = random_balanced_targets(rng, d, m)
+        f_res = balance_faces(lam, beta, K, m, d, n)
+        got = measure_face_fluxes(f_res, m)
+        for key in beta:
+            assert got[key] == beta[key] - lam[key], (d, n, m, K, key)
+        ok, bad = node_law_holds_cube(f_res, d, n)
+        assert ok, (d, n, m, K, bad)
+
+
 def test_balance_rejects_total_mismatch():
     d, n, m, K = 2, 8, 1, 2
     lam = zero_fluxes(d, m)
@@ -751,6 +770,79 @@ def test_recompose_rejects_steps_that_are_not_lattice_edges():
 
 
 # ---------------------------------------------------------------------------
+# float inputs
+
+
+def dyadic(rng, lo, hi):
+    """A k/64 in [lo, hi]: a float holds it exactly."""
+    return Fraction(rng.randint(lo * 64, hi * 64), 64)
+
+
+def as_floats(family):
+    return {k: float(v) for k, v in family.items()}
+
+
+def assert_rounded_once(g, exact):
+    """g holds float() of each value of the exact result, and nothing else."""
+    assert all(type(v) is float for v in g.values.values())
+    assert g.values == {e: float(v) for e, v in exact.values.items()}
+
+
+def test_float_inputs_give_the_exact_result_rounded_once():
+    rng = random.Random(64)
+    # a mean of 3 or 5 dyadic inputs is not dyadic
+    for _ in range(40):
+        vals = [dyadic(rng, -3, 3) for _ in range(rng.randint(1, 5))]
+        assert_rounded_once(mix2d([float(v) for v in vals], 3.0), mix2d(vals, 3))
+    for d, r in ((2, 3), (2, 5), (3, 3)):
+        keys = grid_keys(r, d - 1)
+        f_in = {y: dyadic(rng, -2, 2) for y in keys}
+        f_out = dict(zip(keys, rng.sample(list(f_in.values()), len(keys))))
+        m = 2 * (d - 1) * r
+        assert_rounded_once(mix(as_floats(f_in), as_floats(f_out), m, 8.0), mix(f_in, f_out, m, 8))
+        f_pre = {y: dyadic(rng, 0, 1) for y in keys}
+        assert_rounded_once(mix_precise(as_floats(f_pre), 2.0, 1.0), mix_precise(f_pre, 2, 1))
+    keys = sparse_keys(3, 2, 1)
+    f_in = {y: dyadic(rng, -1, 1) for y in keys}
+    f_out = dict(zip(keys, rng.sample(list(f_in.values()), len(keys))))
+    assert_rounded_once(
+        mix_sparse(as_floats(f_in), as_floats(f_out), 2, 4.0), mix_sparse(f_in, f_out, 2, 4)
+    )
+    for d, n, m, K in ((2, 8, 2, 2), (2, 12, 2, 3), (3, 8, 1, 4)):
+        lam, beta = random_balanced_targets(rng, d, m), random_balanced_targets(rng, d, m)
+        assert_rounded_once(
+            balance_faces(as_floats(lam), as_floats(beta), K, m, d, n),
+            balance_faces(lam, beta, K, m, d, n),
+        )
+    d, n, m, side = 2, 8, 2, 8
+    box_a = ((0, side), (0, side))
+    box_b = ((2 * side, 3 * side), (0, side))
+    v = (Fraction(1), Fraction(0))
+    fa = random_well_behaved(rng, box_a, n, d, Fraction(3, 8), v, Fraction(3, 4), Fraction(1))
+    fb = random_well_behaved(rng, box_b, n, d, Fraction(3, 8), v, Fraction(3, 4), Fraction(1))
+    assert_rounded_once(
+        glue_adjacent(fa.scaled(1.0), box_a, fb.scaled(1.0), box_b, m, 1.0),
+        glue_adjacent(fa, box_a, fb, box_b, m, 1),
+    )
+    # decompose keeps its weights exact
+    L = discretize_domain(unit_square_domain(), 4)
+    caps = {e: dyadic(rng, 0, 1) for e in L.edges}
+    f = max_flow(L, Capacities(values=caps, dist=CapacityDistribution.constant(0), seed=0)).stream
+    paths = decompose(f.scaled(1.0), L)
+    assert paths == decompose(f, L)
+    assert all(isinstance(w, Fraction) for _, w in paths)
+
+
+def test_mix_rejects_float_sums_that_agree_only_after_rounding():
+    # 0.1 + 0.2 rounds to 0.30000000000000004, and no float sum equals the
+    # exact one: no stream with these boundary values obeys the node law
+    f_in = {(1,): 0.1, (2,): 0.2}
+    f_out = {(1,): 0.3, (2,): 0.0}
+    with pytest.raises(ValueError, match="input and output sums do not match"):
+        mix(f_in, f_out, 4, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # golden outputs
 
 
@@ -873,4 +965,4 @@ def test_golden_outputs_of_the_reconnect_builders():
     texts = _golden_texts()
     assert len(texts) == 411
     digest = hashlib.sha256("\x00".join(texts).encode()).hexdigest()
-    assert digest == "4870f2274c431038d1a9a5e8fda1f19217451c41da3aa43690871dd124f8b11b"
+    assert digest == "fa19ed0eed249c5c171cf6be8a9fc87f6aa2b2d61a4fb1e80510e39406e0409f"

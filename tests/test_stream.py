@@ -241,16 +241,42 @@ def test_decompose_then_sum_identity_on_maxflow_outputs():
         assert recompose(paths, 2, 3).values == res.stream.values
 
 
-def test_decompose_float_mode_within_tolerance():
-    from latflow.reconnect import decompose, recompose
+def test_decompose_rejects_a_rounded_float_max_flow():
+    # each value is the exact flow rounded once, so the exact node law breaks
+    from latflow.reconnect import decompose
 
     L = discretize_domain(unit_square_domain(), 3)
     t = sample_capacities(L, CapacityDistribution.uniform(0, 1), seed=21, exact=False)
-    res = max_flow(L, t)
-    paths = decompose(res.stream, L)
-    rebuilt = recompose(paths, 2, 3)
-    for e in set(res.stream.values) | set(rebuilt.values):
-        assert abs(rebuilt.get(e) - res.stream.get(e)) <= 1e-12
+    with pytest.raises(ValueError, match="node law violated"):
+        decompose(max_flow(L, t).stream, L)
+
+
+def test_decompose_float_max_flow_of_integer_capacities_exactly():
+    # 0.0 / 1.0 capacities give an integer flow, which no rounding changes
+    from latflow.reconnect import decompose, recompose
+
+    dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
+    for n, seed in ((3, 7), (4, 3), (6, 6)):
+        L = discretize_domain(unit_square_domain(), n)
+        f = max_flow(L, sample_capacities(L, dist, seed=seed, exact=False)).stream
+        assert f.values and all(isinstance(v, float) for v in f.values.values())
+        paths = decompose(f, L)
+        assert recompose(paths, 2, n).values == f.values
+
+
+def test_node_law_verdict_on_floats_is_exact():
+    # at x = (1, 1) the float sum -1.0 + 1e16 - 1e16 cancels to 0.0; the
+    # exact divergence is -1
+    f = Stream(2, 4)
+    f.values[EdgeId((1, 1), 0)] = 1.0
+    f.values[EdgeId((0, 1), 0)] = 1e16
+    f.values[EdgeId((1, 1), 1)] = 1e16
+    assert (-1.0 + 1e16) - 1e16 == 0.0
+    assert divergence_at(f, (1, 1)) == -1
+    L = discretize_domain(unit_square_domain(), 4)
+    assert (1, 1) in admissibility_report(f, {}, L).bad_vertices
+    region = Region(boxes=(unit_cube(2),))
+    assert (1, 1) in admissibility_region_report(f, {}, region).bad_vertices
 
 
 def test_discretize_field_rejects_non_mesh_input():

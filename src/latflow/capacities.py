@@ -1,36 +1,63 @@
 """Reproducible i.i.d. edge capacities from bounded-support distributions.
 
 Per-edge values come from a counter-based hash of (seed, edge coordinates),
-so the result never depends on iteration order or thread count.  In exact
-mode the values are Fractions; in float mode IEEE doubles.  Both modes draw
-the same 64-bit word per edge, so discrete distributions sample identically
-in either mode.
+so the result never depends on iteration order or thread count.  A sample is
+an integer numerator over one denominator D fixed by the law: exact mode
+reads it as the Fraction x / D, float mode rounds it once, by the int true
+division x / D, into an IEEE double.  Both modes draw the same 64-bit word
+per edge, so discrete distributions sample identically in either mode.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
 MASK64 = (1 << 64) - 1
+START = 0x9E3779B97F4A7C15  # the splitmix64 state before any word
+OFFSET = 1 << 31  # added to each edge coordinate before hashing
 
 
-def mix64(*words) -> int:
-    """splitmix64-style avalanche over a sequence of integer words."""
-    h = 0x9E3779B97F4A7C15
+def _absorb(h, words):
+    """The splitmix64 state after mixing the words into state h."""
     for w in words:
         h = (h ^ (w & MASK64)) * 0xBF58476D1CE4E5B9 & MASK64
         h ^= h >> 27
         h = h * 0x94D049BB133111EB & MASK64
         h ^= h >> 31
+    return h
+
+
+def mix64(*words) -> int:
+    """splitmix64-style avalanche over a sequence of integer words."""
+    h = _absorb(START, words)
     h = (h ^ (h >> 33)) * 0xFF51AFD7ED558CCD & MASK64
     h ^= h >> 33
     return h
 
 
-def edge_word(seed, edge) -> int:
-    # offset coordinates so negative values hash distinctly from positives
-    return mix64(seed, edge.axis + 1, *[c + (1 << 31) for c in edge.x])
+def edge_words(seed, edges) -> list:
+    """``mix64(seed, axis + 1, x_1 + 2^31, ..., x_d + 2^31)`` for each EdgeId,
+    in order (the offset hashes negative coordinates apart from positive
+    ones).  The edges of one lattice line share every word but the last
+    coordinate, so the state after those words is computed once per line;
+    each edge then mixes its last coordinate and the finalizer only."""
+    line_state = {}
+    out = []
+    append, get = out.append, line_state.get
+    for x, axis in edges:
+        head = x[:-1]
+        h = get((axis, head))
+        if h is None:
+            h = line_state[axis, head] = _absorb(START, (seed, axis + 1, *[c + OFFSET for c in head]))
+        h = (h ^ ((x[-1] + OFFSET) & MASK64)) * 0xBF58476D1CE4E5B9 & MASK64
+        h ^= h >> 27
+        h = h * 0x94D049BB133111EB & MASK64
+        h ^= h >> 31
+        h = (h ^ (h >> 33)) * 0xFF51AFD7ED558CCD & MASK64
+        append(h ^ (h >> 33))
+    return out
 
 
 def derive_seed(master, *tags) -> int:
@@ -127,35 +154,41 @@ class CapacityDistribution:
         values, probs = self.params
         return sum(p for v, p in zip(values, probs) if v >= a)
 
-    def sampler(self, exact):
-        """The map from one uniform 64-bit word to a sample.
+    def scaled_sampler(self):
+        """(D, draw): the law's one denominator D and the map from one
+        uniform 64-bit word to the sample's exact numerator over D.
 
-        The discrete kinds compare the word exactly, so both numeric modes
-        agree: u < p 2^64 is u < ceil(p 2^64), an integer fixed here once.
-        A uniform sample is one integer ratio: reduced once into a Fraction,
-        or rounded by one int true division into a float."""
-        conv = (lambda v: v) if exact else float
-        if self.kind == "constant":
-            c = conv(self.params[0])
-            return lambda u: c
-        if self.kind == "bernoulli":
-            a, b, p = self.params
-            cut, a, b = math.ceil(p * (1 << 64)), conv(a), conv(b)
-            return lambda u: b if u < cut else a
+        The discrete kinds compare the word exactly: u < p 2^64 is
+        u < ceil(p 2^64), an integer fixed here once; their values are
+        scaled to the lcm D of their denominators.  A uniform sample is
+        a + (b - a) u / 2^64 = (top + step u) / den."""
         if self.kind == "uniform":
             a, b = self.params
             w = b - a
-            # a + w u / 2^64 = (top + step u) / den
             top = a.numerator * w.denominator << 64
             step = w.numerator * a.denominator
-            den = a.denominator * w.denominator << 64
-            if exact:
-                return lambda u: Fraction(top + step * u, den)
-            return lambda u: (top + step * u) / den
-        values, probs = self.params
-        cuts = [math.ceil(acc * (1 << 64)) for acc in accumulate(probs)]
-        values = [conv(v) for v in values]
-        return lambda u: next((v for cut, v in zip(cuts, values) if u < cut), values[-1])
+            return a.denominator * w.denominator << 64, lambda u: top + step * u
+        if self.kind == "constant":
+            values, cuts = self.params, []
+        elif self.kind == "bernoulli":
+            a, b, p = self.params
+            values, cuts = (b, a), [math.ceil(p * (1 << 64))]
+        else:
+            values, probs = self.params
+            cuts = [math.ceil(acc * (1 << 64)) for acc in accumulate(probs)][:-1]
+        D = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (D // v.denominator) for v in values]
+        # the first value whose cut exceeds u (the last value past every cut)
+        return D, lambda u: nums[bisect_right(cuts, u)]
+
+    def sampler(self, exact):
+        """The map from one uniform 64-bit word to a sample: the numerator x
+        of ``scaled_sampler`` read as the Fraction x / D, or rounded once to
+        the float x / D (an int true division, so correctly rounded)."""
+        D, draw = self.scaled_sampler()
+        if exact:
+            return lambda u: Fraction(draw(u), D)
+        return lambda u: draw(u) / D
 
 
 @dataclass(frozen=True)
@@ -196,8 +229,15 @@ def sample_capacities(edges, dist: CapacityDistribution, seed: int, exact=True) 
     else:
         edge_list = list(edges)
     draw = dist.sampler(exact)
-    vals = {e: draw(edge_word(seed, e)) for e in edge_list}
+    vals = dict(zip(edge_list, map(draw, edge_words(seed, edge_list))))
     return Capacities(values=vals, dist=dist, seed=seed)
+
+
+def sample_numerators(edges, dist: CapacityDistribution, seed: int):
+    """(nums, D): the samples of ``sample_capacities`` on the edge list, in
+    order, each as its exact numerator over the law's denominator D."""
+    D, draw = dist.scaled_sampler()
+    return list(map(draw, edge_words(seed, edges))), D
 
 
 def region_edges(region, n, d=None):

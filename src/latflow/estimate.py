@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .capacities import CapacityDistribution, derive_seed, sample_capacities
+from .capacities import CapacityDistribution, derive_seed, sample_capacities, sample_numerators
 from .geometry import EdgeId, box_volume, unit_cube
 from .measure import CubeGrid, DistanceOptions, VectorMeasure, cube_key, overlap_volume
 from .reconnect import cube_box
@@ -635,14 +635,15 @@ def straight_tau_sampler(d, side, h, axis, dist: CapacityDistribution, exact=Tru
     """seed -> tau(A, h) for one capacity sample on the two-sided straight
     cylinder over A = straight_base(d, side, axis), at scale 1.  The flow
     network is built once, when the sampler is made; a call samples the
-    network's edges only and computes the flow value."""
+    network's edges only, as integer numerators over one denominator, and
+    computes the flow value from them."""
     from .maxflow import tau_network
 
     v = tuple(1 if j == axis else 0 for j in range(d))
     network = tau_network(straight_base(d, side, axis), h, n=1, v=v)
 
     def tau(seed):
-        return network.value(sample_capacities(network.edges, dist, seed, exact=exact))
+        return network.sample_value(*sample_numerators(network.edges, dist, seed), exact)
 
     return tau
 
@@ -678,8 +679,8 @@ def tail_probability(lams, n, trials, dist: CapacityDistribution, seed, L, threa
     network = FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2)
 
     def one(trial):
-        t = sample_capacities(network.edges, dist, derive_seed(seed, trial), exact=False)
-        return network.value(t)
+        nums, D = sample_numerators(network.edges, dist, derive_seed(seed, trial))
+        return network.sample_value(nums, D, exact=False)
 
     values = _run_trials(one, trials, threads)
     out = []

@@ -9,7 +9,9 @@ them, and the value and stream are divided back by D once at the end, into
 Fractions, or, with a float among the capacities, into the correctly rounded
 floats of the exact answer.  When only the value is wanted and the network
 is a planar d=2 one, a shortest path in its dual gives the same value
-(``FlowNetwork.value``).
+(``FlowNetwork.value``).  An exact capacity sample given as integer
+numerators over one denominator is already scaled, and runs as it is
+(``FlowNetwork.sample_value``).
 """
 
 import functools
@@ -138,26 +140,6 @@ class FlowNetwork:
         vertices, sources, sinks = self._sets
         return _planar_dual(self.d, vertices, self.edges, sources, sinks)
 
-    def _capacities(self, t):
-        """(caps, D, back) for the capacities t of ``edges`` (missing edges
-        have capacity 0): ints scaled by the lcm D of their denominators, a
-        float's being those of ``float.as_integer_ratio``, and the map of a
-        scaled result x back.  With a float among the capacities that is the
-        int true division x / D, which rounds the exact result once and
-        correctly; else Fraction(x, D) with a Fraction among them (the int 0
-        for no flow, as on Fractions), and x itself for ints."""
-        caps = [t.get(e, 0) for e in self.edges]
-        if any(c < 0 for c in caps):
-            raise ValueError("negative capacity")
-        ratios = [c.as_integer_ratio() for c in caps]
-        D = math.lcm(*{q for _, q in ratios})
-        scaled = [p * (D // q) for p, q in ratios]
-        if any(isinstance(c, float) for c in caps):
-            return scaled, D, lambda x: x / D
-        if any(isinstance(c, Fraction) for c in caps):
-            return scaled, D, lambda x: Fraction(x, D) if x else 0
-        return scaled, D, lambda x: x
-
     def _max_flow(self, caps, D):
         """Dinic on the capacities: the value, the residual arc capacities
         and the final levels."""
@@ -178,7 +160,7 @@ class FlowNetwork:
         every min, difference and truth test is the Fraction run's times D,
         so the value and stream, divided by D, are the same Fractions, or
         their correctly rounded floats for float capacities."""
-        caps, D, back = self._capacities(t)
+        caps, D, back = _scale([t.get(e, 0) for e in self.edges])
         value, cap, level = self._max_flow(caps, D)
         head = self.head
         stream = Stream(self.d, self.n)
@@ -198,10 +180,49 @@ class FlowNetwork:
         """``solve(t).value``, the same in value and type, without the stream
         or the cut: the planar dual's shortest path when there is a dual,
         else Dinic for the value."""
-        caps, D, back = self._capacities(t)
+        return self._value(*_scale([t.get(e, 0) for e in self.edges]))
+
+    def sample_value(self, nums, D, exact):
+        """``value`` of one capacity sample of ``edges`` given as its
+        numerators nums over the law's denominator D (``sample_numerators``),
+        equal in value and type to ``value(sample_capacities(...))``.  In
+        exact mode the ints run as they are, and no Fraction is built per
+        edge; in float mode each capacity is first rounded once to the float
+        x / D, as the float sample is, so the flow is that of the floats."""
+        if exact:
+            return self._value(nums, D, _fraction_over(D))
+        return self._value(*_scale([x / D for x in nums]))
+
+    def _value(self, caps, D, back):
+        """back(the flow value) for the scaled capacities caps."""
         if self.dual is not None:
             return back(self.dual.shortest_path(caps))
         return back(self._max_flow(caps, D)[0])
+
+
+def _scale(values):
+    """(caps, D, back) for the capacities ``values`` of a network's edges:
+    ints scaled by the lcm D of their denominators, a float's being those of
+    ``float.as_integer_ratio``, and the map of a scaled result x back.  With
+    a float among the capacities that is the int true division x / D, which
+    rounds the exact result once and correctly; else Fraction(x, D) with a
+    Fraction among them (the int 0 for no flow, as on Fractions), and x
+    itself for ints."""
+    ratios = [c.as_integer_ratio() for c in values]
+    D = math.lcm(*{q for _, q in ratios})
+    caps = [p * (D // q) for p, q in ratios]
+    if caps and min(caps) < 0:
+        raise ValueError("negative capacity")
+    if any(isinstance(c, float) for c in values):
+        return caps, D, lambda x: x / D
+    if any(isinstance(c, Fraction) for c in values):
+        return caps, D, _fraction_over(D)
+    return caps, D, lambda x: x
+
+
+def _fraction_over(D):
+    """x -> Fraction(x, D), or the int 0 for no flow (as on Fractions)."""
+    return lambda x: Fraction(x, D) if x else 0
 
 
 class _PlanarDual:

@@ -108,7 +108,14 @@ class AdmissibilityReport:
 def admissibility_report(f: Stream, t, L) -> AdmissibilityReport:
     """Three verdicts for f against a LatticeDomain: support inside
     Omega_n^2 minus (Gamma_n^1 u Gamma_n^2)^2, capacity bound, node law off
-    the terminals."""
+    the terminals.
+
+    The node law is decided exactly (``divergence_at``), on floats too, so a
+    float stream whose values were rounded usually fails it: the float max
+    flow of float capacities is the exact max flow rounded once per edge,
+    and the rounded values need not sum to zero at a vertex.  Check the
+    exact flow instead: solve on the capacities read as Fractions, as
+    ``cmd_maxflow`` does."""
     terminals = L.gamma1 | L.gamma2
     allowed = set()
     for e in L.edges:

@@ -6,11 +6,14 @@ from latflow.capacities import (
     CapacityDistribution,
     derive_seed,
     dump_capacities,
+    edge_words,
     load_capacities,
+    mix64,
     region_edges,
     sample_capacities,
+    sample_numerators,
 )
-from latflow.geometry import Region, box, discretize_domain, unit_square_domain
+from latflow.geometry import EdgeId, Region, box, discretize_domain, unit_square_domain
 
 
 def test_constant_distribution_samples_ones():
@@ -151,3 +154,44 @@ def test_sampler_matches_the_per_word_formula_bit_for_bit(dist):
         for u in words:
             got, want = draw(u), _word_to_value(dist, u, exact)
             assert type(got) is type(want) and got == want, (exact, u)
+
+
+def edge_word(seed, edge):
+    """The per-edge hash that ``edge_words`` computes a line at a time."""
+    return mix64(seed, edge.axis + 1, *[c + (1 << 31) for c in edge.x])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_edge_words_equal_the_per_edge_hash_in_order(d):
+    import random
+
+    rng = random.Random(d)
+    edges = [EdgeId(tuple(rng.randint(-4, 4) for _ in range(d)), rng.randrange(d)) for _ in range(600)]
+    # beyond -2^31 the offset coordinate is negative and masked to 64 bits
+    edges += [EdgeId(tuple(rng.choice([-(1 << 40), -1, 1 << 40]) for _ in range(d)), rng.randrange(d))
+              for _ in range(40)]
+    rng.shuffle(edges)
+    for seed in (0, 5, (1 << 64) - 1):
+        assert edge_words(seed, edges) == [edge_word(seed, e) for e in edges]
+    assert edge_words(5, []) == []
+
+
+SAMPLED_LAWS = [
+    CapacityDistribution.constant(Fraction(2, 3)),
+    CapacityDistribution.bernoulli(Fraction(1, 7), 2, Fraction(1, 2)),
+    CapacityDistribution.uniform(Fraction(1, 3), Fraction(22, 7)),
+    CapacityDistribution.discrete([0, Fraction(1, 2), Fraction(5, 3)], [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)]),
+]
+
+
+@pytest.mark.parametrize("dist", SAMPLED_LAWS, ids=lambda dist: dist.kind)
+def test_sample_numerators_are_the_samples_over_one_denominator(dist):
+    L = discretize_domain(unit_square_domain(), 4)
+    edges = list(reversed(L.edges))
+    nums, D = sample_numerators(edges, dist, 21)
+    assert len(nums) == len(edges) and all(type(x) is int for x in nums)
+    exact = sample_capacities(edges, dist, 21, exact=True)
+    flt = sample_capacities(edges, dist, 21, exact=False)
+    for e, x in zip(edges, nums):
+        assert exact[e] == Fraction(x, D) and type(exact[e]) is Fraction
+        assert flt[e] == x / D and type(flt[e]) is float

@@ -262,13 +262,13 @@ def test_tail_probability_solves_each_trial_once_for_all_lams(monkeypatch):
     from latflow.maxflow import FlowNetwork
 
     solves = []
-    real = FlowNetwork.value
+    real = FlowNetwork.sample_value
 
-    def counting(network, t):
+    def counting(network, nums, D, exact):
         solves.append(1)
-        return real(network, t)
+        return real(network, nums, D, exact)
 
-    monkeypatch.setattr(FlowNetwork, "value", counting)
+    monkeypatch.setattr(FlowNetwork, "sample_value", counting)
     L = discretize_domain(unit_square_domain(), 4)
     dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
     lams = [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from latflow.capacities import CapacityDistribution, region_edges, sample_capacities
+from latflow.capacities import CapacityDistribution, region_edges, sample_capacities, sample_numerators
 from latflow.geometry import (
     Cylinder, DomainSpec, Region, box, discretize_domain, inner_edges, unit_box_domain, unit_square_domain,
 )
@@ -433,6 +433,71 @@ def test_planar_value_equals_solve_on_random_box_domains():
     assert built >= 20
 
 
+# every kind, with values whose floats round (thirds, sevenths) and uniform
+# samples of 64 bits; constant(0) has no flow at all
+SAMPLED_LAWS = EXACT_LAWS + (
+    CapacityDistribution.constant(THIRD),
+    CapacityDistribution.constant(0),
+    CapacityDistribution.bernoulli(Fraction(1, 7), 2, Fraction(1, 2)),
+)
+
+
+def _sampled_networks():
+    yield "tau-d2", tau_network(straight_base(2, 6, 1), 6, 1, (0, 1))
+    yield "square-n8", _network(discretize_domain(unit_square_domain(), 8))
+    yield "tau-d3", tau_network(straight_base(3, 3, 2), 3, 1, (0, 0, 1))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _sampled_networks()])
+def test_sample_value_is_the_value_of_the_sampled_capacities(name):
+    network = dict(_sampled_networks())[name]
+    assert (network.dual is None) == (name == "tau-d3")
+    for law in SAMPLED_LAWS:
+        for seed in range(3):
+            nums, D = sample_numerators(network.edges, law, seed)
+            for exact in (True, False):
+                got = network.sample_value(nums, D, exact)
+                want = network.value(sample_capacities(network.edges, law, seed, exact=exact))
+                assert got == want and type(got) is type(want), (law, seed, exact, got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tau_sampler_value_is_the_value_of_the_sampled_capacities(d):
+    v = tuple(int(j == d - 1) for j in range(d))
+    network = tau_network(straight_base(d, 3, d - 1), 3, 1, v)
+    for law in SAMPLED_LAWS:
+        for exact in (True, False):
+            tau = straight_tau_sampler(d, 3, 3, d - 1, law, exact=exact)
+            for seed in range(2):
+                got, want = tau(seed), network.value(sample_capacities(network.edges, law, seed, exact=exact))
+                assert got == want and type(got) is type(want), (law, seed, exact, got, want)
+
+
+def test_float_sample_value_solves_the_rounded_samples():
+    # the flow of the float samples, not the exact flow of the numerators
+    # rounded: the two differ on some of these seeds
+    network = _network(discretize_domain(unit_square_domain(), 8))
+    law = CapacityDistribution.uniform(0, 1)
+    differ = 0
+    for seed in range(40):
+        nums, D = sample_numerators(network.edges, law, seed)
+        got = network.sample_value(nums, D, exact=False)
+        assert got == network.value(sample_capacities(network.edges, law, seed, exact=False)), seed
+        differ += got != float(network.sample_value(nums, D, exact=True))
+    assert differ > 0
+
+
+@pytest.mark.parametrize("c", [-1, Fraction(-1, 3), -0.25])
+def test_negative_capacity_raises(c):
+    for _, network in _sampled_networks():
+        t = {e: Fraction(1, 2) for e in network.edges}
+        t[network.edges[len(t) // 2]] = c
+        with pytest.raises(ValueError, match="negative capacity"):
+            network.value(t)
+        with pytest.raises(ValueError, match="negative capacity"):
+            network.solve(t)
+
+
 def _grid_network(sources, sinks, hole=()):
     """The network on the 4 x 4 vertex grid {0..3}^2 less ``hole``."""
     verts = {(x, y) for x in range(4) for y in range(4)} - set(hole)
@@ -511,11 +576,12 @@ def test_tau_sampler_samples_the_network_edges_only(d, monkeypatch):
     sampled = []
 
     def recording(edges, *args, **kwargs):
-        t = sample_capacities(edges, *args, **kwargs)
-        sampled.append(set(t.values))
-        return t
+        nums, D = sample_numerators(edges, *args, **kwargs)
+        assert len(nums) == len(edges)
+        sampled.append(set(edges))
+        return nums, D
 
-    monkeypatch.setattr(latflow.estimate, "sample_capacities", recording)
+    monkeypatch.setattr(latflow.estimate, "sample_numerators", recording)
     side = 4
     v = tuple(int(j == d - 1) for j in range(d))
     straight_tau_sampler(d, side, side, d - 1, CapacityDistribution.uniform(0, 1))(5)

@@ -211,10 +211,6 @@ class Capacities:
     def __len__(self):
         return len(self.values)
 
-    @property
-    def support_bound(self):
-        return self.dist.support_bound
-
 
 def sample_capacities(edges, dist: CapacityDistribution, seed: int, exact=True) -> Capacities:
     """Sample t(e) for every edge of a LatticeDomain, Region or edge list.

@@ -171,7 +171,13 @@ def _write_manifest(out_dir, subcommand, cfg, seed, mode, threads):
         "version": __version__,
         "versions": _versions(),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    _write_json(out_dir, "manifest.json", payload)
+
+
+def _write_json(out_dir, name, payload):
+    """Write payload to out_dir/name with sorted keys, a trailing newline,
+    and str() for values JSON has no type for (the manifest's config)."""
+    with open(os.path.join(out_dir, name), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, default=str)
         fh.write("\n")
 
@@ -244,9 +250,7 @@ def cmd_maxflow(cfg, args):
         "edges": len(L.edges),
         "vertices": len(L.omega),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_dir, "summary.json", summary)
     _write_manifest(out_dir, "maxflow", cfg, seed, mode, 1)
     if not duality or not report.admissible:
         print("invariant violation: duality or admissibility failed", file=sys.stderr)
@@ -266,9 +270,7 @@ def cmd_tau(cfg, args):
 
     tau = straight_tau_sampler(d, side, h, axis, dist, exact=(mode == "exact"))(seed)
     summary = {"tau": float(tau), "side": side, "h": h, "d": d}
-    with open(os.path.join(out_dir, "tau.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_dir, "tau.json", summary)
     _write_manifest(out_dir, "tau", cfg, seed, mode, 1)
     return 0
 
@@ -295,9 +297,7 @@ def cmd_decompose(cfg, args):
         "count": len(paths),
         "reconstruction_exact": bool(exact),
     }
-    with open(os.path.join(out_dir, "paths.json"), "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_dir, "paths.json", payload)
     _write_manifest(out_dir, "decompose", cfg, seed, None, 1)
     return 0 if exact else 3
 
@@ -341,9 +341,7 @@ def cmd_mix_demo(cfg, args):
         "max_magnitude": float(g.max_magnitude()),
         "within_bound": bool(g.max_magnitude() <= M),
     }
-    with open(os.path.join(out_dir, "mix.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_dir, "mix.json", summary)
     _write_manifest(out_dir, "mix-demo", cfg, seed, None, 1)
     return 0 if summary["within_bound"] else 3
 
@@ -362,9 +360,7 @@ def cmd_distance(cfg, args):
         "k_max": br.k_max,
         "grid": br.grid,
     }
-    with open(os.path.join(out_dir, "distance.json"), "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_dir, "distance.json", payload)
     _write_manifest(out_dir, "distance", cfg, seed, None, 1)
     return 0
 

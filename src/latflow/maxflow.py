@@ -159,22 +159,19 @@ class FlowNetwork:
         The search runs on the ints scaled by D: with ``big`` scaled too,
         every min, difference and truth test is the Fraction run's times D,
         so the value and stream, divided by D, are the same Fractions, or
-        their correctly rounded floats for float capacities."""
+        their correctly rounded floats for float capacities.  The net flow
+        of each edge, the flow added to its reverse arc, has its cycles
+        cancelled on those ints (``_cancel_cycles``) before the stream is
+        built, once, in edge order."""
         caps, D, back = _scale([t.get(e, 0) for e in self.edges])
         value, cap, level = self._max_flow(caps, D)
         head = self.head
-        stream = Stream(self.d, self.n)
-        cut = []
-        for k, e in enumerate(self.edges):
-            # net flow along +e_axis = flow added to the reverse arc
-            s = cap[2 * k + 1] - caps[k]
-            if s != 0:
-                stream.values[e] = s
-            if (level[head[2 * k + 1]] >= 0) != (level[head[2 * k]] >= 0):
-                cut.append(e)
-        _cancel_cycles(stream)
-        stream.values = {e: back(s) for e, s in stream.values.items()}
-        return MaxFlowResult(value=back(value), stream=stream, cutset=tuple(sorted(cut)))
+        flow = [cap[2 * k + 1] - c for k, c in enumerate(caps)]
+        _cancel_cycles(self.adj, head, flow)
+        stream = Stream(self.d, self.n, {e: back(s) for e, s in zip(self.edges, flow) if s})
+        cut = tuple(sorted(e for k, e in enumerate(self.edges)
+                           if (level[head[2 * k + 1]] >= 0) != (level[head[2 * k]] >= 0)))
+        return MaxFlowResult(value=back(value), stream=stream, cutset=cut)
 
     def value(self, t):
         """``solve(t).value``, the same in value and type, without the stream
@@ -317,56 +314,55 @@ def _planar_dual(d, vertices, edges, sources, sinks):
     return _PlanarDual(faces, slots, 2 * len(vertices), *ends)
 
 
-def _cancel_cycles(f: Stream):
-    """Remove circulation components so the stream decomposes into pure
-    source-to-sink paths; keeps flow value, node law and |s(e)| non-increasing."""
-    # oriented adjacency: vertex -> list of (edge, dir) with positive flow out
-    while True:
-        out = {}
-        for e, v in f.values.items():
-            if v > 0:
-                out.setdefault(e.x, []).append((e, 1))
-            elif v < 0:
-                out.setdefault(e.right(), []).append((e, -1))
-        color = {}
-        cycle = None
+def _cancel_cycles(adj, head, flow):
+    """Cancel every circulation in ``flow`` in place, ``flow[k]`` being the
+    net flow of edge k along its arc 2k, so that it decomposes into
+    source-to-sink paths: each divergence stays, and each |flow[k]| only
+    shrinks, keeping its sign.
 
-        def walk(x):
-            nonlocal cycle
-            stack = [(x, iter(out.get(x, ())))]
-            color[x] = 1
-            path = []
-            while stack:
-                u, it = stack[-1]
-                advanced = False
-                for e, dr in it:
-                    w = e.right() if dr > 0 else e.x
-                    if color.get(w, 0) == 1:
-                        path.append((e, dr))
-                        idx = next(i for i, (v2, _) in enumerate(stack) if v2 == w)
-                        cycle = path[idx:]
-                        return True
-                    if color.get(w, 0) == 0:
-                        path.append((e, dr))
-                        color[w] = 1
-                        stack.append((w, iter(out.get(w, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[u] = 2
-                    stack.pop()
-                    if path:
-                        path.pop()
-            return False
-
-        for x in sorted(out):
-            if color.get(x, 0) == 0 and walk(x):
-                break
-        if cycle is None:
-            return
-        m = min(abs(f.get(e)) for e, _ in cycle)
-        for e, dr in cycle:
-            f.add(e, -dr * m)
+    One depth-first walk, from each vertex in index order, follows the arcs
+    of positive flow in adjacency order by the rule of ``_dinic``: one
+    current-arc pointer per vertex, and a vertex is done once no arc with
+    flow leads to a vertex not done.  A cycle the walk closes is cancelled
+    by its smallest flow, and the walk resumes at the tail of the first arc
+    emptied.  A cancel only empties arcs, and done vertices reach only done
+    ones, so this cancels the cycles a walk restarted from the first vertex
+    after each cancel would, in the same order.  Any number type works."""
+    m = 2 * len(flow)
+    f = [0] * m  # the flow along each edge arc; terminal arcs carry none here
+    f[0::2] = flow
+    f[1::2] = [-x for x in flow]
+    it = [0] * len(adj)
+    done = [False] * len(adj)
+    at = [-1] * len(adj)  # a vertex's position on the path, -1 off it
+    for root in range(len(adj)):
+        path, u, at[root] = [], root, 0
+        while not done[root]:
+            arcs, i = adj[u], it[u]
+            while i < len(arcs) and not (arcs[i] < m and f[arcs[i]] > 0 and not done[head[arcs[i]]]):
+                i += 1
+            it[u] = i
+            if i == len(arcs):
+                done[u] = True
+                if path:
+                    u = head[path.pop() ^ 1]
+            elif at[head[arcs[i]]] < 0:
+                path.append(arcs[i])
+                u = head[arcs[i]]
+                at[u] = len(path)
+            else:
+                start = at[head[arcs[i]]]
+                cycle = path[start:] + [arcs[i]]
+                c = min(f[a] for a in cycle)
+                for a in cycle:
+                    f[a] -= c
+                    f[a ^ 1] += c
+                j = next(j for j, a in enumerate(cycle) if not f[a])
+                u = head[cycle[j] ^ 1]
+                for a in path[start + j:]:
+                    at[head[a]] = -1
+                del path[start + j:]
+    flow[:] = f[0::2]
 
 
 def max_flow(L, t) -> MaxFlowResult:

@@ -116,17 +116,10 @@ def admissibility_report(f: Stream, t, L) -> AdmissibilityReport:
     and the rounded values need not sum to zero at a vertex.  Check the
     exact flow instead: solve on the capacities read as Fractions, as
     ``cmd_maxflow`` does."""
-    terminals = L.gamma1 | L.gamma2
-    allowed = set()
-    for e in L.edges:
-        if not (e.x in terminals and e.right() in terminals):
-            allowed.add(e)
+    allowed = set(L.active_edges)
     bad_support = [e for e in f.values if e not in allowed]
     bad_capacity = [e for e in f.values if abs(f.values[e]) > t.get(e, 0)]
-    bad_vertices = []
-    for x in sorted(L.omega - terminals):
-        if divergence_at(f, x) != 0:
-            bad_vertices.append(x)
+    bad_vertices = [x for x in sorted(L.omega - L.gamma1 - L.gamma2) if divergence_at(f, x) != 0]
     return AdmissibilityReport(
         inside=not bad_support,
         capacity=not bad_capacity,

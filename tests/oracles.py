@@ -221,10 +221,10 @@ def column_count(base, axis):
 def fraction_max_flow(L, t):
     """(value, stream values, cutset) of the Dinic core run on the capacities
     as they are, in Fractions, with big = cap_total + 1: the reference for
-    the integer scaling of exact solves.  It shares the arc layout and the
-    search of ``latflow.maxflow``, which the scaling leaves alone."""
+    the integer scaling of exact solves.  It shares the arc layout, the
+    search and the cycle canceller of ``latflow.maxflow``, which the scaling
+    leaves alone."""
     from latflow.maxflow import FlowNetwork, _cancel_cycles, _dinic
-    from latflow.stream import Stream
 
     net = FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2)
     caps = [t.get(e, 0) for e in net.edges]
@@ -232,15 +232,67 @@ def fraction_max_flow(L, t):
     cap = [c for c in caps for _ in range(2)]
     cap += [big, 0] * ((len(net.head) - len(cap)) // 2)
     value, level = _dinic(net.adj, net.head, cap, net.source, net.sink, big)
-    stream = Stream(L.d, L.n)
-    cut = []
-    for k, e in enumerate(net.edges):
-        if cap[2 * k + 1] != caps[k]:
-            stream.values[e] = cap[2 * k + 1] - caps[k]
-        if (level[net.head[2 * k + 1]] >= 0) != (level[net.head[2 * k]] >= 0):
-            cut.append(e)
-    _cancel_cycles(stream)
-    return value, stream.values, tuple(sorted(cut))
+    flow = [cap[2 * k + 1] - c for k, c in enumerate(caps)]
+    _cancel_cycles(net.adj, net.head, flow)
+    cut = [
+        e for k, e in enumerate(net.edges)
+        if (level[net.head[2 * k + 1]] >= 0) != (level[net.head[2 * k]] >= 0)
+    ]
+    return value, {e: s for e, s in zip(net.edges, flow) if s}, tuple(sorted(cut))
+
+
+def cancel_cycles_by_restarts(f):
+    """Remove circulation components from the Stream f in place by a
+    depth-first search from the smallest vertex with flow out, restarted
+    after each cycle it cancels by the cycle's smallest |s(e)|, on an
+    out-adjacency rebuilt from the stream: the reference for the order and
+    values of ``latflow.maxflow._cancel_cycles``."""
+    while True:
+        out = {}
+        for e, v in f.values.items():
+            if v > 0:
+                out.setdefault(e.x, []).append((e, 1))
+            elif v < 0:
+                out.setdefault(e.right(), []).append((e, -1))
+        color = {}
+        cycle = None
+
+        def walk(x):
+            nonlocal cycle
+            stack = [(x, iter(out.get(x, ())))]
+            color[x] = 1
+            path = []
+            while stack:
+                u, it = stack[-1]
+                advanced = False
+                for e, dr in it:
+                    w = e.right() if dr > 0 else e.x
+                    if color.get(w, 0) == 1:
+                        path.append((e, dr))
+                        idx = next(i for i, (v2, _) in enumerate(stack) if v2 == w)
+                        cycle = path[idx:]
+                        return True
+                    if color.get(w, 0) == 0:
+                        path.append((e, dr))
+                        color[w] = 1
+                        stack.append((w, iter(out.get(w, ()))))
+                        advanced = True
+                        break
+                if not advanced:
+                    color[u] = 2
+                    stack.pop()
+                    if path:
+                        path.pop()
+            return False
+
+        for x in sorted(out):
+            if color.get(x, 0) == 0 and walk(x):
+                break
+        if cycle is None:
+            return
+        m = min(abs(f.get(e)) for e, _ in cycle)
+        for e, dr in cycle:
+            f.add(e, -dr * m)
 
 
 class BincountTables:

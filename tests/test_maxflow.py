@@ -10,8 +10,10 @@ from latflow.capacities import CapacityDistribution, region_edges, sample_capaci
 from latflow.geometry import (
     Cylinder, DomainSpec, Region, box, discretize_domain, inner_edges, unit_box_domain, unit_square_domain,
 )
-from latflow.maxflow import FlowNetwork, cylinder_flow_tau, cylinder_flow_top_bottom, max_flow, tau_network
-from latflow.stream import admissibility_report, dump_stream, flow_value
+from latflow.maxflow import (
+    FlowNetwork, _cancel_cycles, cylinder_flow_tau, cylinder_flow_top_bottom, max_flow, tau_network,
+)
+from latflow.stream import Stream, admissibility_report, dump_stream, flow_value
 from latflow.estimate import straight_base, straight_tau_sampler
 
 import oracles
@@ -317,10 +319,11 @@ def test_value_matches_networkx_on_random_domains():
 
 def _exact_golden_solves():
     """(name, result) of exact solves: straight tau cylinders, the unit
-    square under three rational laws, and a vertex in both terminal sets.
-    With disjoint terminal sets a terminal arc always keeps more residual
-    capacity than the first or last edge arc of its path; a vertex in both
-    gives the path S -> v -> T, whose bottleneck is the terminal arc ``big``."""
+    square under three rational laws, a vertex in both terminal sets, and a
+    d=3 box whose Dinic flow has a cycle to cancel.  With disjoint terminal
+    sets a terminal arc always keeps more residual capacity than the first
+    or last edge arc of its path; a vertex in both gives the path
+    S -> v -> T, whose bottleneck is the terminal arc ``big``."""
     for side in (8, 16):
         base = straight_base(2, side, 1)
         region = Region(cylinder=Cylinder(base, side, (0, 1), two_sided=True))
@@ -337,10 +340,14 @@ def _exact_golden_solves():
     L = discretize_domain(unit_square_domain(), 2)
     both = dataclasses.replace(L, gamma1=L.gamma1 | {(1, 1)}, gamma2=L.gamma2 | {(1, 1)})
     yield "terminal-bottleneck", max_flow(both, sample_capacities(both, CapacityDistribution.uniform(third, 2), 5))
+    L = discretize_domain(unit_box_domain(3), 5)
+    yield "d3-cycle", max_flow(L, sample_capacities(L, CapacityDistribution.uniform(0, 1), 0))
 
 
 # SHA-256 of repr(value), dump_stream and repr(cutset) for the exact
-# instances above, recorded with Dinic on Fraction capacities.
+# instances above, recorded with Dinic on Fraction capacities; "d3-cycle"
+# was recorded with the integer Dinic and the restarted cycle search of
+# ``oracles.cancel_cycles_by_restarts``.
 GOLDEN_EXACT = {
     "tau-n8": "d358ba5c96bee4c82e38af0826fb4b4a1433e731b69c7c825cf45cac3d681f74",
     "tau-n16": "3fb90a34a309939a40b8cec92344f1a59a42f79039ec019e02bf4b9914039ad1",
@@ -348,6 +355,7 @@ GOLDEN_EXACT = {
     "bernoulli": "d29bcedb87dec4ecad5bbff67632b84656d6743107e77b3316dc42ba7df2f832",
     "discrete": "21d02b469bbfbefc685d9c6ccb65112724d836081241e099ba7329f12218a077",
     "terminal-bottleneck": "48fdf1a827f91113dc1e3377c80480543045b6d68bb0e5afd9bdf1613c3d334e",
+    "d3-cycle": "cdd97f0e1d0e9c1ce5366ae168322df619a5f56ebd28ddc15659ba5a618c7f8c",
 }
 
 
@@ -357,6 +365,65 @@ def test_exact_solve_is_bit_identical_to_recorded_values():
         text = "\n".join((repr(res.value), dump_stream(res.stream), repr(res.cutset)))
         digests[name] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == GOLDEN_EXACT
+
+
+CANCEL_NETWORKS = [("unit_square", unit_square_domain(), n) for n in (3, 4, 6, 8)] + [
+    ("unit_box_d3", unit_box_domain(3), n) for n in (2, 3, 4)
+]
+
+
+def _divergence(net, flow):
+    div = [0] * len(net.adj)
+    for k, s in enumerate(flow):
+        div[net.head[2 * k + 1]] += s
+        div[net.head[2 * k]] -= s
+    return div
+
+
+def _acyclic(net, flow):
+    """Whether the arcs of positive flow admit a topological order (Kahn)."""
+    arcs = [(net.head[2 * k + 1], net.head[2 * k]) if s > 0 else (net.head[2 * k], net.head[2 * k + 1])
+            for k, s in enumerate(flow) if s]
+    indegree = [0] * len(net.adj)
+    out = [[] for _ in net.adj]
+    for u, v in arcs:
+        out[u].append(v)
+        indegree[v] += 1
+    ready = [v for v, k in enumerate(indegree) if k == 0]
+    ordered = 0
+    while ready:
+        ordered += 1
+        for v in out[ready.pop()]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                ready.append(v)
+    return ordered == len(net.adj)
+
+
+@pytest.mark.parametrize("domain, spec, n", CANCEL_NETWORKS, ids=[f"{a}-n{n}" for a, _, n in CANCEL_NETWORKS])
+def test_cancel_cycles_on_dense_random_flows(domain, spec, n):
+    """Every edge of the network carries a random flow in [-1000, 1000], as
+    an int or over 7: the cancelled flow is the restarted search's, values
+    and dict order, keeps every divergence, shrinks each |s(e)| without
+    flipping its sign, and leaves no directed cycle."""
+    L = discretize_domain(spec, n)
+    net = FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2)
+    rng = random.Random(f"{domain}-{n}")
+    cancelled = 0
+    for trial in range(30):
+        before = [rng.randint(-1000, 1000) for _ in net.edges]
+        if trial % 2:
+            before = [Fraction(x, 7) for x in before]
+        ref = Stream(L.d, L.n, {e: s for e, s in zip(net.edges, before) if s})
+        oracles.cancel_cycles_by_restarts(ref)
+        flow = list(before)
+        _cancel_cycles(net.adj, net.head, flow)
+        assert list({e: s for e, s in zip(net.edges, flow) if s}.items()) == list(ref.values.items())
+        assert _divergence(net, flow) == _divergence(net, before)
+        assert all(s == 0 or (0 < s <= b if b > 0 else b <= s < 0) for s, b in zip(flow, before))
+        assert _acyclic(net, flow)
+        cancelled += flow != before
+    assert cancelled  # the walk met cycles on this network
 
 
 def _mixed_capacities(rng, edges):

@@ -1,14 +1,21 @@
 """Reproducible i.i.d. edge capacities from bounded-support distributions.
 
 Per-edge values come from a counter-based hash of (seed, edge coordinates),
-so the result never depends on iteration order or thread count.  A sample is
-an integer numerator over one denominator D fixed by the law: exact mode
-reads it as the Fraction x / D, float mode rounds it once, by the int true
-division x / D, into an IEEE double.  Both modes draw the same 64-bit word
-per edge, so discrete distributions sample identically in either mode.
+so the result never depends on iteration order or thread count.  An
+``EdgeHasher`` does the seed-free part of that hash once per edge list (the
+lattice line of each edge, each edge's last word packed into a 128-bit lane
+of one int) and then hashes every edge at once per seed with whole-int
+operations on the lanes; the tau and tail trials build one per network and
+share it across trials and threads.  A sample is an integer numerator over
+one denominator D fixed by the law: exact mode reads it as the Fraction
+x / D, float mode rounds it once, by the int true division x / D, into an
+IEEE double.  Both modes draw the same 64-bit word per edge, so discrete
+distributions sample identically in either mode.
 """
 
 import math
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,27 +44,72 @@ def mix64(*words) -> int:
     return h
 
 
-def edge_words(seed, edges) -> list:
-    """``mix64(seed, axis + 1, x_1 + 2^31, ..., x_d + 2^31)`` for each EdgeId,
-    in order (the offset hashes negative coordinates apart from positive
-    ones).  The edges of one lattice line share every word but the last
-    coordinate, so the state after those words is computed once per line;
-    each edge then mixes its last coordinate and the finalizer only."""
-    line_state = {}
-    out = []
-    append, get = out.append, line_state.get
-    for x, axis in edges:
-        head = x[:-1]
-        h = get((axis, head))
-        if h is None:
-            h = line_state[axis, head] = _absorb(START, (seed, axis + 1, *[c + OFFSET for c in head]))
-        h = (h ^ ((x[-1] + OFFSET) & MASK64)) * 0xBF58476D1CE4E5B9 & MASK64
-        h ^= h >> 27
-        h = h * 0x94D049BB133111EB & MASK64
+class EdgeHasher:
+    """``mix64(seed, axis + 1, x_1 + 2^31, ..., x_d + 2^31)`` for each EdgeId
+    of a fixed edge list, in order (the offset hashes negative coordinates
+    apart from positive ones), for any seed.
+
+    The edges of one lattice line share every word but the last coordinate.
+    Built once per edge list: the line of each edge, each line's words, and
+    each edge's last word in the low half of its own 128-bit lane of one
+    int.  ``words(seed)`` mixes the seed and the words of each line once,
+    then runs the last word's splitmix64 round and the finalizer on every
+    lane at once as whole-int operations.  A lane's high half takes the
+    carries of each multiply and the bits a right shift brings in from the
+    next lane; masking it off (``& lanes``) after each multiply and before
+    each one keeps every lane's low half the 64-bit arithmetic of one edge.
+    ``words`` writes no state, so one hasher serves every thread."""
+
+    def __init__(self, edges):
+        self.edges = list(edges)
+        line_index = {}
+        self._lines = []
+        self._line_of = []
+        for x, axis in self.edges:
+            head = x[:-1]
+            k = line_index.get((axis, head))
+            if k is None:
+                k = line_index[axis, head] = len(self._lines)
+                self._lines.append((axis + 1, *[c + OFFSET for c in head]))
+            self._line_of.append(k)
+        self._last = _pack([(x[-1] + OFFSET) & MASK64 for x, _ in self.edges])
+        self._lanes = _pack([MASK64] * len(self.edges))
+
+    def words(self, seed) -> list:
+        """The 64-bit words of the edges for this seed, in order."""
+        h0 = _absorb(START, (seed,))
+        states = [_absorb(h0, line) for line in self._lines]
+        lanes = self._lanes
+        h = _pack(list(map(states.__getitem__, self._line_of))) ^ self._last
+        h = h * 0xBF58476D1CE4E5B9 & lanes
+        h = (h ^ (h >> 27)) & lanes
+        h = h * 0x94D049BB133111EB & lanes
         h ^= h >> 31
-        h = (h ^ (h >> 33)) * 0xFF51AFD7ED558CCD & MASK64
-        append(h ^ (h >> 33))
-    return out
+        h = (h ^ (h >> 33)) & lanes
+        h = h * 0xFF51AFD7ED558CCD & lanes
+        return _unpack(h ^ (h >> 33), len(self.edges))
+
+
+def _pack(values) -> int:
+    """The int whose 128-bit lane k holds values[k] (each below 2^64)."""
+    lanes = array("Q", bytes(16 * len(values)))
+    lanes[0::2] = array("Q", values)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
+
+
+def _unpack(h, m) -> list:
+    """The low 64 bits of each of the m 128-bit lanes of h, in order."""
+    lanes = array("Q", h.to_bytes(16 * m, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes[0::2].tolist()
+
+
+def edge_words(seed, edges) -> list:
+    """``EdgeHasher(edges).words(seed)``: the word of each edge, in order."""
+    return EdgeHasher(edges).words(seed)
 
 
 def derive_seed(master, *tags) -> int:
@@ -229,11 +281,11 @@ def sample_capacities(edges, dist: CapacityDistribution, seed: int, exact=True) 
     return Capacities(values=vals, dist=dist, seed=seed)
 
 
-def sample_numerators(edges, dist: CapacityDistribution, seed: int):
-    """(nums, D): the samples of ``sample_capacities`` on the edge list, in
-    order, each as its exact numerator over the law's denominator D."""
+def sample_numerators(hasher: EdgeHasher, dist: CapacityDistribution, seed: int):
+    """(nums, D): the samples of ``sample_capacities`` on the hasher's edges,
+    in order, each as its exact numerator over the law's denominator D."""
     D, draw = dist.scaled_sampler()
-    return list(map(draw, edge_words(seed, edges))), D
+    return list(map(draw, hasher.words(seed))), D
 
 
 def region_edges(region, n, d=None):

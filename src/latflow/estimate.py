@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .capacities import CapacityDistribution, derive_seed, sample_capacities, sample_numerators
+from .capacities import CapacityDistribution, EdgeHasher, derive_seed, sample_capacities, sample_numerators
 from .geometry import EdgeId, box_volume, unit_cube
 from .measure import CubeGrid, DistanceOptions, VectorMeasure, cube_key, overlap_volume
 from .reconnect import cube_box
@@ -634,16 +634,17 @@ class FlowConstantPoint:
 def straight_tau_sampler(d, side, h, axis, dist: CapacityDistribution, exact=True):
     """seed -> tau(A, h) for one capacity sample on the two-sided straight
     cylinder over A = straight_base(d, side, axis), at scale 1.  The flow
-    network is built once, when the sampler is made; a call samples the
-    network's edges only, as integer numerators over one denominator, and
-    computes the flow value from them."""
+    network and the hasher of its edges are built once, when the sampler is
+    made; a call samples the network's edges only, as integer numerators
+    over one denominator, and computes the flow value from them."""
     from .maxflow import tau_network
 
     v = tuple(1 if j == axis else 0 for j in range(d))
     network = tau_network(straight_base(d, side, axis), h, n=1, v=v)
+    hasher = EdgeHasher(network.edges)
 
     def tau(seed):
-        return network.sample_value(*sample_numerators(network.edges, dist, seed), exact)
+        return network.sample_value(*sample_numerators(hasher, dist, seed), exact)
 
     return tau
 
@@ -672,14 +673,15 @@ def tail_probability(lams, n, trials, dist: CapacityDistribution, seed, L, threa
 
     Each trial is sampled and solved once and its flow value compared against
     every threshold, so the counts are nested by construction.  One network
-    serves every trial, on any thread; a trial samples the network's edges
-    only."""
+    and one hasher of its edges serve every trial, on any thread; a trial
+    samples the network's edges only."""
     from .maxflow import FlowNetwork
 
     network = FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2)
+    hasher = EdgeHasher(network.edges)
 
     def one(trial):
-        nums, D = sample_numerators(network.edges, dist, derive_seed(seed, trial))
+        nums, D = sample_numerators(hasher, dist, derive_seed(seed, trial))
         return network.sample_value(nums, D, exact=False)
 
     values = _run_trials(one, trials, threads)

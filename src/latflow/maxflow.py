@@ -181,8 +181,9 @@ class FlowNetwork:
 
     def sample_value(self, nums, D, exact):
         """``value`` of one capacity sample of ``edges`` given as its
-        numerators nums over the law's denominator D (``sample_numerators``),
-        equal in value and type to ``value(sample_capacities(...))``.  In
+        numerators nums over the law's denominator D (``sample_numerators``
+        with an ``EdgeHasher`` of ``edges``), equal in value and type to
+        ``value(sample_capacities(...))``.  In
         exact mode the ints run as they are, and no Fraction is built per
         edge; in float mode each capacity is first rounded once to the float
         x / D, as the float sample is, so the flow is that of the floats."""

@@ -1,9 +1,12 @@
+import hashlib
+from array import array
 from fractions import Fraction
 
 import pytest
 
 from latflow.capacities import (
     CapacityDistribution,
+    EdgeHasher,
     derive_seed,
     dump_capacities,
     edge_words,
@@ -157,7 +160,7 @@ def test_sampler_matches_the_per_word_formula_bit_for_bit(dist):
 
 
 def edge_word(seed, edge):
-    """The per-edge hash that ``edge_words`` computes a line at a time."""
+    """The per-edge hash that ``EdgeHasher.words`` computes for all edges at once."""
     return mix64(seed, edge.axis + 1, *[c + (1 << 31) for c in edge.x])
 
 
@@ -176,6 +179,74 @@ def test_edge_words_equal_the_per_edge_hash_in_order(d):
     assert edge_words(5, []) == []
 
 
+def test_lanes_are_64_bit_words():
+    assert array("Q").itemsize == 8
+
+
+def test_one_hasher_gives_the_per_edge_hash_for_every_seed():
+    import random
+
+    rng = random.Random(15)
+    # last coordinates -2^31 and 2^64 - 1 - 2^31 hash the last words 0 and 2^64 - 1
+    extremes = [-(1 << 31), (1 << 64) - 1 - (1 << 31)]
+    for d in (1, 2, 3):
+        edges = [EdgeId(tuple(rng.randint(-3, 3) for _ in range(d)), rng.randrange(d)) for _ in range(300)]
+        edges += [EdgeId((*e.x[:-1], c), e.axis) for e in edges[:20] for c in extremes]
+        rng.shuffle(edges)
+        for hasher in (EdgeHasher(edges), EdgeHasher(edges[:1]), EdgeHasher([])):
+            for seed in (0, 1, 7, (1 << 64) - 1, 1 << 64, (1 << 70) + 3, *[rng.getrandbits(64) for _ in range(12)]):
+                assert hasher.words(seed) == [edge_word(seed, e) for e in hasher.edges], (d, seed)
+
+
+def test_one_hasher_shared_by_threads_gives_each_seed_its_words():
+    import sys
+    import threading
+
+    hasher = EdgeHasher(discretize_domain(unit_square_domain(), 8).edges)
+    seeds = range(6)
+    serial = [hasher.words(seed) for seed in seeds]
+    results = [[] for _ in seeds]
+
+    def work(w):
+        for _ in range(40):
+            results[w].append(hasher.words(seeds[w]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between nearly every bytecode
+    try:
+        workers = [threading.Thread(target=work, args=(w,)) for w in range(len(seeds))]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in workers)
+    assert results == [[words] * 40 for words in serial]
+
+
+# SHA-256 of the decimal words, one a line, of the unit-square n=24 edges and
+# then the d=3 tau network's edges, each for seeds 0, 1 and 2^64 - 1: recorded
+# with the per-line hash the lanes replaced
+GOLDEN_WORDS = "08e045636507b1d904f5a43d3e0a234660d4bfb3feb806cc9eb793503430742a"
+
+
+def test_edge_words_are_bit_identical_to_recorded_words():
+    from latflow.estimate import straight_base
+    from latflow.maxflow import tau_network
+
+    square = discretize_domain(unit_square_domain(), 24).edges
+    tau = tau_network(straight_base(3, 4, 2), 4, 1, (0, 0, 1)).edges
+    assert (len(square), len(tau)) == (1200, 152)
+    words = []
+    for edges in (square, tau):
+        hasher = EdgeHasher(edges)
+        for seed in (0, 1, (1 << 64) - 1):
+            words += hasher.words(seed)
+            assert words[-len(edges):] == edge_words(seed, edges)
+    assert hashlib.sha256("\n".join(map(str, words)).encode()).hexdigest() == GOLDEN_WORDS
+
+
 SAMPLED_LAWS = [
     CapacityDistribution.constant(Fraction(2, 3)),
     CapacityDistribution.bernoulli(Fraction(1, 7), 2, Fraction(1, 2)),
@@ -188,7 +259,7 @@ SAMPLED_LAWS = [
 def test_sample_numerators_are_the_samples_over_one_denominator(dist):
     L = discretize_domain(unit_square_domain(), 4)
     edges = list(reversed(L.edges))
-    nums, D = sample_numerators(edges, dist, 21)
+    nums, D = sample_numerators(EdgeHasher(edges), dist, 21)
     assert len(nums) == len(edges) and all(type(x) is int for x in nums)
     exact = sample_capacities(edges, dist, 21, exact=True)
     flt = sample_capacities(edges, dist, 21, exact=False)

@@ -281,6 +281,29 @@ def test_tail_probability_solves_each_trial_once_for_all_lams(monkeypatch):
         assert p == s / 200 and ci == wilson_interval(s, 200)
 
 
+def test_one_edge_hasher_per_network(monkeypatch):
+    import latflow.estimate
+    from latflow.capacities import EdgeHasher
+
+    built = []
+
+    class Counting(EdgeHasher):
+        def __init__(self, edges):
+            built.append(1)
+            super().__init__(edges)
+
+    monkeypatch.setattr(latflow.estimate, "EdgeHasher", Counting)
+    dist = CapacityDistribution.uniform(0, 1)
+    for trials, threads in ((1, 1), (6, 1), (6, 3)):
+        built.clear()
+        estimate_flow_constant(dist, 1, [2, 3, 4], lambda n: n, trials=trials, seed=1, d=2, threads=threads)
+        assert len(built) == 3
+        built.clear()
+        tail_probability([0, 1], 3, trials, dist, seed=2, L=discretize_domain(unit_square_domain(), 3),
+                         threads=threads)
+        assert len(built) == 1
+
+
 def test_determinism_across_threads():
     dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
     a = estimate_rate(Fraction(1, 2), (1, 0), 0.5, 2, 24, dist, seed=7, threads=1)

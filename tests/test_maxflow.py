@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from latflow.capacities import CapacityDistribution, region_edges, sample_capacities, sample_numerators
+from latflow.capacities import CapacityDistribution, EdgeHasher, region_edges, sample_capacities, sample_numerators
 from latflow.geometry import (
     Cylinder, DomainSpec, Region, box, discretize_domain, inner_edges, unit_box_domain, unit_square_domain,
 )
@@ -519,9 +519,10 @@ def _sampled_networks():
 def test_sample_value_is_the_value_of_the_sampled_capacities(name):
     network = dict(_sampled_networks())[name]
     assert (network.dual is None) == (name == "tau-d3")
+    hasher = EdgeHasher(network.edges)
     for law in SAMPLED_LAWS:
         for seed in range(3):
-            nums, D = sample_numerators(network.edges, law, seed)
+            nums, D = sample_numerators(hasher, law, seed)
             for exact in (True, False):
                 got = network.sample_value(nums, D, exact)
                 want = network.value(sample_capacities(network.edges, law, seed, exact=exact))
@@ -545,9 +546,10 @@ def test_float_sample_value_solves_the_rounded_samples():
     # rounded: the two differ on some of these seeds
     network = _network(discretize_domain(unit_square_domain(), 8))
     law = CapacityDistribution.uniform(0, 1)
+    hasher = EdgeHasher(network.edges)
     differ = 0
     for seed in range(40):
-        nums, D = sample_numerators(network.edges, law, seed)
+        nums, D = sample_numerators(hasher, law, seed)
         got = network.sample_value(nums, D, exact=False)
         assert got == network.value(sample_capacities(network.edges, law, seed, exact=False)), seed
         differ += got != float(network.sample_value(nums, D, exact=True))
@@ -642,10 +644,10 @@ def test_tau_sampler_samples_the_network_edges_only(d, monkeypatch):
 
     sampled = []
 
-    def recording(edges, *args, **kwargs):
-        nums, D = sample_numerators(edges, *args, **kwargs)
-        assert len(nums) == len(edges)
-        sampled.append(set(edges))
+    def recording(hasher, *args, **kwargs):
+        nums, D = sample_numerators(hasher, *args, **kwargs)
+        assert len(nums) == len(hasher.edges)
+        sampled.append(set(hasher.edges))
         return nums, D
 
     monkeypatch.setattr(latflow.estimate, "sample_numerators", recording)

@@ -1,69 +1,42 @@
 """latflow: lattice max-flow streams, mixing constructions, the dyadic
-vector-measure distance, and Monte Carlo rate-function estimation."""
+vector-measure distance, and Monte Carlo rate-function estimation.
+
+``import latflow`` loads no submodule: each name below is imported from its
+module on first use (PEP 562), so a process compiles only what it runs."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    DomainSpec,
-    EdgeId,
-    LatticeDomain,
-    Region,
-    boundary_edge_set,
-    cube_face,
-    cylinder_sets,
-    discretize_domain,
-    dump_vertex_set,
-    face_partition,
-    frac,
-    sparse_edge_set,
-    unit_box_domain,
-    unit_cube,
-    unit_square_domain,
-)
-from .capacities import Capacities, CapacityDistribution, derive_seed, sample_capacities
-from .stream import (
-    Stream,
-    admissibility_region_report,
-    admissibility_report,
-    constant_stream,
-    discretize_field,
-    divergence_at,
-    dump_stream,
-    face_flux,
-    flow_value,
-    load_stream,
-    rescale_stream,
-    vector_measure,
-)
-from .maxflow import MaxFlowResult, cylinder_flow_tau, cylinder_flow_top_bottom, max_flow
-from .reconnect import (
-    balance_faces,
-    decompose,
-    glue_adjacent,
-    is_well_behaved,
-    mix,
-    mix2d,
-    mix_precise,
-    mix_sparse,
-    quantize,
-)
-from .measure import (
-    DistanceBracket,
-    DistanceOptions,
-    VectorMeasure,
-    adaptive_options,
-    box_mass,
-    distance,
-    restrict,
-)
-from .continuous import ContinuousField, check_divergence_free, flow_cont, mollify, rate_integral
-from .estimate import (
-    RateEstimate,
-    convexity_check,
-    estimate_flow_constant,
-    estimate_rate,
-    min_distance,
-    rate_upper_bound,
-    tail_probability,
-    wilson_interval,
-)
+_EXPORTS = {
+    "geometry": "DomainSpec EdgeId LatticeDomain Region boundary_edge_set cube_face "
+                "cylinder_sets discretize_domain dump_vertex_set face_partition frac "
+                "sparse_edge_set unit_box_domain unit_cube unit_square_domain",
+    "capacities": "Capacities CapacityDistribution derive_seed sample_capacities",
+    "stream": "Stream admissibility_region_report admissibility_report constant_stream "
+              "discretize_field divergence_at dump_stream face_flux flow_value load_stream "
+              "rescale_stream vector_measure",
+    "maxflow": "MaxFlowResult cylinder_flow_tau cylinder_flow_top_bottom max_flow",
+    "reconnect": "balance_faces decompose glue_adjacent is_well_behaved mix mix2d "
+                 "mix_precise mix_sparse quantize",
+    "measure": "DistanceBracket DistanceOptions VectorMeasure adaptive_options box_mass "
+               "distance restrict",
+    "continuous": "ContinuousField check_divergence_free flow_cont mollify rate_integral",
+    "estimate": "RateEstimate convexity_check estimate_flow_constant estimate_rate "
+                "min_distance rate_upper_bound tail_probability wilson_interval",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule not imported yet
+        return importlib.import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

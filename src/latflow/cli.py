@@ -16,11 +16,8 @@ from itertools import product
 import yaml
 
 from . import __version__
-from .capacities import CapacityDistribution, sample_capacities
 from .geometry import DomainSpec, discretize_domain, frac, unit_box_domain, unit_square_domain
-from .maxflow import max_flow
 from .measure import DistanceOptions, distance, from_json
-from .stream import admissibility_report, dump_stream, load_stream
 
 
 class ConfigError(Exception):
@@ -91,6 +88,8 @@ def _as_real(v, path):
 
 
 def parse_distribution(cfg, path="dist"):
+    from .capacities import CapacityDistribution
+
     kind = _need(cfg, "kind", path)
     try:
         if kind == "constant":
@@ -225,6 +224,10 @@ def cmd_maxflow(cfg, args):
     domain = parse_domain(_need(sub, "domain", "maxflow"), "maxflow.domain")
     n = _as_int(_need(sub, "n", "maxflow"), "maxflow.n", minimum=1)
     dist = parse_distribution(_need(sub, "dist", "maxflow"), "maxflow.dist")
+    from .capacities import sample_capacities
+    from .maxflow import max_flow
+    from .stream import admissibility_report, dump_stream
+
     L = discretize_domain(domain, n)
     t = sample_capacities(L, dist, seed, exact=(mode == "exact"))
     # a float is an exact dyadic rational, so the certificate is checked on
@@ -279,8 +282,10 @@ def cmd_decompose(cfg, args):
     seed, threads, out_dir, mode = _common(cfg, args)
     sub = _need(cfg, "decompose", "config")
     domain = parse_domain(_need(sub, "domain", "decompose"), "decompose.domain")
-    f = _read_file(sub, "stream", "decompose", load_stream)
     from .reconnect import decompose, recompose
+    from .stream import load_stream
+
+    f = _read_file(sub, "stream", "decompose", load_stream)
 
     L = discretize_domain(domain, f.n)
     try:
@@ -317,6 +322,7 @@ def cmd_mix_demo(cfg, args):
     kind = sub.get("kind", "mix2d")
     M = _as_frac(sub.get("M", 1), "mix_demo.M")
     from . import reconnect
+    from .stream import dump_stream
 
     if kind == "mix2d":
         build, build_args = reconnect.mix2d, (_mix_values(sub, "inputs"), M)

@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from .capacities import CapacityDistribution, EdgeHasher, derive_seed, sample_capacities, sample_numerators
 from .geometry import EdgeId, box_volume, unit_cube
-from .measure import CubeGrid, DistanceOptions, VectorMeasure, cube_key, overlap_volume
-from .reconnect import cube_box
+from .measure import CubeGrid, DistanceOptions, VectorMeasure
 from .stream import Stream
 
 
@@ -92,6 +91,8 @@ class CubeSpace:
 
         import numpy as np
 
+        from .reconnect import cube_box
+
         self.d, self.n = d, n
 
         if region is None:
@@ -145,14 +146,15 @@ def _cube_cells(space: CubeSpace, target: VectorMeasure, opts: DistanceOptions):
     mids = [e.midpoint(n) for e in space.edges]
     grid = CubeGrid(d, opts, [c for p in mids for c in p]
                     + [c for p, _ in target.atoms for c in p])
-    mids = [tuple(map(grid.scale, p)) for p in mids]
-    atoms = [(tuple(map(grid.scale, p)), np.array([float(c) for c in w]))
-             for p, w in target.atoms]
-    # (float box, float value, |value|, volume) per density cell
-    cells = [(tuple((float(lo), float(hi)) for lo, hi in b), [float(c) for c in v],
-              math.sqrt(sum(float(c) ** 2 for c in v)), float(box_volume(b)))
-             for b, v in target.densities]
-    ne = len(mids)
+    mids = grid.columns(mids)
+    atoms = (grid.columns([p for p, _ in target.atoms]),
+             [[float(c) for c in w] for _, w in target.atoms])
+    fboxes = [tuple((float(lo), float(hi)) for lo, hi in b) for b, _ in target.densities]
+    fvals = [[float(c) for c in v] for _, v in target.densities]
+    # (|value|, volume) of each density cell
+    bulk = [(math.sqrt(sum(float(c) ** 2 for c in v)), float(box_volume(b)))
+            for b, v in target.densities]
+    ne = len(space.edges)
     slot_rows = []
     b_rows = []
     block_point, block_weight, block_slots = [], [], []
@@ -162,31 +164,17 @@ def _cube_cells(space: CubeSpace, target: VectorMeasure, opts: DistanceOptions):
         X, sides = grid.levels(xs, lam)
         for k, S in enumerate(sides):
             idx_of = {}
-            slots = np.empty(ne, dtype=np.int64)
-            for i, p in enumerate(mids):
-                slots[i] = idx_of.setdefault(cube_key(p, X, S), len(idx_of))
+            slots = np.fromiter((idx_of.setdefault(key, len(idx_of))
+                                 for key in grid.keys(mids, X, S)), dtype=np.int64, count=ne)
             nb = len(idx_of)
-            b = np.zeros((nb, d))
+            atom_mass = grid.atom_masses(atoms, X, S)
+            masses, covered = grid.cube_masses(X, S, list(idx_of), atom_mass, fboxes, fvals)
+            b = np.array(masses).reshape(nb, d)
             const = 0.0
-            leftover = {}
-            for p, w in atoms:
-                key = cube_key(p, X, S)
-                if key in idx_of:
-                    b[idx_of[key]] += w
-                else:
-                    acc = leftover.setdefault(key, np.zeros(d))
-                    acc += w
-            for acc in leftover.values():
-                const += float(np.linalg.norm(acc))
-            covered = [0.0] * len(cells)
-            for key, slot in idx_of.items():
-                bounds = grid.bounds(X, S, key)
-                for ci, (fbox, fval, _, _) in enumerate(cells):
-                    vol = overlap_volume(bounds, fbox)
-                    if vol > 0:
-                        covered[ci] += vol
-                        b[slot] += np.array([c * vol for c in fval])
-            for (_, _, vnorm, volume), cov in zip(cells, covered):
+            for key, acc in atom_mass.items():
+                if key not in idx_of:
+                    const += float(np.linalg.norm(acc))
+            for (vnorm, volume), cov in zip(bulk, covered):
                 const += vnorm * max(volume - cov, 0.0)
             slot_rows.append(slots + base)
             b_rows.append(b)

@@ -70,19 +70,12 @@ class VectorMeasure:
         )
 
     def support_bounds(self):
-        los = [None] * self.d
-        his = [None] * self.d
-        for p, _ in self.atoms:
-            for j, c in enumerate(p):
-                los[j] = c if los[j] is None else min(los[j], c)
-                his[j] = c if his[j] is None else max(his[j], c)
-        for b, _ in self.densities:
-            for j, (lo, hi) in enumerate(b):
-                los[j] = lo if los[j] is None else min(los[j], lo)
-                his[j] = hi if his[j] is None else max(his[j], hi)
-        if any(lo is None for lo in los):
+        """Per-axis (min, max) over the atoms and density boxes, None when
+        there are neither."""
+        spans = [tuple((c, c) for c in p) for p, _ in self.atoms] + [b for b, _ in self.densities]
+        if not spans:
             return None
-        return list(zip(los, his))
+        return [(min(b[j][0] for b in spans), max(b[j][1] for b in spans)) for j in range(self.d)]
 
 
 def _open_overlap(a, b):
@@ -219,15 +212,21 @@ def _pair_geometry(a, b):
 
 
 class CubeGrid:
-    """The (shift, lambda, level) evaluation grid of ``opts`` in integer form.
+    """The (shift, lambda, level) evaluation grid of ``opts`` in integer form,
+    and the one kernel that puts points into its cubes.
 
     Every coordinate the grid meets -- the given ones, the shifts and the
     side lam/2^k of every level -- is scaled by one common denominator D.
     The cube of side S shifted by X that holds P is then
     (2(P - X) + S) // 2S, and a cube bound turns into a float by one exact
-    int true division, which rounds correctly and so equals float() of the
-    rational bound.  D takes the denominator of each lam/2^k itself:
-    lcm(lambda denominators, 2^k_max) misses 5/4 * 2^-12 = 5/16384.
+    int true division, (2X + (2z +- 1)S) / 2D for the cube z, which rounds
+    correctly and so equals float() of the rational bound.  D takes the
+    denominator of each lam/2^k itself: lcm(lambda denominators, 2^k_max)
+    misses 5/4 * 2^-12 = 5/16384.
+
+    The kernel works axis by axis: points are stored by column, the cube
+    index of each distinct coordinate is found once per axis, and a cube's
+    overlap with a cell is the product of its per-axis segments.
     """
 
     def __init__(self, d, opts, coords):
@@ -248,33 +247,69 @@ class CubeGrid:
         sides = [self.scale(Fraction(lam) / 2**k) for k in range(self.k_max + 1)]
         return tuple(map(self.scale, xs)), sides
 
-    def bounds(self, X, S, key):
-        """Float (lo, hi) per axis of the cube with index ``key``."""
+    def columns(self, points):
+        """The rational points by axis: per axis, the distinct scaled
+        coordinates and the position of each point's coordinate among them."""
+        cols = []
+        for col in zip(*points):
+            col = [self.scale(c) for c in col]
+            values = sorted(set(col))
+            at = {v: i for i, v in enumerate(values)}
+            cols.append((values, [at[v] for v in col]))
+        return cols
+
+    def keys(self, cols, X, S):
+        """The index of the cube of side S shifted by X holding each point of
+        ``cols`` (``columns``), in point order."""
+        index = [[_locate(v, x, S)[0] for v in values] for (values, _), x in zip(cols, X)]
+        return zip(*[map(ix.__getitem__, pos) for ix, (_, pos) in zip(index, cols)])
+
+    def atom_masses(self, atoms, X, S):
+        """cube index -> summed float weight of the atoms it holds, in the
+        order the cubes are first met; ``atoms`` is (``columns``, weights)."""
+        cols, weights = atoms
+        zero, out = [0.0] * len(cols), {}
+        for key, w in zip(self.keys(cols, X, S), weights):
+            out[key] = [a + c for a, c in zip(out.get(key, zero), w)]
+        return out
+
+    def cube_masses(self, X, S, cubes, atom_mass, fboxes, fvals):
+        """The float mass of each cube of the list ``cubes`` (its entry of
+        ``atom_mass`` plus value * overlap of each density cell), in order,
+        and the volume of each cell (``fboxes``, ``fvals``) they cover.  An
+        overlap is the product in axis order, from 1.0, of the cube's float
+        bounds clipped to the cell, each found once per (cell, axis, index),
+        and zero at the first segment <= 0."""
         den = 2 * self.D
-        return [((2 * x + (2 * z - 1) * S) / den, (2 * x + (2 * z + 1) * S) / den)
-                for x, z in zip(X, key)]
+        used = [set(col) for col in zip(*cubes)]
+        # per cell and axis: index -> positive segment
+        segs = [[{z: s for z in zs
+                  if (s := min((2 * x + (2 * z + 1) * S) / den, hi)
+                      - max((2 * x + (2 * z - 1) * S) / den, lo)) > 0}
+                 for zs, x, (lo, hi) in zip(used, X, box)] for box in fboxes]
+        zero = [0.0] * len(X)
+        covered = [0.0] * len(fboxes)
+        masses = []
+        for key in cubes:
+            mass = atom_mass.get(key, zero)
+            for ci, seg_i in enumerate(segs):
+                vol = 1.0
+                for s in map(dict.get, seg_i, key):
+                    if s is None:
+                        break
+                    vol *= s
+                else:
+                    if vol > 0:
+                        covered[ci] += vol
+                        mass = [m + c * vol for m, c in zip(mass, fvals[ci])]
+            masses.append(mass)
+        return masses, covered
 
 
 def _locate(p, x, s):
     """(z, r): scaled coordinate p lies in the cube z of side s shifted by x,
     on its lower face exactly when r == 0."""
     return divmod(2 * (p - x) + s, 2 * s)
-
-
-def cube_key(P, X, S):
-    """Index of the cube of side S shifted by X holding the scaled point P."""
-    return tuple(_locate(p, x, S)[0] for p, x in zip(P, X))
-
-
-def overlap_volume(bounds, box):
-    """Float volume shared by a cube and a box, both given as float bounds."""
-    vol = 1.0
-    for (ql, qh), (lo, hi) in zip(bounds, box):
-        seg = min(qh, hi) - max(ql, lo)
-        if seg <= 0:
-            return 0.0
-        vol *= seg
-    return vol
 
 
 class _Cells:
@@ -308,8 +343,8 @@ class _Cells:
 def _level_sum(atoms, cells, X, S, grid, budget):
     """sum_Q ||h(Q + x)||_2 at one cube size for the signed difference measure.
 
-    ``cells`` is a ``_Cells``; atom coordinates, the shift X and the side S
-    are scaled ints of ``grid``.
+    ``atoms`` is (``grid.columns``, float weights) and ``cells`` a ``_Cells``;
+    the shift X and the side S are scaled ints of ``grid``.
     Per-cube masses are exact where cubes can mix sources (atom cubes, cubes
     bridging a gap no wider than s, cubes around corner contacts, the impure
     ends of face strips); cubes crossing a conflicting shared face in the
@@ -354,14 +389,10 @@ def _level_sum(atoms, cells, X, S, grid, budget):
                 changed = True
     face_pairs = [fp for fp in cells.faces if fp[0] not in enum_cells]
 
-    special_idx = set()
-    atom_mass = {}
-    for p, w in atoms:
-        idx = cube_key(p, X, S)
-        special_idx.add(idx)
-        acc = atom_mass.setdefault(idx, [0.0] * d)
-        for j in range(d):
-            acc[j] += w[j]
+    atom_mass = grid.atom_masses(atoms, X, S)
+    # filled key by key, not presized as from a dict: the set's order is the
+    # order of the float sum below
+    special_idx = set(iter(atom_mass))
 
     count_guard = 0
     for b in [cells.boxes[i] for i in enum_cells] + cells.contacts:
@@ -403,7 +434,9 @@ def _level_sum(atoms, cells, X, S, grid, budget):
             add_impure(ov_t)
         else:
             for pos in range(len(trans_axes)):
-                bad = [z for z in ov_t[pos] if z not in fr_t[pos]]
+                # the full range, when not empty, lies inside the overlap range
+                ov, fr = ov_t[pos], fr_t[pos]
+                bad = [*range(ov.start, fr.start), *range(fr.stop, ov.stop)] if fr else ov
                 if bad:
                     add_impure(fr_t[:pos] + [bad] + ov_t[pos + 1:])
         if pure_count:
@@ -414,18 +447,11 @@ def _level_sum(atoms, cells, X, S, grid, budget):
             strips.append((i, k, pure, pure_count, mass, alpha_a, alpha_b))
 
     # uniform exact pass over the special cubes
-    covered = [0.0] * len(cells.boxes)
+    masses, covered = grid.cube_masses(X, S, list(special_idx), atom_mass,
+                                       cells.fboxes, cells.fvals)
     strip_covered = [0.0] * len(cells.boxes)
     total = 0.0
-    for idx in special_idx:
-        mass = list(atom_mass.get(idx, [0.0] * d))
-        bounds = grid.bounds(X, S, idx)
-        for ci, fbox in enumerate(cells.fboxes):
-            vol = overlap_volume(bounds, fbox)
-            if vol > 0:
-                covered[ci] += vol
-                for j in range(d):
-                    mass[j] += cells.fvals[ci][j] * vol
+    for mass in masses:
         total += sqrt(sum(c_ * c_ for c_ in mass))
 
     # strip aggregation, excluding strip cubes that are special
@@ -539,7 +565,7 @@ def distance(mu: VectorMeasure, nu: VectorMeasure, opts: DistanceOptions = None)
     atoms, cells = _difference(mu, nu)
     grid = CubeGrid(mu.d, opts, [c for p, _ in atoms for c in p]
                     + [c for b, _ in cells for iv in b for c in iv])
-    atoms = [(tuple(map(grid.scale, p)), [float(c) for c in w]) for p, w in atoms]
+    atoms = (grid.columns([p for p, _ in atoms]), [[float(c) for c in w] for _, w in atoms])
     cells = _Cells([(tuple((grid.scale(lo), grid.scale(hi)) for lo, hi in b), v)
                     for b, v in cells], grid.D)
     best = 0.0

@@ -517,13 +517,19 @@ def cube_box(d, n):
     return lo, lo + n
 
 
-def _sparse_coords(n, K):
+def _sparse_coords(n, K, d):
     """Transverse sparse levels inside the cube, kept off the extreme planes
-    so rail edges never cross a face."""
+    so rail edges never cross a face.  A sparse mix over r0 levels needs a
+    width of c_d r0, and one entered one layer inside the cube has n - 1, so
+    at most (n - 1) // c_d consecutive levels are kept, the middle ones."""
     lo, hi = cube_box(1, n)
     coords = [c for c in range(lo + 1, hi - 1) if c % K == 0]
+    keep = (n - 1) // sparse_c(d)
+    start = max(len(coords) - keep, 0) // 2
+    coords = coords[start:start + keep]
     if not coords:
-        raise ValueError("K too large: no sparse levels inside the cube")
+        raise ValueError(f"no sparse levels inside the cube: K = {K} is too large, or "
+                         f"n - 1 = {n - 1} is below c_{d} = {sparse_c(d)}")
     return coords
 
 
@@ -568,7 +574,7 @@ def _axis_sparse_mix(d, n, K, axis, entry_sign, inflow, outflow, M, interior_ent
     interior_entry the entry column starts one layer inside the cube (used
     when a transfer path delivers the water there instead of the outside).
     """
-    levels = _sparse_coords(n, K)
+    levels = _sparse_coords(n, K, d)
     level_index = {c: (a + 1) * K for a, c in enumerate(levels)}
     width = n - 1 if interior_entry else n
 
@@ -667,7 +673,7 @@ def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
     if total_minus != total_plus:
         raise ValueError("total flux mismatch between the two face families")
 
-    levels = _sparse_coords(n, K)
+    levels = _sparse_coords(n, K, d)
     level_set = set(levels)
     w = {}  # per sparse in-plane point
     pts_of = {}

@@ -372,3 +372,27 @@ def fraction_gauss_jordan(G, rhs):
     for i, c in enumerate(piv_cols):
         y[c] = A[i][m]
     return y
+
+
+def cube_key(P, X, S):
+    """Index of the cube of side S shifted by X holding the scaled point P,
+    one point at a time: the cube z spans [X + (z - 1/2) S, X + (z + 1/2) S)."""
+    return tuple((2 * (p - x) + S) // (2 * S) for p, x in zip(P, X))
+
+
+def cube_bounds(D, X, S, key):
+    """Float (lo, hi) per axis of the cube with index ``key`` of a grid with
+    common denominator D."""
+    return [((2 * x + (2 * z - 1) * S) / (2 * D), (2 * x + (2 * z + 1) * S) / (2 * D))
+            for x, z in zip(X, key)]
+
+
+def overlap_volume(bounds, box):
+    """Float volume shared by a cube and a box, both given as float bounds."""
+    vol = 1.0
+    for (ql, qh), (lo, hi) in zip(bounds, box):
+        seg = min(qh, hi) - max(ql, lo)
+        if seg <= 0:
+            return 0.0
+        vol *= seg
+    return vol

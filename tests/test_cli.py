@@ -9,6 +9,7 @@ import numpy
 import pytest
 import yaml
 
+import latflow.maxflow
 from latflow import cli
 from latflow.capacities import CapacityDistribution, sample_capacities
 from latflow.cli import main
@@ -77,8 +78,9 @@ def test_float_maxflow_with_a_cut_missing_an_edge_exits_3(tmp_path, monkeypatch)
         res = cli_max_flow(L, t)
         return dataclasses.replace(res, cutset=res.cutset[1:])
 
-    cli_max_flow = cli.max_flow
-    monkeypatch.setattr(cli, "max_flow", short_cut)
+    # cmd_maxflow imports max_flow when it runs, so it picks up the patch
+    cli_max_flow = latflow.maxflow.max_flow
+    monkeypatch.setattr(latflow.maxflow, "max_flow", short_cut)
     out = tmp_path / "out"
     assert run_cli(tmp_path, "maxflow", _float_maxflow_config(out)) == 3
     assert json.loads((out / "summary.json").read_text())["flow_equals_cut"] is False
@@ -547,3 +549,79 @@ def test_only_the_rate_solver_loads_numpy(tmp_path, cmd):
         "pyyaml": yaml.__version__,
         "numpy": numpy.__version__ if loaded else None,
     }
+
+
+# the modules each subcommand's process must not load: a process compiles
+# every module it loads, since no bytecode cache need be written
+NOT_LOADED = {
+    "distance": ("capacities", "maxflow", "stream", "estimate", "reconnect", "continuous"),
+    "tail": ("reconnect", "continuous"),
+    "tau": ("reconnect", "continuous"),
+    "flow-constant": ("reconnect", "continuous"),
+    "maxflow": ("reconnect", "continuous"),
+}
+
+
+def _latflow_modules_after(code, *argv):
+    """The latflow modules a fresh process has loaded after running code."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code += "; print(*sorted(m for m in sys.modules if m.startswith('latflow')))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("cmd", sorted(NOT_LOADED))
+def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, cmd):
+    write_inputs(tmp_path)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(tiny_config(tmp_path, cmd)))
+    rc, *loaded = _latflow_modules_after(
+        "import sys; from latflow.cli import main; print(main(sys.argv[1:]))",
+        cmd, "--config", str(path))
+    assert rc == "0"
+    assert not set(loaded) & {f"latflow.{m}" for m in NOT_LOADED[cmd]}
+    if cmd == "distance":
+        assert loaded == ["latflow", "latflow.cli", "latflow.geometry", "latflow.measure"]
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _latflow_modules_after("import sys, latflow") == ["latflow"]
+
+
+# the names latflow/__init__.py imported eagerly, by module
+PACKAGE_NAMES = {
+    "geometry": ["DomainSpec", "EdgeId", "LatticeDomain", "Region", "boundary_edge_set",
+                 "cube_face", "cylinder_sets", "discretize_domain", "dump_vertex_set",
+                 "face_partition", "frac", "sparse_edge_set", "unit_box_domain", "unit_cube",
+                 "unit_square_domain"],
+    "capacities": ["Capacities", "CapacityDistribution", "derive_seed", "sample_capacities"],
+    "stream": ["Stream", "admissibility_region_report", "admissibility_report",
+               "constant_stream", "discretize_field", "divergence_at", "dump_stream",
+               "face_flux", "flow_value", "load_stream", "rescale_stream", "vector_measure"],
+    "maxflow": ["MaxFlowResult", "cylinder_flow_tau", "cylinder_flow_top_bottom", "max_flow"],
+    "reconnect": ["balance_faces", "decompose", "glue_adjacent", "is_well_behaved", "mix",
+                  "mix2d", "mix_precise", "mix_sparse", "quantize"],
+    "measure": ["DistanceBracket", "DistanceOptions", "VectorMeasure", "adaptive_options",
+                "box_mass", "distance", "restrict"],
+    "continuous": ["ContinuousField", "check_divergence_free", "flow_cont", "mollify",
+                   "rate_integral"],
+    "estimate": ["RateEstimate", "convexity_check", "estimate_flow_constant", "estimate_rate",
+                 "min_distance", "rate_upper_bound", "tail_probability", "wilson_interval"],
+}
+
+
+def test_every_package_name_is_its_modules_object():
+    import importlib
+
+    import latflow
+
+    for module, names in PACKAGE_NAMES.items():
+        mod = importlib.import_module(f"latflow.{module}")
+        for name in names:
+            assert getattr(latflow, name) is getattr(mod, name), name
+            assert name in dir(latflow), name
+    assert sorted(latflow.__all__) == sorted(n for names in PACKAGE_NAMES.values() for n in names)
+    with pytest.raises(AttributeError):
+        latflow.no_such_name

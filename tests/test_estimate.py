@@ -471,6 +471,29 @@ def test_tables_match_the_bincount_reference_bit_for_bit(d, n, kind):
         assert repr(tables.value(s)) == repr(ref.value(s))
 
 
+@pytest.mark.parametrize("d, n, kind, digest", [
+    (2, 3, "constant", "c1625d750818fce06772b9c1d3bf16f354ad329aaff71974b1ae951da85116af"),
+    # the benchmark's rate target at its n
+    (2, 6, "constant", "94d7cc42a4b50a7ec43d21fdd4fc3df3d3533da3bda0927cd1b538da61e8e681"),
+    (2, 3, "mixed", "aca527ca1d900b97f68ec427a358e1ab38e6911f74c6f2a8db6c50c81373ec9c"),
+    (3, 2, "constant", "e55767bd7dd692c9dfa31ed485944058a45264df90b0764457084be43ecc3a7f"),
+    (3, 2, "mixed", "db45fdd49519fb022ad30e1552fbe2033b922e2ff2aa2441800f9285beef35be"),
+    (2, 4, "region", "e46f799bad12a8def350ffe51a016ecb11ece8bbcf4af364d0fd3d5fc4ae1162"),
+])
+def test_cube_cells_are_bit_identical_to_recorded_arrays(d, n, kind, digest):
+    # SHA-256 of each array's dtype, shape and bytes, recorded while
+    # _cube_cells still bucketed one point at a time (cube_key per point and
+    # overlap_volume per cube and cell)
+    from latflow.estimate import _cube_cells
+
+    space, target = _table_case(d, n, kind)
+    h = hashlib.sha256()
+    for a in _cube_cells(space, target, DistanceOptions()):
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_min_distance_reports_the_evaluations_it_made():
     d, n = 2, 3
     space = CubeSpace(d, n)

@@ -328,6 +328,61 @@ def test_plaquette_discretization_distance_decreases():
     assert uppers[0] > uppers[1] > uppers[2]
 
 
+def test_cube_kernel_matches_the_per_point_oracle():
+    # random rational points, points on a cube's lower face (r == 0) at
+    # every grid point and level, and boxes that are random, aligned with
+    # cube faces, or degenerate on one axis
+    from oracles import cube_bounds, cube_key, overlap_volume
+
+    from latflow.measure import CubeGrid
+
+    rng = random.Random(7)
+    F = Fraction
+    d = 2
+    opts = DistanceOptions(k_max=3, lambdas=(F(1), F(5, 4)), shifts=(F(0), F(1, 3)))
+    points = [tuple(F(rng.randint(-40, 40), 24) for _ in range(d)) for _ in range(60)]
+    faces = []
+    for lam in opts.lambdas:
+        for k in range(opts.k_max + 1):
+            side = lam / 2**k
+            for x in opts.shifts:
+                z = rng.randint(-3, 3)
+                faces.append((tuple(x + (z - F(1, 2)) * side for _ in range(d)), z))
+    points += [p for p, _ in faces]
+    grid = CubeGrid(d, opts, [c for p in points for c in p])
+    cols = grid.columns(points)
+    boxes = [tuple(sorted((rng.uniform(-2, 2), rng.uniform(-2, 2))) for _ in range(d))
+             for _ in range(4)]
+    boxes.append(((0.0, 0.5), (0.25, 0.25)))  # degenerate on axis 1
+    boxes.append(((-0.625, 0.625), (-1.25, 1.25)))  # faces of the lam = 5/4 cubes
+    on_face, met = 0, set()
+    for xs, lam in grid.points:
+        X, sides = grid.levels(xs, lam)
+        for S in sides:
+            scaled = [tuple(map(grid.scale, p)) for p in points]
+            keys = list(grid.keys(cols, X, S))
+            assert keys == [cube_key(P, X, S) for P in scaled]
+            for (p, z), key in zip(faces, keys[-len(faces):]):
+                if all(grid.scale(c) == x + z * S - S // 2 for c, x in zip(p, X)):
+                    assert key == (z,) * d
+                    on_face += 1
+            # a unit value per box makes each cube's mass its overlap volume
+            cubes = sorted(set(keys) | {tuple(z + 1 for z in key) for key in keys})
+            for i, box in enumerate(boxes):
+                masses, covered = grid.cube_masses(X, S, cubes, {}, [box], [[1.0] * d])
+                want = [overlap_volume(cube_bounds(grid.D, X, S, key), box) for key in cubes]
+                assert [repr(m) for m in masses] == [repr([v, v]) for v in want]
+                total = 0.0
+                for v in want:
+                    total += v
+                assert repr(covered) == repr([total])
+                if total > 0:
+                    met.add(i)
+    assert on_face >= 16
+    # every box but the degenerate one is met by some cube
+    assert met == set(range(len(boxes))) - {len(boxes) - 2}
+
+
 def _golden_lattice_pair():
     # lattice atoms at n = 3 under the adaptive grid: its shifts 1/12, 1/24
     # and lambdas 9/8, 4/3 make the grid's common denominator non-dyadic

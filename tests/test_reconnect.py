@@ -552,7 +552,7 @@ def test_balance_per_edge_magnitude_bound():
         per_point = []
         from latflow.reconnect import _cell_sparse_points, _sparse_coords
 
-        levels = set(_sparse_coords(n, K))
+        levels = set(_sparse_coords(n, K, d))
         for key, cell in cells.items():
             pts = _cell_sparse_points(cell, key[0], key[1], n, K, levels)
             per_point.append(abs(beta[key] - lam[key]) / len(pts))
@@ -593,6 +593,30 @@ def test_balance_hits_targets_when_K_divides_the_last_interior_plane():
             assert got[key] == beta[key] - lam[key], (d, n, m, K, key)
         ok, bad = node_law_holds_cube(f_res, d, n)
         assert ok, (d, n, m, K, bad)
+
+
+def test_balance_hits_targets_when_the_levels_fill_the_width():
+    # d=3 n=12 K=4 has the sparse levels -4, 0, 4, and c_3 * 3 = 12 > n - 1,
+    # the width of a mix entered one layer inside the cube: most targets
+    # used to raise "width too small for sparse mixing"
+    d, n, K = 3, 12, 4
+    for m in (1, 2):
+        for seed in range(3):
+            rng = random.Random(seed)
+            lam = random_balanced_targets(rng, d, m)
+            beta = random_balanced_targets(rng, d, m)
+            f_res = balance_faces(lam, beta, K, m, d, n)
+            got = measure_face_fluxes(f_res, m)
+            for key in beta:
+                assert got[key] == beta[key] - lam[key], (m, seed, key)
+            ok, bad = node_law_holds_cube(f_res, d, n)
+            assert ok, (m, seed, bad)
+
+
+def test_balance_rejects_a_cube_too_narrow_for_a_sparse_mix():
+    d, m, K = 3, 1, 2
+    with pytest.raises(ValueError, match="n - 1 = 3 is below c_3 = 4"):
+        balance_faces(zero_fluxes(d, m), zero_fluxes(d, m), K, m, d, 4)
 
 
 def test_balance_rejects_total_mismatch():

@@ -16,7 +16,7 @@ itself is part of the reported result.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import lcm, prod, sqrt
 
 from .geometry import box_volume
@@ -230,9 +230,10 @@ class CubeGrid:
     """
 
     def __init__(self, d, opts, coords):
-        self.k_max = opts.k_max
-        sides = [Fraction(lam) / 2**k for lam in opts.lambdas for k in range(opts.k_max + 1)]
-        self.D = lcm(*(Fraction(c).denominator for c in (*coords, *opts.shifts, *sides)))
+        sides = {lam: [Fraction(lam) / 2**k for k in range(opts.k_max + 1)] for lam in opts.lambdas}
+        self.D = lcm(*(Fraction(c).denominator
+                       for c in (*coords, *opts.shifts, *chain(*sides.values()))))
+        self.sides = {lam: [self.scale(side) for side in ss] for lam, ss in sides.items()}
         self.points = [(xs, lam) for lam in opts.lambdas for xs in product(opts.shifts, repeat=d)]
 
     def scale(self, c):
@@ -244,8 +245,7 @@ class CubeGrid:
 
     def levels(self, xs, lam):
         """Scaled shift of the grid point (xs, lam) and scaled side per level."""
-        sides = [self.scale(Fraction(lam) / 2**k) for k in range(self.k_max + 1)]
-        return tuple(map(self.scale, xs)), sides
+        return tuple(map(self.scale, xs)), self.sides[lam]
 
     def columns(self, points):
         """The rational points by axis: per axis, the distinct scaled

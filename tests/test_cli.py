@@ -588,6 +588,11 @@ def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, cmd):
 
 def test_importing_the_package_loads_no_submodule():
     assert _latflow_modules_after("import sys, latflow") == ["latflow"]
+    # a submodule, or a name of one, loads that module and what it imports
+    assert _latflow_modules_after("import sys, latflow; latflow.measure") == [
+        "latflow", "latflow.geometry", "latflow.measure"]
+    assert _latflow_modules_after("import sys, latflow; latflow.max_flow") == [
+        "latflow", "latflow.geometry", "latflow.maxflow", "latflow.stream"]
 
 
 # the names latflow/__init__.py imported eagerly, by module

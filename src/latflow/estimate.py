@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .capacities import CapacityDistribution, EdgeHasher, derive_seed, sample_capacities, sample_numerators
-from .geometry import EdgeId, box_volume, unit_cube
+from .geometry import EdgeId, box_volume, cube_box, unit_cube
 from .measure import CubeGrid, DistanceOptions, VectorMeasure
 from .stream import Stream
 
@@ -90,8 +90,6 @@ class CubeSpace:
         from itertools import product
 
         import numpy as np
-
-        from .reconnect import cube_box
 
         self.d, self.n = d, n
 

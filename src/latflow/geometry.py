@@ -90,6 +90,13 @@ def unit_cube(d) -> tuple:
     return tuple((-h, h) for _ in range(d))
 
 
+def cube_box(d, n):
+    """Integer-coordinate extent of the unit cube [-1/2, 1/2)^d at scale n:
+    coordinates c with -1/2 <= c/n < 1/2."""
+    lo = -(n // 2)
+    return lo, lo + n
+
+
 def cube_face(d, axis, sign) -> tuple:
     """Face of the unit cube orthogonal to e_axis on side ``sign`` (+1/-1)."""
     h = Fraction(1, 2)

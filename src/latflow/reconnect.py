@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from .geometry import EdgeId, boundary_edge_set, face_area, face_partition
+from .geometry import EdgeId, boundary_edge_set, cube_box, face_area, face_partition
 from .stream import Stream, divergence_at, face_flux, incident_edges, transform
 
 
@@ -508,13 +508,6 @@ def balance_K(d, eps, kappa=1.0):
     """Sparsity K = floor((1 / (2 kappa eps^{alpha/2}))^{1/(d-1)})."""
     a = float(balance_alpha(d))
     return int((1.0 / (2 * kappa * float(eps) ** (a / 2))) ** (1.0 / (d - 1)))
-
-
-def cube_box(d, n):
-    """Integer-coordinate extent of the unit cube [-1/2, 1/2)^d at scale n:
-    coordinates c with -1/2 <= c/n < 1/2."""
-    lo = -(n // 2)
-    return lo, lo + n
 
 
 def _sparse_coords(n, K, d):

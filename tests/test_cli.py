@@ -559,6 +559,7 @@ NOT_LOADED = {
     "tau": ("reconnect", "continuous"),
     "flow-constant": ("reconnect", "continuous"),
     "maxflow": ("reconnect", "continuous"),
+    "rate": ("reconnect", "continuous"),
 }
 
 

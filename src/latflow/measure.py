@@ -69,14 +69,6 @@ class VectorMeasure:
             densities=self.densities + other.densities,
         )
 
-    def support_bounds(self):
-        """Per-axis (min, max) over the atoms and density boxes, None when
-        there are neither."""
-        spans = [tuple((c, c) for c in p) for p, _ in self.atoms] + [b for b, _ in self.densities]
-        if not spans:
-            return None
-        return [(min(b[j][0] for b in spans), max(b[j][1] for b in spans)) for j in range(self.d)]
-
 
 def _open_overlap(a, b):
     for (alo, ahi), (blo, bhi) in zip(a, b):
@@ -560,7 +552,7 @@ def distance(mu: VectorMeasure, nu: VectorMeasure, opts: DistanceOptions = None)
     if mu.d != nu.d:
         raise ValueError("dimension mismatch")
     opts = opts or DistanceOptions()
-    if mu.support_bounds() is None and nu.support_bounds() is None:
+    if not (mu.atoms or mu.densities or nu.atoms or nu.densities):
         return DistanceBracket(0.0, 0.0, "empty", opts.k_max)
     atoms, cells = _difference(mu, nu)
     grid = CubeGrid(mu.d, opts, [c for p, _ in atoms for c in p]

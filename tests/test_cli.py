@@ -216,6 +216,35 @@ def test_rate_subcommand_zero_speed(tmp_path):
     assert rows[1].split(",")[7] == "1.0"  # phat
 
 
+# SHA-256 of rate.csv for the bench rate law at n=4 over 20 eps in [1/2, 1]:
+# the counts climb from 0 to all 32 trials, so they tell the trials' solver
+# values apart
+GOLDEN_RATE_CSV = "5946dd1815e57070617cb878a3854daa63cd6ec0ec0b5f1e4dd1db22bada967b"
+
+
+def test_rate_csv_is_bit_identical_to_the_recorded_file(tmp_path):
+    import hashlib
+    from fractions import Fraction
+
+    out = tmp_path / "rate"
+    cfg = {
+        "seed": 1,
+        "mode": "float",
+        "threads": 1,
+        "out_dir": str(out),
+        "rate": {
+            "d": 2, "n": 4, "s": "1/2", "v": ["1", "0"],
+            "eps": [str(Fraction(1, 2) + Fraction(k, 38)) for k in range(20)],
+            "trials": 32,
+            "dist": {"kind": "bernoulli", "a": "0", "b": "1", "p": "1/2"},
+        },
+    }
+    assert run_cli(tmp_path, "rate", cfg) == 0
+    data = read_bytes(out / "rate.csv")
+    assert len(data.splitlines()) == 21
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_RATE_CSV
+
+
 def test_manifest_records_the_mode_and_threads_that_ran(tmp_path, monkeypatch):
     # rate always samples float capacities, whatever the config's mode says
     monkeypatch.delenv("LATFLOW_THREADS", raising=False)

@@ -12,7 +12,7 @@ _EXPORTS = {
     "geometry": "DomainSpec EdgeId LatticeDomain Region boundary_edge_set cube_face "
                 "cylinder_sets discretize_domain dump_vertex_set face_partition frac "
                 "sparse_edge_set unit_box_domain unit_cube unit_square_domain",
-    "capacities": "Capacities CapacityDistribution derive_seed sample_capacities",
+    "capacities": "CapacityDistribution derive_seed sample_capacities",
     "stream": "Stream admissibility_region_report admissibility_report constant_stream "
               "discretize_field divergence_at dump_stream face_flux flow_value load_stream "
               "rescale_stream vector_measure",

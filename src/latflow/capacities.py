@@ -1,16 +1,17 @@
 """Reproducible i.i.d. edge capacities from bounded-support distributions.
 
-Per-edge values come from a counter-based hash of (seed, edge coordinates),
-so the result never depends on iteration order or thread count.  An
-``EdgeHasher`` does the seed-free part of that hash once per edge list (the
-lattice line of each edge, each edge's last word packed into a 128-bit lane
-of one int) and then hashes every edge at once per seed with whole-int
-operations on the lanes; the tau and tail trials build one per network and
-share it across trials and threads.  A sample is an integer numerator over
-one denominator D fixed by the law: exact mode reads it as the Fraction
-x / D, float mode rounds it once, by the int true division x / D, into an
-IEEE double.  Both modes draw the same 64-bit word per edge, so discrete
-distributions sample identically in either mode.
+Per-edge values come from a counter-based hash of (seed, edge
+coordinates), so the result never depends on iteration order or thread
+count.  An ``EdgeHasher`` does the seed-free part of that hash once per
+edge list (the lattice line of each edge, each edge's last word packed
+into a 128-bit lane of one int) and then hashes every edge at once per
+seed with whole-int operations on the lanes; the tau, tail and rate trials
+build one per edge list and share it across trials and threads.  A sample
+is an integer numerator over one denominator D fixed by the law: exact
+mode reads it as the Fraction x / D, float mode rounds it once, by the int
+true division x / D, into an IEEE double.  Both modes draw the same 64-bit
+word per edge, so discrete distributions sample identically in either
+mode.
 """
 
 import math
@@ -105,11 +106,6 @@ def _unpack(h, m) -> list:
     if sys.byteorder == "big":
         lanes.byteswap()
     return lanes[0::2].tolist()
-
-
-def edge_words(seed, edges) -> list:
-    """``EdgeHasher(edges).words(seed)``: the word of each edge, in order."""
-    return EdgeHasher(edges).words(seed)
 
 
 def derive_seed(master, *tags) -> int:
@@ -233,39 +229,10 @@ class CapacityDistribution:
         # the first value whose cut exceeds u (the last value past every cut)
         return D, lambda u: nums[bisect_right(cuts, u)]
 
-    def sampler(self, exact):
-        """The map from one uniform 64-bit word to a sample: the numerator x
-        of ``scaled_sampler`` read as the Fraction x / D, or rounded once to
-        the float x / D (an int true division, so correctly rounded)."""
-        D, draw = self.scaled_sampler()
-        if exact:
-            return lambda u: Fraction(draw(u), D)
-        return lambda u: draw(u) / D
-
-
-@dataclass(frozen=True)
-class Capacities:
-    """Immutable map EdgeId -> t(e) plus the provenance that produced it."""
-
-    values: dict
-    dist: CapacityDistribution
-    seed: int
-
-    def __getitem__(self, edge):
-        return self.values[edge]
-
-    def get(self, edge, default=0):
-        return self.values.get(edge, default)
-
-    def __contains__(self, edge):
-        return edge in self.values
-
-    def __len__(self):
-        return len(self.values)
-
-
-def sample_capacities(edges, dist: CapacityDistribution, seed: int, exact=True) -> Capacities:
-    """Sample t(e) for every edge of a LatticeDomain, Region or edge list.
+def sample_capacities(edges, dist: CapacityDistribution, seed: int, exact=True) -> dict:
+    """Sample t(e) for every edge of a LatticeDomain, Region or edge list:
+    ``{EdgeId: value}``, each numerator x of ``sample_numerators`` read as
+    the Fraction x / D or rounded once to the float x / D.
 
     Deterministic in (seed, edge identity): the per-edge word is a hash of the
     seed and the integer edge coordinates, independent of enumeration order.
@@ -276,14 +243,15 @@ def sample_capacities(edges, dist: CapacityDistribution, seed: int, exact=True) 
         raise TypeError("pass region_edges(region, n) for a Region")
     else:
         edge_list = list(edges)
-    draw = dist.sampler(exact)
-    vals = dict(zip(edge_list, map(draw, edge_words(seed, edge_list))))
-    return Capacities(values=vals, dist=dist, seed=seed)
+    nums, D = sample_numerators(EdgeHasher(edge_list), dist, seed)
+    if exact:
+        return {e: Fraction(x, D) for e, x in zip(edge_list, nums)}
+    return {e: x / D for e, x in zip(edge_list, nums)}
 
 
 def sample_numerators(hasher: EdgeHasher, dist: CapacityDistribution, seed: int):
-    """(nums, D): the samples of ``sample_capacities`` on the hasher's edges,
-    in order, each as its exact numerator over the law's denominator D."""
+    """(nums, D): the samples on the hasher's edges, in order, each as its
+    exact numerator over the law's denominator D."""
     D, draw = dist.scaled_sampler()
     return list(map(draw, hasher.words(seed))), D
 
@@ -300,37 +268,3 @@ def region_edges(region, n, d=None):
         for j in range(d):
             out.append(EdgeId(tuple(v), j))
     return out
-
-
-def dump_capacities(caps: Capacities) -> str:
-    """Text export: one 'x1 ... xd axis value' line per edge, sorted."""
-    lines = []
-    for e in sorted(caps.values):
-        v = caps.values[e]
-        lines.append(" ".join(str(c) for c in e.x) + f" {e.axis} {value_repr(v)}")
-    return "\n".join(lines) + "\n"
-
-
-def load_capacities(text, dist=None, seed=0) -> Capacities:
-    from .geometry import EdgeId
-
-    vals = {}
-    for line in text.strip().splitlines():
-        parts = line.split()
-        *coords, axis, value = parts
-        vals[EdgeId(tuple(int(c) for c in coords), int(axis))] = parse_value(value)
-    return Capacities(values=vals, dist=dist or CapacityDistribution.constant(0), seed=seed)
-
-
-def value_repr(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    return repr(float(v))
-
-
-def parse_value(s):
-    if "/" in s:
-        return Fraction(s)
-    if "." in s or "e" in s or "E" in s or s in ("inf", "nan"):
-        return float(s)
-    return Fraction(s)

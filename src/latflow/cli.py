@@ -233,7 +233,7 @@ def cmd_maxflow(cfg, args):
     # a float is an exact dyadic rational, so the certificate is checked on
     # the exact flow of the sample without a tolerance; float mode writes that
     # flow rounded once, which is max_flow's result on the floats
-    t = {e: Fraction(c) for e, c in t.values.items()}
+    t = {e: Fraction(c) for e, c in t.items()}
     res = max_flow(L, t)
     report = admissibility_report(res.stream, t, L)
     cut_cap = res.cut_capacity(t)

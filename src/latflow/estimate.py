@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .capacities import CapacityDistribution, EdgeHasher, derive_seed, sample_capacities, sample_numerators
+from .capacities import CapacityDistribution, EdgeHasher, derive_seed, sample_numerators
 from .geometry import EdgeId, box_volume, cube_box, unit_cube
 from .measure import CubeGrid, DistanceOptions, VectorMeasure
 from .stream import Stream
@@ -327,25 +327,6 @@ class CubeDistanceTables:
         return self.value(s) + (tv_stream + self.target.total_variation()) / 2**self.opts.k_max
 
 
-# (key, tables) of the latest build only: every estimator call uses one key
-_TABLE_CACHE = [None]
-
-
-def _tables_for(d, n, target, opts, region=None):
-    from .measure import to_json
-
-    region_key = None
-    if region is not None:
-        region_key = tuple(sorted(tuple(v) for v in region.lattice_vertices(n)))
-    key = (d, n, to_json(target), opts.k_max, tuple(opts.lambdas), opts.shifts, region_key)
-    hit = _TABLE_CACHE[0]
-    if hit is not None and hit[0] == key:
-        return hit[1]
-    tables = CubeDistanceTables(CubeSpace(d, n, region=region), target, opts)
-    _TABLE_CACHE[0] = (key, tables)
-    return tables
-
-
 @dataclass
 class MinDistanceResult:
     value: float  # distance upper bound of the returned stream
@@ -421,24 +402,23 @@ def _solve_gram(G, rhs):
     return y
 
 
-def min_distance(n, t, target: VectorMeasure, eps, d=None, opts=None,
-                 iters=140, seed_vec=None, region=None) -> MinDistanceResult:
+def min_distance(tables: CubeDistanceTables, caps, eps, iters=140, seed_vec=None) -> MinDistanceResult:
     """Minimize the grid-evaluated distance upper bound between mu_n(f) and
-    the target over admissible streams in the region (default: unit cube).
+    the tables' target over admissible streams in their space, for the
+    capacity ``caps[i]`` of each edge ``tables.space.edges[i]``.
 
     Alternating projections (graph-Laplacian node-law projection, capacity
     box clipping) driven by subgradient steps; the final stream is polished
     to exact rational admissibility, so a "holds" verdict is certified by an
-    explicit member of S_n(C)."""
+    explicit member of S_n(C).  The tables are only read, so one object
+    serves every call, on any thread."""
     import numpy as np
 
-    d = d or target.d
-    opts = opts or DistanceOptions()
-    tables = _tables_for(d, n, target, opts, region=region)
     space = tables.space
+    d, n = space.d, space.n
     ne = len(space.edges)
-    caps = np.array([float(t.get(e, 0)) for e in space.edges])
-    active = caps > 0
+    box = np.array([float(c) for c in caps])
+    active = box > 0
     if not active.any():
         f = Stream(d, n)
         val = tables.certified_upper(f)
@@ -468,8 +448,8 @@ def min_distance(n, t, target: VectorMeasure, eps, d=None, opts=None,
                 i = mid_index.get(p)
                 if i is not None:
                     s[i] += float(w[space.edges[i].axis]) * n**d
-    s = np.clip(s, -caps, caps) * active
-    step0 = max(caps.max(), 1e-9)
+    s = np.clip(s, -box, box) * active
+    step0 = max(box.max(), 1e-9)
     best_val = float("inf")
     best_s = s.copy()
     evaluations = 0
@@ -486,7 +466,7 @@ def min_distance(n, t, target: VectorMeasure, eps, d=None, opts=None,
         step = (val - best_val + 0.05 * step0 / (it + 5)) / gn2
         s = s - step * g
         s = proj_div(s * active)
-        s = np.clip(s, -caps, caps) * active
+        s = np.clip(s, -box, box) * active
     s = best_s
 
     # exact polish: rational projection then uniform shrink into the box
@@ -498,7 +478,7 @@ def min_distance(n, t, target: VectorMeasure, eps, d=None, opts=None,
     for i, x in enumerate(s_frac):
         if x == 0:
             continue
-        c = Fraction(t.get(space.edges[i], 0))
+        c = Fraction(caps[i])
         if c == 0:
             ratio = Fraction(0)
             break
@@ -545,12 +525,13 @@ def estimate_rate(s, v, eps, n, trials, dist: CapacityDistribution, seed,
     if s == 0:
         values = [0.0] * trials  # the zero stream certifies the event at any eps
     else:
-        # built here, so every trial thread finds the one shared tables object
-        edges = _tables_for(d, n, target, opts).space.edges
+        # built once: every trial, on any thread, reads the same tables
+        tables = CubeDistanceTables(CubeSpace(d, n), target, opts)
+        hasher = EdgeHasher(tables.space.edges)
 
         def one(trial):
-            t = sample_capacities(edges, dist, derive_seed(seed, trial), exact=False)
-            return min_distance(n, t, target, eps_list[-1], d=d, opts=opts).value
+            nums, D = sample_numerators(hasher, dist, derive_seed(seed, trial))
+            return min_distance(tables, [x / D for x in nums], eps_list[-1]).value
 
         values = _run_trials(one, trials, threads)
     out = []

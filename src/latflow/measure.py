@@ -398,7 +398,7 @@ def _level_sum(atoms, cells, X, S, grid, budget):
         special_idx.update(product(*ranges))
 
     # face strips: pure interior cubes aggregate, impure ends become special
-    strips = []  # (i, k, pure index ranges, pure count, mass, alpha_a, alpha_b)
+    strips = []  # (i, k, (ax, z_ax), pure index ranges, pure count, mass, alpha_a, alpha_b)
     for i, k, ax, c, rect in face_pairs:
         a_box, b_box = cells.boxes[i], cells.boxes[k]
         z_ax, rem = _locate(c, X[ax], S)
@@ -436,7 +436,7 @@ def _level_sum(atoms, cells, X, S, grid, budget):
             alpha_b = (S / D) ** (d - 1) * ((2 * S - rem) / (2 * D))
             mass = [cells.fvals[i][j] * alpha_a + cells.fvals[k][j] * alpha_b for j in range(d)]
             pure = fr_t[:ax] + [range(z_ax, z_ax + 1)] + fr_t[ax:]
-            strips.append((i, k, pure, pure_count, mass, alpha_a, alpha_b))
+            strips.append((i, k, (ax, z_ax), pure, pure_count, mass, alpha_a, alpha_b))
 
     # uniform exact pass over the special cubes
     masses, covered = grid.cube_masses(X, S, list(special_idx), atom_mass,
@@ -446,10 +446,17 @@ def _level_sum(atoms, cells, X, S, grid, budget):
     for mass in masses:
         total += sqrt(sum(c_ * c_ for c_ in mass))
 
-    # strip aggregation, excluding strip cubes that are special
-    for i, k, pure, pure_count, mass, alpha_a, alpha_b in strips:
+    # strip aggregation, excluding strip cubes that are special: a strip's
+    # cubes all have index z_ax on its axis, so only the special cubes on
+    # that plane are tested
+    on_plane = {}
+    if strips:
+        for idx in special_idx:
+            for plane in enumerate(idx):
+                on_plane.setdefault(plane, []).append(idx)
+    for i, k, plane, pure, pure_count, mass, alpha_a, alpha_b in strips:
         inside_special = sum(
-            1 for idx in special_idx if all(z in r for z, r in zip(idx, pure)))
+            1 for idx in on_plane.get(plane, ()) if all(z in r for z, r in zip(idx, pure)))
         count = pure_count - inside_special
         if count < 0:
             raise AssertionError("strip accounting underflow")

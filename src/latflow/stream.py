@@ -334,10 +334,22 @@ def rescale_stream(f: Stream, x, n: int) -> Stream:
     return out
 
 
+def value_repr(v) -> str:
+    if isinstance(v, Fraction):
+        return str(v)
+    return repr(float(v))
+
+
+def parse_value(s):
+    if "/" in s:
+        return Fraction(s)
+    if "." in s or "e" in s or "E" in s or s in ("inf", "nan"):
+        return float(s)
+    return Fraction(s)
+
+
 def dump_stream(f: Stream) -> str:
     """Bit-exact text format: header 'd n', then 'x1 ... xd axis value'."""
-    from .capacities import value_repr
-
     lines = [f"{f.d} {f.n}"]
     for e in sorted(f.values):
         lines.append(" ".join(str(c) for c in e.x) + f" {e.axis} {value_repr(f.values[e])}")
@@ -345,8 +357,6 @@ def dump_stream(f: Stream) -> str:
 
 
 def load_stream(text) -> Stream:
-    from .capacities import parse_value
-
     lines = text.strip().splitlines()
     d, n = (int(tok) for tok in lines[0].split())
     f = Stream(d, n)

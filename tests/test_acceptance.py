@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 import yaml
 
-from latflow.capacities import Capacities, CapacityDistribution, derive_seed, sample_capacities
+from latflow.capacities import CapacityDistribution, derive_seed, sample_capacities
 from latflow.geometry import EdgeId, Region, discretize_domain, unit_cube, unit_square_domain
 from latflow.maxflow import max_flow
 from latflow.measure import DistanceOptions, VectorMeasure, distance
@@ -92,7 +92,7 @@ def test_criterion_1_maxflow_mincut_exactness():
             t = sample_capacities(L, dist, seed=rng.getrandbits(32), exact=True)
             res = max_flow(L, t)
             oracle, _ = oracles.min_cut_by_partitions(
-                L.omega, L.active_edges, t.values, L.gamma1, L.gamma2
+                L.omega, L.active_edges, t, L.gamma1, L.gamma2
             )
             assert res.value == oracle
             assert res.cut_capacity(t) == res.value
@@ -335,8 +335,7 @@ def test_criterion_9_glue_and_balance():
                 assert g.get(e) == val
             for e, val in fb.values.items():
                 assert g.get(e) == val
-            caps = Capacities(values={e: M for e in g.values},
-                              dist=CapacityDistribution.constant(1), seed=0)
+            caps = {e: M for e in g.values}
             rep = admissibility_region_report(g, caps, union)
             assert rep.capacity and rep.node_law
 

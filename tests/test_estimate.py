@@ -8,8 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latflow.capacities import Capacities, CapacityDistribution, derive_seed, sample_capacities
+from latflow.capacities import CapacityDistribution, derive_seed, sample_capacities
 from latflow.estimate import (
+    CubeDistanceTables,
     CubeSpace,
     constant_target,
     estimate_flow_constant,
@@ -54,8 +55,7 @@ def test_min_distance_feasible_atomic_target_holds():
         for x1 in range(lo, hi):
             g.values[EdgeId((x0, x1), 0)] = 0.5
     target = vector_measure(g)
-    t = sample_capacities(space.edges, CapacityDistribution.constant(1), 0, exact=False)
-    res = min_distance(n, t, target, eps=0.01, d=d)
+    res = min_distance(CubeDistanceTables(space, target, DistanceOptions()), [1.0] * len(space.edges), eps=0.01)
     tail = (0.5 + target.total_variation()) / 2**12
     assert res.status == "holds"
     assert res.value <= tail + 1e-12
@@ -65,8 +65,7 @@ def test_min_distance_zero_capacities():
     d, n = 2, 2
     space = CubeSpace(d, n)
     target = constant_target(d, Fraction(1, 2), (1, 0))
-    t = sample_capacities(space.edges, CapacityDistribution.constant(0), 0, exact=False)
-    res = min_distance(n, t, target, eps=0.2, d=d)
+    res = min_distance(CubeDistanceTables(space, target, DistanceOptions()), [0.0] * len(space.edges), eps=0.2)
     assert res.stream.values == {}
     br = distance(VectorMeasure(d=d), target)
     assert res.value == pytest.approx(br.upper, abs=1e-9)
@@ -85,16 +84,13 @@ def _three_edge_instance():
         EdgeId((0, 0), 0),   # out of the center along x
         EdgeId((0, -1), 1),  # into the center along y
     ]
-    vals = {e: Fraction(1) if e in keep else Fraction(0) for e in space.edges}
-    t = Capacities(values=vals, dist=CapacityDistribution.constant(1), seed=0)
+    t = {e: Fraction(1) if e in keep else Fraction(0) for e in space.edges}
     return space, t, keep
 
 
-def _dense_polytope_min(space, t, keep, target, opts, grids=(41, 41)):
+def _dense_polytope_min(tables, keep, grids=(41, 41)):
     """Two-stage dense grid search over the 2-dim feasible polytope."""
-    from latflow.estimate import CubeDistanceTables
-
-    tables = CubeDistanceTables(space, target, opts)
+    space = tables.space
     ne = len(space.edges)
     idx = {e: i for i, e in enumerate(space.edges)}
     i_in, i_out, i_up = (idx[e] for e in keep)
@@ -129,19 +125,17 @@ def test_min_distance_matches_dense_grid_oracle():
     space, t, keep = _three_edge_instance()
     target = constant_target(d, Fraction(1, 4), (1, 0))
     opts = DistanceOptions()
-    res = min_distance(n, t, target, eps=1.0, d=d, opts=opts, iters=400)
-    oracle = _dense_polytope_min(space, t, keep, target, opts)
-    tail = res.value - _stream_grid_value(space, res.stream, target, opts)
+    tables = CubeDistanceTables(space, target, opts)
+    res = min_distance(tables, [t[e] for e in space.edges], eps=1.0, iters=400)
+    oracle = _dense_polytope_min(tables, keep)
+    tail = res.value - _stream_grid_value(tables, res.stream)
     assert res.value - tail <= oracle + 1e-3
     assert oracle <= res.value - tail + 1e-3
 
 
-def _stream_grid_value(space, f, target, opts):
-    from latflow.estimate import CubeDistanceTables
-
-    tables = CubeDistanceTables(space, target, opts)
-    s = np.zeros(len(space.edges))
-    for i, e in enumerate(space.edges):
+def _stream_grid_value(tables, f):
+    s = np.zeros(len(tables.space.edges))
+    for i, e in enumerate(tables.space.edges):
         s[i] = float(f.get(e))
     return tables.value(s)
 
@@ -183,20 +177,18 @@ def test_estimate_rate_conservative_vs_oracle():
     opts = DistanceOptions()
     space, t_template, keep = _three_edge_instance()
     dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
+    tables = CubeDistanceTables(space, target, opts)
     solver_succ = 0
     oracle_succ = 0
     for trial in range(12):
         t = sample_capacities(space.edges, dist, derive_seed(3, trial), exact=False)
-        res = min_distance(n, t, target, eps, d=d, opts=opts)
-        grid_val = _stream_grid_value(space, res.stream, target, opts)
+        res = min_distance(tables, [t[e] for e in space.edges], eps)
+        grid_val = _stream_grid_value(tables, res.stream)
         tail = res.value - grid_val
         # oracle: coarse random search over the full box + the solver point
         rng = random.Random(trial)
         caps = np.array([float(t.get(e, 0)) for e in space.edges])
         best = grid_val
-        from latflow.estimate import CubeDistanceTables
-
-        tables = CubeDistanceTables(space, target, opts)
         B = (space.B * (caps > 0)).astype(float)
         P = np.linalg.pinv(B @ B.T, rcond=1e-12)
         for _ in range(60):
@@ -346,11 +338,9 @@ def test_min_distance_on_explicit_region():
         ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))),
         (Fraction(1, 4), Fraction(0)),
     )
-    from latflow.estimate import CubeSpace
-
     space = CubeSpace(d, n, region=region)
-    t = sample_capacities(space.edges, CapacityDistribution.constant(1), 0, exact=False)
-    res = min_distance(n, t, target, eps=2.0, d=d, region=region)
+    tables = CubeDistanceTables(space, target, DistanceOptions())
+    res = min_distance(tables, [1.0] * len(space.edges), eps=2.0)
     assert res.status == "holds"
     for e in res.stream.values:
         assert all(0 <= c < 2 for c in e.x)
@@ -358,8 +348,6 @@ def test_min_distance_on_explicit_region():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_certified_upper_matches_distance_on_random_streams(n):
-    from latflow.estimate import CubeDistanceTables
-
     d = 2
     rng = random.Random(100 + n)
     space = CubeSpace(d, n)
@@ -375,15 +363,32 @@ def test_certified_upper_matches_distance_on_random_streams(n):
         assert tables.certified_upper(f) == pytest.approx(upper, rel=0, abs=1e-12)
 
 
-def test_table_cache_keeps_only_the_latest_tables():
-    from latflow import estimate
+def test_min_distance_only_reads_the_tables_it_is_given():
+    # estimate_rate passes one tables object to every trial: each call leaves
+    # every array of the tables and their space as it was, and returns what
+    # tables built for that call alone give
+    d, n = 2, 4
+    target = constant_target(d, Fraction(1, 2), (1, 0))
+    tables = CubeDistanceTables(CubeSpace(d, n), target, DistanceOptions())
 
-    opts = DistanceOptions(k_max=2)
-    targets = [constant_target(2, Fraction(k, 4), (1, 0)) for k in (1, 2, 3)]
-    built = [estimate._tables_for(2, 2, target, opts) for target in targets]
-    assert len([entry for entry in estimate._TABLE_CACHE if entry is not None]) <= 1
-    assert estimate._tables_for(2, 2, targets[-1], opts) is built[-1]
-    assert estimate._tables_for(2, 2, targets[0], opts) is not built[0]
+    def digests():
+        return {name: hashlib.sha256(a.tobytes()).hexdigest()
+                for obj in (tables, tables.space) for name, a in vars(obj).items()
+                if isinstance(a, np.ndarray)}
+
+    before = digests()
+    assert len(before) >= 15
+    edges = tables.space.edges
+    laws = (CapacityDistribution.bernoulli(0, 1, Fraction(1, 2)), CapacityDistribution.uniform(0, 1))
+    for law in laws:
+        for trial in range(3):
+            t = sample_capacities(edges, law, derive_seed(2, trial), exact=False)
+            caps = [t[e] for e in edges]
+            got = min_distance(tables, caps, 1.0)
+            assert digests() == before
+            fresh = min_distance(CubeDistanceTables(CubeSpace(d, n), target, DistanceOptions()), caps, 1.0)
+            assert (repr(got.value), got.status, got.iterations, dump_stream(got.stream)) == \
+                (repr(fresh.value), fresh.status, fresh.iterations, dump_stream(fresh.stream))
 
 
 def test_min_distance_is_bit_identical_to_recorded_values():
@@ -396,9 +401,10 @@ def test_min_distance_is_bit_identical_to_recorded_values():
     for d, n, dist in ((2, 3, bern), (2, 4, unif), (3, 2, bern)):
         target = constant_target(d, Fraction(1, 2), (1,) + (0,) * (d - 1))
         space = CubeSpace(d, n)
+        tables = CubeDistanceTables(space, target, DistanceOptions())
         for trial in range(3):
             t = sample_capacities(space.edges, dist, derive_seed(5, trial), exact=False)
-            r = min_distance(n, t, target, 1.0, d=d)
+            r = min_distance(tables, [t[e] for e in space.edges], 1.0)
             statuses.append(r.status)
             h.update(repr((repr(r.value), r.status, dump_stream(r.stream))).encode())
     assert statuses.count("holds") == 6
@@ -412,10 +418,11 @@ def test_min_distance_at_the_bench_size_is_bit_identical_to_recorded_values():
     dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
     target = constant_target(2, Fraction(1, 2), (1, 0))
     space = CubeSpace(2, 6)
+    tables = CubeDistanceTables(space, target, DistanceOptions())
     h = hashlib.sha256()
     for trial in range(4):
         t = sample_capacities(space.edges, dist, derive_seed(1, trial), exact=False)
-        r = min_distance(6, t, target, 1.0, d=2)
+        r = min_distance(tables, [t[e] for e in space.edges], 1.0)
         h.update(repr((repr(r.value), r.status, dump_stream(r.stream))).encode())
     assert h.hexdigest() == "0e4a7f19e650ee45a4f071bc95646cde2fe59f35c24a32faf801223cfdfa2ee4"
 
@@ -443,7 +450,6 @@ def _table_case(d, n, kind):
 @pytest.mark.parametrize("kind", ["constant", "mixed", "region"])
 @pytest.mark.parametrize("d, n", [(2, 3), (2, 6), (3, 2)])
 def test_tables_match_the_bincount_reference_bit_for_bit(d, n, kind):
-    from latflow.estimate import CubeDistanceTables
     from oracles import BincountTables
 
     space, target = _table_case(d, n, kind)
@@ -497,11 +503,15 @@ def test_cube_cells_are_bit_identical_to_recorded_arrays(d, n, kind, digest):
 def test_min_distance_reports_the_evaluations_it_made():
     d, n = 2, 3
     space = CubeSpace(d, n)
-    t = sample_capacities(space.edges, CapacityDistribution.constant(1), 0, exact=False)
+    caps = [1.0] * len(space.edges)
+
+    def tables(s):
+        return CubeDistanceTables(space, constant_target(d, s, (1, 0)), DistanceOptions())
+
     # a zero target: the zero warm start has a zero gradient at once
-    res = min_distance(n, t, constant_target(d, 0, (1, 0)), eps=0.1, d=d)
+    res = min_distance(tables(0), caps, eps=0.1)
     assert res.iterations == 1 and res.status == "holds"
-    res = min_distance(n, t, constant_target(d, Fraction(1, 2), (1, 0)), eps=0.1, d=d, iters=25)
+    res = min_distance(tables(Fraction(1, 2)), caps, eps=0.1, iters=25)
     assert res.iterations == 25
 
 
@@ -548,8 +558,6 @@ def test_exact_projection_matches_fraction_gauss_jordan(d, n):
 
 
 def test_shared_tables_give_every_thread_its_own_result():
-    from latflow.estimate import CubeDistanceTables
-
     d, n = 2, 6
     space = CubeSpace(d, n)
     tables = CubeDistanceTables(space, constant_target(d, Fraction(1, 2), (1, 0)), DistanceOptions())

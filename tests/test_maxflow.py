@@ -25,7 +25,7 @@ def test_unit_capacities_flow_equals_column_count():
     t = sample_capacities(L, CapacityDistribution.constant(1), seed=0)
     res = max_flow(L, t)
     assert res.value == 3  # rows y in {0, 1/2, 1}
-    oracle, _ = oracles.min_cut_by_partitions(L.omega, L.active_edges, t.values, L.gamma1, L.gamma2)
+    oracle, _ = oracles.min_cut_by_partitions(L.omega, L.active_edges, t, L.gamma1, L.gamma2)
     assert res.value == oracle
 
 
@@ -53,7 +53,7 @@ def test_solver_matches_partition_oracle_on_random_instances():
         t = sample_capacities(L, dist, seed=rng.getrandbits(32))
         res = max_flow(L, t)
         oracle, _ = oracles.min_cut_by_partitions(
-            L.omega, L.active_edges, t.values, L.gamma1, L.gamma2
+            L.omega, L.active_edges, t, L.gamma1, L.gamma2
         )
         assert res.value == oracle
         assert res.cut_capacity(t) == res.value
@@ -70,11 +70,11 @@ def test_edge_subset_oracle_agrees_on_tiny_instance():
         )
         res = max_flow(L, t)
         subset = oracles.min_cut_by_edge_subsets(
-            L.omega, list(L.active_edges), t.values, L.gamma1, L.gamma2, max_size=4
+            L.omega, list(L.active_edges), t, L.gamma1, L.gamma2, max_size=4
         )
         assert subset is not None and res.value <= subset
         partition, _ = oracles.min_cut_by_partitions(
-            L.omega, L.active_edges, t.values, L.gamma1, L.gamma2
+            L.omega, L.active_edges, t, L.gamma1, L.gamma2
         )
         assert res.value == partition
 
@@ -95,13 +95,10 @@ def test_monotone_in_single_capacity():
     L = discretize_domain(unit_square_domain(), 2)
     t = sample_capacities(L, CapacityDistribution.uniform(0, 1), seed=99)
     base = max_flow(L, t).value
-    for e in list(t.values)[:6]:
-        bumped = dict(t.values)
+    for e in list(t)[:6]:
+        bumped = dict(t)
         bumped[e] = bumped[e] + 1
-        from latflow.capacities import Capacities
-
-        t2 = Capacities(values=bumped, dist=t.dist, seed=t.seed)
-        assert max_flow(L, t2).value >= base
+        assert max_flow(L, bumped).value >= base
 
 
 def test_cylinder_phi_constant_capacities_column_count():
@@ -236,7 +233,7 @@ def _assert_rounded_exact(network, t):
     """For float capacities t, ``value(t)``, ``solve(t).value`` and every
     stream entry are floats, each the result of the same call on the exact
     rationals of t rounded once; |s(e)| <= t(e) holds in float."""
-    ref = network.solve({e: Fraction(c) for e, c in t.values.items()})
+    ref = network.solve({e: Fraction(c) for e, c in t.items()})
     res = network.solve(t)
     for got in (network.value(t), res.value):
         assert type(got) is float and got == float(ref.value), (got, ref.value)
@@ -634,7 +631,7 @@ def test_tau_sampler_is_bit_identical_to_recorded_values(d, sides):
                 t = sample_capacities(network.edges, FLOAT_LAWS[0], seed, exact=False)
                 got = tau(seed)
                 assert type(got) is float
-                assert got == float(network.value({e: Fraction(c) for e, c in t.values.items()}))
+                assert got == float(network.value({e: Fraction(c) for e, c in t.items()}))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_TAU[d, sides]
 
 

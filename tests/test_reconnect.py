@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from latflow.capacities import Capacities, CapacityDistribution, sample_capacities
+from latflow.capacities import CapacityDistribution, sample_capacities
 from latflow.geometry import EdgeId, Region, discretize_domain, unit_cube, unit_square_domain
 from latflow.maxflow import max_flow
 from latflow.reconnect import (
@@ -497,9 +497,7 @@ def test_balance_single_surplus_deficit_pair():
 def node_law_holds_cube(f, d, n):
     """Node law at every vertex x of the cube with all x - e_j/n inside."""
     region = Region(boxes=(unit_cube(d),))
-    rep = admissibility_region_report(
-        f, Capacities(values={}, dist=CapacityDistribution.constant(0), seed=0), region
-    )
+    rep = admissibility_region_report(f, {}, region)
     # ignore the capacity verdict (no capacities); node law only
     if rep.node_law:
         return True, None
@@ -755,9 +753,7 @@ def test_glue_random_well_behaved_pairs():
             )
         )
         caps = {e: M for e in g.values}
-        rep = admissibility_region_report(
-            g, Capacities(values=caps, dist=CapacityDistribution.constant(1), seed=0), union
-        )
+        rep = admissibility_region_report(g, caps, union)
         assert rep.capacity
         assert rep.node_law, rep.bad_vertices[:5]
 
@@ -851,7 +847,7 @@ def test_float_inputs_give_the_exact_result_rounded_once():
     # decompose keeps its weights exact
     L = discretize_domain(unit_square_domain(), 4)
     caps = {e: dyadic(rng, 0, 1) for e in L.edges}
-    f = max_flow(L, Capacities(values=caps, dist=CapacityDistribution.constant(0), seed=0)).stream
+    f = max_flow(L, caps).stream
     paths = decompose(f.scaled(1.0), L)
     assert paths == decompose(f, L)
     assert all(isinstance(w, Fraction) for _, w in paths)

@@ -78,10 +78,7 @@ def test_region_report_checks_only_left_endpoints_in_region():
     f = Stream(2, 2)
     outside = EdgeId((5, 5), 0)
     f.values[outside] = 100
-    t_vals = {}
-    from latflow.capacities import Capacities
-
-    t = Capacities(values=t_vals, dist=CapacityDistribution.constant(0), seed=0)
+    t = {}
     rep = admissibility_region_report(f, t, region)
     assert rep.capacity  # the offending edge sits outside the region
 
@@ -302,23 +299,19 @@ def test_region_report_trio_on_cube():
 
 
 def test_rescale_preserves_admissibility_under_permuted_capacities():
-    from latflow.capacities import Capacities
-
     region0 = Region(boxes=(unit_cube(2),))
     n0, n = 2, 4
     f = constant_stream(unit_cube(2), (Fraction(1, 2), Fraction(0)), n0)
     caps0 = {e: Fraction(1) for e in f.values}
-    t0 = Capacities(values=caps0, dist=CapacityDistribution.constant(1), seed=0)
-    assert admissibility_region_report(f, t0, region0).admissible
+    assert admissibility_region_report(f, caps0, region0).admissible
     shift = (1, 1)
     g = rescale_stream(f, shift, n)
     # pushforward capacities and the image cube
     caps = {EdgeId(tuple(c + s for c, s in zip(e.x, shift)), e.axis): v for e, v in caps0.items()}
-    t1 = Capacities(values=caps, dist=CapacityDistribution.constant(1), seed=0)
     image = Region(
         boxes=(tuple((Fraction(-n0 // 2 + s, n), Fraction(n0 // 2 + s, n)) for s in shift),)
     )
-    rep = admissibility_region_report(g, t1, image)
+    rep = admissibility_region_report(g, caps, image)
     assert rep.capacity and rep.node_law
 
 

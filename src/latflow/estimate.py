@@ -417,6 +417,8 @@ def min_distance(tables: CubeDistanceTables, caps, eps, iters=140, seed_vec=None
     space = tables.space
     d, n = space.d, space.n
     ne = len(space.edges)
+    if len(caps) != ne:
+        raise ValueError(f"need one capacity per edge of the tables' space: {len(caps)} for {ne}")
     box = np.array([float(c) for c in caps])
     active = box > 0
     if not active.any():

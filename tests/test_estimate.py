@@ -389,6 +389,8 @@ def test_min_distance_only_reads_the_tables_it_is_given():
             fresh = min_distance(CubeDistanceTables(CubeSpace(d, n), target, DistanceOptions()), caps, 1.0)
             assert (repr(got.value), got.status, got.iterations, dump_stream(got.stream)) == \
                 (repr(fresh.value), fresh.status, fresh.iterations, dump_stream(fresh.stream))
+    with pytest.raises(ValueError, match="one capacity per edge"):
+        min_distance(tables, caps[:-1], 1.0)
 
 
 def test_min_distance_is_bit_identical_to_recorded_values():

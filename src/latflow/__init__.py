@@ -9,21 +9,17 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "geometry": "DomainSpec EdgeId LatticeDomain Region boundary_edge_set cube_face "
-                "cylinder_sets discretize_domain dump_vertex_set face_partition frac "
-                "sparse_edge_set unit_box_domain unit_cube unit_square_domain",
+    "geometry": "DomainSpec EdgeId LatticeDomain Region boundary_edge_set cylinder_sets "
+                "discretize_domain face_partition frac unit_box_domain unit_cube "
+                "unit_square_domain",
     "capacities": "CapacityDistribution derive_seed sample_capacities",
     "stream": "Stream admissibility_region_report admissibility_report constant_stream "
-              "discretize_field divergence_at dump_stream face_flux flow_value load_stream "
-              "rescale_stream vector_measure",
-    "maxflow": "MaxFlowResult cylinder_flow_tau cylinder_flow_top_bottom max_flow",
-    "reconnect": "balance_faces decompose glue_adjacent is_well_behaved mix mix2d "
-                 "mix_precise mix_sparse quantize",
-    "measure": "DistanceBracket DistanceOptions VectorMeasure adaptive_options box_mass "
-               "distance restrict",
-    "continuous": "ContinuousField check_divergence_free flow_cont mollify rate_integral",
-    "estimate": "RateEstimate convexity_check estimate_flow_constant estimate_rate "
-                "min_distance rate_upper_bound tail_probability wilson_interval",
+              "divergence_at dump_stream face_flux flow_value load_stream vector_measure",
+    "maxflow": "MaxFlowResult cylinder_flow_tau max_flow",
+    "reconnect": "balance_faces decompose glue_adjacent mix mix2d mix_precise mix_sparse",
+    "measure": "DistanceBracket DistanceOptions VectorMeasure distance restrict",
+    "estimate": "RateEstimate estimate_flow_constant estimate_rate min_distance "
+                "rate_upper_bound tail_probability wilson_interval",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

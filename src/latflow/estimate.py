@@ -316,8 +316,11 @@ class CubeDistanceTables:
         return float(np.max(self._point_values(s_vec * self.scale)))
 
     def certified_upper(self, f):
-        """Grid value of the exact stream plus the truncation tail: matches
-        measure.distance(vector_measure(f), target).upper on this grid."""
+        """Grid value of the exact stream plus the truncation tail.  It agrees
+        with measure.distance(vector_measure(f), target).upper on this grid
+        to within rounding, not bit for bit: each sums square roots of float
+        masses in its own order.  Neither value carries a rounding margin, so
+        neither is a proven bound of the grid quantity."""
         import numpy as np
 
         s = np.zeros(self.ne)
@@ -541,33 +544,6 @@ def estimate_rate(s, v, eps, n, trials, dist: CapacityDistribution, seed,
         successes = sum(1 for val in values if val <= float(e))
         out.append(RateEstimate.from_counts(n, e, s, v, trials, successes, seed, d=d))
     return out if eps_grid is not None else out[0]
-
-
-def convexity_check(v1, v2, s, eps, n, trials, dist, seed, d=None, threads=1):
-    """Statistical convexity probe along the segment v1 -> v2.
-
-    Estimates the rate at the endpoints and the midpoint and compares
-    I(mid) <= (I(v1) + I(v2))/2 + 3 * combined CI half-widths.  Returns
-    'consistent', 'violated' or 'inconclusive' (when an estimate has no
-    finite value or the combined intervals swallow the comparison).
-    """
-    d = d or len(v1)
-    mid = tuple((Fraction(a) + Fraction(b)) / 2 for a, b in zip(v1, v2))
-    ests = [
-        estimate_rate(s, v, eps, n, trials, dist, derive_seed(seed, i), d=d, threads=threads)
-        for i, v in enumerate((v1, v2, mid))
-    ]
-    vals = [e.i_hat for e in ests]
-    slack = 3 * sum(e.ci_half_width for e in ests)
-    if any(v == float("inf") for v in vals):
-        return "inconclusive", ests
-    lhs = vals[2]
-    rhs = (vals[0] + vals[1]) / 2 + slack
-    if lhs <= rhs:
-        return "consistent", ests
-    if slack > max(vals):
-        return "inconclusive", ests
-    return "violated", ests
 
 
 def straight_base(d, n, axis):

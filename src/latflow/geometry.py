@@ -76,14 +76,6 @@ def face_axis(face) -> int:
     return axes[0]
 
 
-def face_area(face) -> Fraction:
-    a = Fraction(1)
-    for lo, hi in face:
-        if hi != lo:
-            a *= hi - lo
-    return a
-
-
 def unit_cube(d) -> tuple:
     """The half-open cube [-1/2, 1/2)^d centered at the origin."""
     h = Fraction(1, 2)
@@ -95,13 +87,6 @@ def cube_box(d, n):
     coordinates c with -1/2 <= c/n < 1/2."""
     lo = -(n // 2)
     return lo, lo + n
-
-
-def cube_face(d, axis, sign) -> tuple:
-    """Face of the unit cube orthogonal to e_axis on side ``sign`` (+1/-1)."""
-    h = Fraction(1, 2)
-    c = h if sign > 0 else -h
-    return tuple((c, c) if j == axis else (-h, h) for j in range(d))
 
 
 def near_ranges(b, n) -> tuple:
@@ -446,37 +431,6 @@ def face_partition(d, axis, sign, m, b=None):
     return cells
 
 
-def sparse_edge_set(K, region: Region, n, d=None):
-    """E_K^d intersected with the region: axis-0 edges on the K-sublattice in
-    the transverse coordinates, plus the transverse rail edges joining
-    K-neighbours of the sublattice."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if d is None:
-        d = len(region.boxes[0]) if region.boxes is not None else region.cylinder.d
-    out = []
-    for v in region.lattice_vertices(n):
-        for j in range(d):
-            if j == 0:
-                if all(v[k] % K == 0 for k in range(1, d)):
-                    out.append(EdgeId(tuple(v), j))
-            else:
-                if all(v[k] % K == 0 for k in range(1, d) if k != j):
-                    out.append(EdgeId(tuple(v), j))
-    return out
-
-
 def sparse_edge_count_bound(d, n, K):
     """Paper bound |E_K^d in [0,n) x [1,n]^{d-1}| <= 3d n^d / K^{d-2}."""
     return Fraction(3 * d * n**d, K ** (d - 2))
-
-
-def dump_vertex_set(vertices) -> str:
-    """Sorted integer-coordinate text list, one vertex per line."""
-    return "\n".join(" ".join(str(c) for c in v) for v in sorted(vertices)) + "\n"
-
-
-def load_vertex_set(text):
-    return frozenset(
-        tuple(int(c) for c in line.split()) for line in text.strip().splitlines()
-    )

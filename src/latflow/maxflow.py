@@ -372,14 +372,6 @@ def max_flow(L, t) -> MaxFlowResult:
     return FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2).solve(t)
 
 
-def cylinder_flow_top_bottom(base, h, v, t, n=1):
-    """Phi(A, h): maximal flow from T(A,h) to B(A,h) inside cyl(A,h,v)."""
-    from .geometry import cylinder_sets
-
-    region, top, bottom, _, _ = cylinder_sets(base, h, v, n)
-    return _cylinder_network(region, top, bottom, n).solve(t)
-
-
 def tau_network(base, h, n=1, v=None) -> FlowNetwork:
     """The network of tau(A, h): the cylinder's upper half boundary as sources
     and its lower half as sinks.  It depends on (base, h, n, v) only, so one

@@ -77,26 +77,6 @@ def _open_overlap(a, b):
     return True
 
 
-def box_mass(nu: VectorMeasure, b):
-    """Exact mass vector of the half-open box: atoms by membership, densities
-    by rational intersection volume."""
-    total = [Fraction(0)] * nu.d
-    for p, w in nu.atoms:
-        if all(lo <= c < hi for c, (lo, hi) in zip(p, b)):
-            total = [t + wi for t, wi in zip(total, w)]
-    for cell, v in nu.densities:
-        vol = Fraction(1)
-        for (lo, hi), (clo, chi) in zip(b, cell):
-            seg = min(hi, chi) - max(lo, clo)
-            if seg <= 0:
-                vol = Fraction(0)
-                break
-            vol *= seg
-        if vol:
-            total = [t + vi * vol for t, vi in zip(total, v)]
-    return tuple(total)
-
-
 def restrict(nu: VectorMeasure, b) -> VectorMeasure:
     """nu restricted to the half-open box b."""
     atoms = tuple(
@@ -132,12 +112,8 @@ class DistanceBracket:
 
 @dataclass
 class DistanceOptions:
-    """Deterministic evaluation grid for the bracket.
-
-    The default is the fixed quarter grid (measure-independent); use
-    ``adaptive_options`` for worst-case shifts derived from the atom spacing,
-    which sharpen the lower bound considerably for lattice measures.
-    """
+    """Deterministic evaluation grid for the bracket.  The default is the
+    fixed quarter grid (measure-independent)."""
 
     k_max: int = 12
     lambdas: tuple = (
@@ -148,32 +124,6 @@ class DistanceOptions:
     )
     shifts: tuple = (Fraction(0), Fraction(1, 4), Fraction(1, 2))
     cube_budget: int = 2_000_000
-
-
-def _atom_min_gap(measures):
-    gaps = []
-    for m in measures:
-        coords = {}
-        for p, _ in m.atoms:
-            for j, c in enumerate(p):
-                coords.setdefault(j, set()).add(c)
-        for vals in coords.values():
-            vs = sorted(vals)
-            for a, b in zip(vs, vs[1:]):
-                gaps.append(b - a)
-    return min(gaps) if gaps else None
-
-
-def adaptive_options(mu, nu, k_max=12) -> DistanceOptions:
-    """Grid enriched with half/quarter atom-spacing shifts and extra scale
-    candidates: much sharper lower bounds on atomic measures."""
-    base = DistanceOptions(k_max=k_max)
-    shifts = set(base.shifts)
-    h = _atom_min_gap((mu, nu))
-    if h is not None:
-        shifts.update({h / 2, h / 4})
-    lambdas = tuple(sorted(set(base.lambdas) | {Fraction(9, 8), Fraction(4, 3)}))
-    return DistanceOptions(k_max=k_max, lambdas=lambdas, shifts=tuple(sorted(shifts)))
 
 
 def _pair_geometry(a, b):

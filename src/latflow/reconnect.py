@@ -1,5 +1,5 @@
-"""Stream decomposition, the mixing constructions, quantization, face
-balancing and corridor gluing.
+"""Stream decomposition, the mixing constructions, face balancing and
+corridor gluing.
 
 The mixing builders work on abstract boxes [0, m) x [1, r]^{d-1} of the unit
 lattice (scale 1), with inputs on the column-0 edges and outputs on the
@@ -12,9 +12,8 @@ rounded once to the nearest float.
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
 
-from .geometry import EdgeId, boundary_edge_set, cube_box, face_area, face_partition
+from .geometry import EdgeId, boundary_edge_set, cube_box, face_partition
 from .stream import Stream, divergence_at, face_flux, incident_edges, transform
 
 
@@ -463,51 +462,7 @@ def mix_precise(f_in, M, eps) -> Stream:
 
 
 # ---------------------------------------------------------------------------
-# Quantization
-
-
-def _sqrt_exact(x):
-    if isinstance(x, (int, Fraction)):
-        fx = Fraction(x)
-        a, b = isqrt(fx.numerator), isqrt(fx.denominator)
-        if a * a == fx.numerator and b * b == fx.denominator:
-            return Fraction(a, b)
-    return None
-
-
-def quantize(t, eps):
-    """proj(t, eps) = sign(t) sqrt(eps) floor(|t| / sqrt(eps)); snaps toward
-    zero onto the sqrt(eps) grid, so |t - proj| <= sqrt(eps) and |proj| <= |t|."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    root = _sqrt_exact(eps)
-    if root is None or isinstance(t, float):
-        root = float(eps) ** 0.5
-        t = float(t)
-    sign = 1 if t >= 0 else -1
-    steps = int(abs(t) / root)
-    return sign * root * steps
-
-
-# ---------------------------------------------------------------------------
 # Face balancing (residual stream construction)
-
-
-def balance_alpha(d):
-    """Quantization exponent: alpha = 1 / (2(3d+1)); 1/14 in dimension 2."""
-    return Fraction(1, 2 * (3 * d + 1))
-
-
-def mesh_m(d, eps):
-    """Mesoscopic face-partition scale m = floor(eps^-alpha)."""
-    a = float(balance_alpha(d))
-    return max(1, int(float(eps) ** (-a)))
-
-
-def balance_K(d, eps, kappa=1.0):
-    """Sparsity K = floor((1 / (2 kappa eps^{alpha/2}))^{1/(d-1)})."""
-    a = float(balance_alpha(d))
-    return int((1.0 / (2 * kappa * float(eps) ** (a / 2))) ** (1.0 / (d - 1)))
 
 
 def _sparse_coords(n, K, d):
@@ -783,36 +738,7 @@ def _profile_points(d, n, K, axis, sign, prof):
 
 
 # ---------------------------------------------------------------------------
-# Well-behaved streams and gluing
-
-
-def well_behaved_target(d, s, v, m, n, damping, lattice_box=None):
-    """Target flux per face cell: damping * s * v_axis * H^{d-1}(cell) * n^{d-1}."""
-    cells = _face_cells(d, m, lattice_box, n)
-    out = {}
-    for key, cell in cells.items():
-        axis, _, _ = key
-        out[key] = damping * s * v[axis] * face_area(cell) * n ** (d - 1)
-    return out
-
-
-def is_well_behaved(f: Stream, eps, s, v, m, damping=None, lattice_box=None, tol=0):
-    """True iff every mesoscopic face flux equals the damped constant target
-    (1 - eps^{alpha/4}) s v.e_axis H^{d-1}(cell) n^{d-1}."""
-    d = f.d
-    if damping is None:
-        a = float(balance_alpha(d))
-        damping = 1.0 - float(eps) ** (a / 4)
-    target = well_behaved_target(d, s, v, m, f.n, damping, lattice_box)
-    got = measure_face_fluxes(f, m, lattice_box)
-    for key, want in target.items():
-        have = got[key]
-        if tol == 0 and not isinstance(have - want, float):
-            if have != want:
-                return False
-        elif abs(float(have) - float(want)) > max(tol, 1e-9):
-            return False
-    return True
+# Gluing
 
 
 def glue_adjacent(f_a: Stream, box_a, f_b: Stream, box_b, m, M) -> Stream:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .geometry import EdgeId, face_axis, half_open_ranges
+from .geometry import EdgeId, half_open_ranges
 
 
 @dataclass
@@ -221,76 +221,6 @@ def constant_stream(b, vec, n, damping=1) -> Stream:
     return f
 
 
-def plaquette(e: EdgeId, n):
-    """Dual plaquette of the edge: the (d-1)-box of side 1/n orthogonal to the
-    edge, centered at the edge midpoint (degenerate along the edge axis)."""
-    mid = e.midpoint(n)
-    h = Fraction(1, 2 * n)
-    out = []
-    for j, c in enumerate(mid):
-        if j == e.axis:
-            out.append((c, c))
-        else:
-            out.append((c - h, c + h))
-    return tuple(out)
-
-
-def _box_intersection_area(face, region_boxes):
-    """(d-1)-volume of face ∩ union of closed boxes; face degenerate on one
-    axis.  Boxes are assumed pairwise disjoint as regions."""
-    ax = face_axis(face)
-    total = Fraction(0)
-    c = face[ax][0]
-    for b in region_boxes:
-        if not (b[ax][0] <= c <= b[ax][1]):
-            continue
-        a = Fraction(1)
-        for j, (lo, hi) in enumerate(face):
-            if j == ax:
-                continue
-            l = max(lo, b[j][0])
-            h = min(hi, b[j][1])
-            if h <= l:
-                a = Fraction(0)
-                break
-            a *= h - l
-        total += a
-    return total
-
-
-def discretize_field(sigma, region, n, damping=1) -> Stream:
-    """Discretize a piecewise-constant field: s(e) = damping * n^{d-1} *
-    integral of sigma.e_axis over the dual plaquette, for edges whose
-    plaquette sits inside the region; exact rational box intersections."""
-    from .continuous import ContinuousField
-
-    if not isinstance(sigma, ContinuousField):
-        raise TypeError("sigma must be a ContinuousField on a rational box mesh")
-    d = sigma.d
-    f = Stream(d, n)
-    if region.boxes is None:
-        raise ValueError("discretize_field needs a box-union region")
-    # candidate edges: left endpoints within the region bounding box, padded
-    from .capacities import region_edges
-
-    for e in region_edges(region, n, d=d):
-        p = plaquette(e, n)
-        # plaquette must sit inside the (closure of the) region
-        area_in = _box_intersection_area(p, region.boxes)
-        full = Fraction(1, n ** (d - 1))
-        if area_in != full:
-            continue
-        acc = Fraction(0)
-        for cell, value in sigma.cells:
-            a = _box_intersection_area(p, (cell,))
-            if a:
-                acc += a * value[e.axis]
-        val = damping * (n ** (d - 1)) * acc
-        if val != 0:
-            f.values[e] = val
-    return f
-
-
 def transform(f: Stream, perm=None, flips=None, offset=None, n=None) -> Stream:
     """Push a stream through an axis permutation, per-axis reflections and an
     integer translation (all at the stored integer scale).
@@ -317,20 +247,6 @@ def transform(f: Stream, perm=None, flips=None, offset=None, n=None) -> Stream:
             val = -v
         tgt = [tgt[k] + offset[k] for k in range(d)]
         out.add(EdgeId(tuple(tgt), k), val)
-    return out
-
-
-def rescale_stream(f: Stream, x, n: int) -> Stream:
-    """Pushforward under the homothety pi_{x,n0/n}(y) = (n0/n) y + x, which
-    maps the scale-n0 lattice onto the scale-n one edge-for-edge.  x is a
-    point of Z^d/n given in integer coordinates at scale n."""
-    n0 = f.n
-    if n0 > n:
-        raise ValueError("rescale only refines: need n0 <= n")
-    out = Stream(f.d, n)
-    for e, v in f.values.items():
-        tgt = tuple(c + xo for c, xo in zip(e.x, x))
-        out.values[EdgeId(tgt, e.axis)] = v
     return out
 
 

@@ -396,3 +396,37 @@ def overlap_volume(bounds, box):
             return 0.0
         vol *= seg
     return vol
+
+
+def cube_face(d, axis, sign) -> tuple:
+    """Face of the unit cube [-1/2, 1/2)^d orthogonal to e_axis on side
+    ``sign`` (+1/-1)."""
+    h = Fraction(1, 2)
+    c = h if sign > 0 else -h
+    return tuple((c, c) if j == axis else (-h, h) for j in range(d))
+
+
+def sparse_edge_set(K, region, n, d):
+    """E_K^d intersected with the region: axis-0 edges on the K-sublattice in
+    the transverse coordinates, plus the transverse rail edges joining
+    K-neighbours of the sublattice."""
+    from latflow.geometry import EdgeId
+
+    out = []
+    for v in region.lattice_vertices(n):
+        for j in range(d):
+            if all(v[k] % K == 0 for k in range(1, d) if k != j):
+                out.append(EdgeId(tuple(v), j))
+    return out
+
+
+def flow_law(L, values):
+    """Law of phi_n over the capacities of L.active_edges drawn independently
+    and uniformly from ``values``: {phi: number of configurations}, by a
+    vertex-partition min cut of every configuration."""
+    edges = sorted(L.active_edges)
+    law = {}
+    for caps in product(values, repeat=len(edges)):
+        phi, _ = min_cut_by_partitions(L.omega, edges, dict(zip(edges, caps)), L.gamma1, L.gamma2)
+        law[phi] = law.get(phi, 0) + 1
+    return law

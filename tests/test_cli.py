@@ -583,12 +583,12 @@ def test_only_the_rate_solver_loads_numpy(tmp_path, cmd):
 # the modules each subcommand's process must not load: a process compiles
 # every module it loads, since no bytecode cache need be written
 NOT_LOADED = {
-    "distance": ("capacities", "maxflow", "stream", "estimate", "reconnect", "continuous"),
-    "tail": ("reconnect", "continuous"),
-    "tau": ("reconnect", "continuous"),
-    "flow-constant": ("reconnect", "continuous"),
-    "maxflow": ("reconnect", "continuous"),
-    "rate": ("reconnect", "continuous"),
+    "distance": ("capacities", "maxflow", "stream", "estimate", "reconnect"),
+    "tail": ("reconnect",),
+    "tau": ("reconnect",),
+    "flow-constant": ("reconnect",),
+    "maxflow": ("reconnect",),
+    "rate": ("reconnect",),
 }
 
 
@@ -628,22 +628,18 @@ def test_importing_the_package_loads_no_submodule():
 # the names latflow/__init__.py imported eagerly, by module
 PACKAGE_NAMES = {
     "geometry": ["DomainSpec", "EdgeId", "LatticeDomain", "Region", "boundary_edge_set",
-                 "cube_face", "cylinder_sets", "discretize_domain", "dump_vertex_set",
-                 "face_partition", "frac", "sparse_edge_set", "unit_box_domain", "unit_cube",
-                 "unit_square_domain"],
+                 "cylinder_sets", "discretize_domain", "face_partition", "frac",
+                 "unit_box_domain", "unit_cube", "unit_square_domain"],
     "capacities": ["CapacityDistribution", "derive_seed", "sample_capacities"],
     "stream": ["Stream", "admissibility_region_report", "admissibility_report",
-               "constant_stream", "discretize_field", "divergence_at", "dump_stream",
-               "face_flux", "flow_value", "load_stream", "rescale_stream", "vector_measure"],
-    "maxflow": ["MaxFlowResult", "cylinder_flow_tau", "cylinder_flow_top_bottom", "max_flow"],
-    "reconnect": ["balance_faces", "decompose", "glue_adjacent", "is_well_behaved", "mix",
-                  "mix2d", "mix_precise", "mix_sparse", "quantize"],
-    "measure": ["DistanceBracket", "DistanceOptions", "VectorMeasure", "adaptive_options",
-                "box_mass", "distance", "restrict"],
-    "continuous": ["ContinuousField", "check_divergence_free", "flow_cont", "mollify",
-                   "rate_integral"],
-    "estimate": ["RateEstimate", "convexity_check", "estimate_flow_constant", "estimate_rate",
-                 "min_distance", "rate_upper_bound", "tail_probability", "wilson_interval"],
+               "constant_stream", "divergence_at", "dump_stream", "face_flux", "flow_value",
+               "load_stream", "vector_measure"],
+    "maxflow": ["MaxFlowResult", "cylinder_flow_tau", "max_flow"],
+    "reconnect": ["balance_faces", "decompose", "glue_adjacent", "mix", "mix2d", "mix_precise",
+                  "mix_sparse"],
+    "measure": ["DistanceBracket", "DistanceOptions", "VectorMeasure", "distance", "restrict"],
+    "estimate": ["RateEstimate", "estimate_flow_constant", "estimate_rate", "min_distance",
+                 "rate_upper_bound", "tail_probability", "wilson_interval"],
 }
 
 

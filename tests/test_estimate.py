@@ -24,6 +24,8 @@ from latflow.geometry import EdgeId, Region, discretize_domain, unit_cube, unit_
 from latflow.measure import DistanceOptions, VectorMeasure, distance
 from latflow.stream import Stream, dump_stream, vector_measure
 
+import oracles
+
 
 def test_wilson_interval_basics():
     lo, hi = wilson_interval(0, 100)
@@ -250,6 +252,31 @@ def test_tail_probability_extremes_and_consistency():
     assert abs(pa - pb) <= 4 * sigma
 
 
+def test_tail_probability_matches_the_exact_law():
+    # phi_2 on the unit square under bernoulli(0, 1, 1/2), by enumerating all
+    # 2^8 capacity configurations with an independent min cut
+    from itertools import product
+
+    from latflow.maxflow import max_flow
+
+    L = discretize_domain(unit_square_domain(), 2)
+    law = oracles.flow_law(L, (0, 1))
+    assert law == {0: 84, 1: 122, 2: 46, 3: 4}
+    edges = sorted(L.active_edges)
+    solved = [max_flow(L, dict(zip(edges, caps))).value for caps in product((0, 1), repeat=len(edges))]
+    assert {phi: solved.count(phi) for phi in set(solved)} == law
+    # thresholds lam * n = 1/2, 3/2, 5/2 fall between the atoms of phi
+    trials = 2000
+    lams = [Fraction(1, 4), Fraction(3, 4), Fraction(5, 4)]
+    out = tail_probability(lams, 2, trials, CapacityDistribution.bernoulli(0, 1, Fraction(1, 2)),
+                           seed=7, L=L)
+    assert [s for _, _, s in out] == [1362, 386, 33]
+    for lam, (_, _, successes) in zip(lams, out):
+        p = Fraction(sum(c for phi, c in law.items() if phi >= lam * 2), 256)
+        z = (successes - trials * p) / math.sqrt(trials * p * (1 - p))
+        assert abs(z) <= 4
+
+
 def test_tail_probability_solves_each_trial_once_for_all_lams(monkeypatch):
     from latflow.maxflow import FlowNetwork
 
@@ -306,27 +333,6 @@ def test_determinism_across_threads():
     fb = estimate_flow_constant(CapacityDistribution.uniform(0, 1), 1, [3],
                                 lambda n: 3, trials=12, seed=8, d=2, threads=8)
     assert fa == fb
-
-
-def test_convexity_check_modes():
-    from latflow.estimate import convexity_check
-
-    dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
-    # endpoints at s=0 along two directions: every estimate is exact (p=1),
-    # so the probe must come back consistent
-    verdict, ests = convexity_check((1, 0), (-1, 0), 0, 0.5, 2, 20, dist, seed=1)
-    assert verdict == "consistent"
-    assert all(e.i_hat == 0 for e in ests)
-    # an infeasible scale gives infinite estimates: inconclusive, not failed
-    verdict, _ = convexity_check((1, 0), (0, 1), 5, 0.05, 2, 10, dist, seed=2)
-    assert verdict == "inconclusive"
-
-
-def test_vertex_set_text_round_trip():
-    from latflow.geometry import discretize_domain, dump_vertex_set, load_vertex_set, unit_square_domain
-
-    L = discretize_domain(unit_square_domain(), 2)
-    assert load_vertex_set(dump_vertex_set(L.omega)) == L.omega
 
 
 def test_min_distance_on_explicit_region():

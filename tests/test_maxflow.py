@@ -8,10 +8,11 @@ import pytest
 
 from latflow.capacities import CapacityDistribution, EdgeHasher, region_edges, sample_capacities, sample_numerators
 from latflow.geometry import (
-    Cylinder, DomainSpec, Region, box, discretize_domain, inner_edges, unit_box_domain, unit_square_domain,
+    Cylinder, DomainSpec, Region, box, cylinder_sets, discretize_domain, inner_edges, unit_box_domain,
+    unit_square_domain,
 )
 from latflow.maxflow import (
-    FlowNetwork, _cancel_cycles, cylinder_flow_tau, cylinder_flow_top_bottom, max_flow, tau_network,
+    FlowNetwork, _cancel_cycles, _cylinder_network, cylinder_flow_tau, max_flow, tau_network,
 )
 from latflow.stream import Stream, admissibility_report, dump_stream, flow_value
 from latflow.estimate import straight_base, straight_tau_sampler
@@ -101,6 +102,13 @@ def test_monotone_in_single_capacity():
         assert max_flow(L, bumped).value >= base
 
 
+def cylinder_phi(base, h, v, t):
+    """Phi(A, h): the maximal flow from T(A, h) to B(A, h) inside cyl(A, h, v),
+    on the cylinder network of tau with T and B as its terminals."""
+    region, top, bottom, _, _ = cylinder_sets(base, h, v)
+    return _cylinder_network(region, top, bottom, 1).solve(t)
+
+
 def test_cylinder_phi_constant_capacities_column_count():
     d = 2
     for k, c in ((2, Fraction(1)), (3, Fraction(2, 3))):
@@ -110,7 +118,7 @@ def test_cylinder_phi_constant_capacities_column_count():
         t = sample_capacities(
             region_edges(region, 1, d=d), CapacityDistribution.constant(c), seed=0
         )
-        res = cylinder_flow_top_bottom(base, 2, v, t)
+        res = cylinder_phi(base, 2, v, t)
         assert res.value == c * oracles.column_count(base, d - 1)
 
 
@@ -124,7 +132,7 @@ def test_cylinder_phi_unchanged_by_height():
         t = sample_capacities(
             region_edges(region, 1, d=d), CapacityDistribution.constant(1), seed=0
         )
-        vals.append(cylinder_flow_top_bottom(base, h, v, t).value)
+        vals.append(cylinder_phi(base, h, v, t).value)
     assert vals[0] == vals[1] == vals[2]
 
 
@@ -139,7 +147,7 @@ def test_cylinder_phi_bounded_by_any_flat_layer():
             region_edges(region, 1, d=d), CapacityDistribution.uniform(0, 1),
             seed=rng.getrandbits(32),
         )
-        res = cylinder_flow_top_bottom(base, h, v, t)
+        res = cylinder_phi(base, h, v, t)
         verts = set(region.lattice_vertices(1))
         for level in range(-h, h):
             from latflow.geometry import EdgeId

@@ -5,12 +5,10 @@ from itertools import product
 
 import pytest
 
-from latflow.geometry import EdgeId, unit_cube
+from latflow.geometry import EdgeId, box_volume, unit_cube
 from latflow.measure import (
     DistanceOptions,
     VectorMeasure,
-    adaptive_options,
-    box_mass,
     distance,
     from_json,
     restrict,
@@ -86,6 +84,18 @@ def l1_between(mu: VectorMeasure, nu: VectorMeasure):
 # box_mass
 
 
+def box_mass(nu, b):
+    """Exact mass vector of nu in the half-open box b, read through restrict:
+    atom weights plus each density times its clipped volume."""
+    r = restrict(nu, b)
+    total = [Fraction(0)] * nu.d
+    for _, w in r.atoms:
+        total = [t + wi for t, wi in zip(total, w)]
+    for cell, v in r.densities:
+        total = [t + vi * box_volume(cell) for t, vi in zip(total, v)]
+    return tuple(total)
+
+
 def test_box_mass_half_open_rule():
     nu = VectorMeasure(
         d=2,
@@ -117,7 +127,7 @@ def test_restrict_splits_mass():
     nu = VectorMeasure.from_density(unit_cube(2), v)
     left = ((Fraction(-1, 2), Fraction(0)), (Fraction(-1, 2), Fraction(1, 2)))
     r = restrict(nu, left)
-    assert box_mass(r, unit_cube(2)) == (Fraction(1, 2), 0)
+    assert r.atoms == () and r.densities == ((left, v),)
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +321,14 @@ def test_overlapping_densities_rejected():
 
 
 def test_plaquette_discretization_distance_decreases():
-    # the plaquette-exact discretization of v 1_cube converges to the target
-    # in the bracketed distance as n grows
-    from latflow.continuous import ContinuousField
-    from latflow.geometry import Region
-    from latflow.stream import discretize_field
-
+    # the discretization of v 1_cube (every edge with left endpoint in the
+    # cube carries v) converges to the target in the bracketed distance as n
+    # grows
     v = (Fraction(1), Fraction(0))
     target = VectorMeasure.from_density(unit_cube(2), v)
-    sigma = ContinuousField.constant(unit_cube(2), v)
-    region = Region(boxes=(unit_cube(2),))
     uppers = []
     for n in (4, 8, 16):
-        f = discretize_field(sigma, region, n, damping=1)
+        f = constant_stream(unit_cube(2), v, n)
         uppers.append(distance(vector_measure(f), target).upper)
     assert uppers[0] > uppers[1] > uppers[2]
 
@@ -384,8 +389,9 @@ def test_cube_kernel_matches_the_per_point_oracle():
 
 
 def _golden_lattice_pair():
-    # lattice atoms at n = 3 under the adaptive grid: its shifts 1/12, 1/24
-    # and lambdas 9/8, 4/3 make the grid's common denominator non-dyadic
+    # lattice atoms at n = 3 under a grid adapted to their spacing 1/6: its
+    # shifts 1/12, 1/24 and lambdas 9/8, 4/3 make the grid's common
+    # denominator non-dyadic
     f = Stream(2, 3)
     vals = [Fraction(1), Fraction(-1, 2), Fraction(2, 3), Fraction(1, 4), Fraction(0), Fraction(3, 2)]
     edges = [EdgeId((x, y), ax) for x in range(-1, 2) for y in range(-1, 2) for ax in range(2)]
@@ -394,7 +400,9 @@ def _golden_lattice_pair():
             f.values[e] = vals[i % len(vals)]
     mu = vector_measure(f)
     nu = VectorMeasure.from_density(unit_cube(2), (Fraction(1, 2), Fraction(1, 4)))
-    return mu, nu, adaptive_options(mu, nu)
+    F = Fraction
+    return mu, nu, DistanceOptions(k_max=12, lambdas=(F(1), F(9, 8), F(5, 4), F(4, 3), F(3, 2), F(7, 4)),
+                                   shifts=(F(0), F(1, 24), F(1, 12), F(1, 4), F(1, 2)))
 
 
 def _golden_d3_pair():

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from latflow.capacities import CapacityDistribution, sample_capacities
-from latflow.continuous import ContinuousField
-from latflow.geometry import EdgeId, Region, box, cube_face, discretize_domain, unit_cube, unit_square_domain
+from latflow.geometry import EdgeId, Region, discretize_domain, unit_cube, unit_square_domain
 from latflow.maxflow import max_flow
 from latflow.reconnect import cube_box
 from latflow.stream import (
@@ -13,16 +12,16 @@ from latflow.stream import (
     admissibility_region_report,
     admissibility_report,
     constant_stream,
-    discretize_field,
     divergence_at,
     dump_stream,
     face_flux,
     flow_value,
     load_stream,
-    rescale_stream,
     transform,
     vector_measure,
 )
+
+import oracles
 
 
 def test_divergence_of_empty_stream():
@@ -152,57 +151,12 @@ def test_face_flux_gauss_green():
     d, n = 2, 4
     f = constant_stream(unit_cube(d), (Fraction(1), Fraction(1, 2)), n)
     total_in = sum(
-        face_flux(f, cube_face(d, ax, -1), ax, -1) for ax in range(d)
+        face_flux(f, oracles.cube_face(d, ax, -1), ax, -1) for ax in range(d)
     )
     total_out = sum(
-        face_flux(f, cube_face(d, ax, 1), ax, 1) for ax in range(d)
+        face_flux(f, oracles.cube_face(d, ax, 1), ax, 1) for ax in range(d)
     )
     assert total_in == total_out
-
-
-def test_discretize_constant_field_gives_constant_interior():
-    d, n = 2, 4
-    v = (Fraction(2, 3), Fraction(0))
-    sigma = ContinuousField.constant(unit_cube(d), v)
-    region = Region(boxes=(unit_cube(d),))
-    f = discretize_field(sigma, region, n, damping=1)
-    # interior horizontal edges carry v1 exactly
-    assert f.values[EdgeId((0, 0), 0)] == Fraction(2, 3)
-    # boundary plaquettes stick out and get zero
-    lo, hi = cube_box(d, n)
-    assert EdgeId((lo, lo), 0) not in f.values
-
-
-def test_discretized_divergence_free_field_conserves():
-    d, n = 2, 4
-    sigma = ContinuousField.constant(unit_cube(d), (Fraction(1), Fraction(1)))
-    region = Region(boxes=(unit_cube(d),))
-    f = discretize_field(sigma, region, n)
-    lo, hi = cube_box(d, n)
-    for x0 in range(lo + 1, hi):
-        for x1 in range(lo + 1, hi):
-            # vertices whose backward neighbours stay in the cube
-            if x0 - 1 >= lo and x1 - 1 >= lo and x0 < hi - 1 and x1 < hi - 1:
-                assert divergence_at(f, (x0, x1)) == 0
-
-
-def test_rescale_preserves_values_and_scales_measure():
-    f = Stream(2, 2)
-    f.values[EdgeId((0, 0), 0)] = Fraction(2)
-    f.values[EdgeId((0, 0), 1)] = Fraction(-1)
-    g = rescale_stream(f, (1, 1), 4)
-    assert g.n == 4
-    assert g.values[EdgeId((1, 1), 0)] == 2
-    tv_f = vector_measure(f).total_variation()
-    tv_g = vector_measure(g).total_variation()
-    assert abs(tv_g - tv_f * (2**2) / (4**2)) < 1e-12
-
-
-def test_rescale_identity():
-    f = Stream(2, 2)
-    f.values[EdgeId((0, 1), 0)] = Fraction(1, 3)
-    g = rescale_stream(f, (0, 0), 2)
-    assert g.values == f.values
 
 
 def test_stream_file_round_trip_exact_and_float():
@@ -276,12 +230,6 @@ def test_node_law_verdict_on_floats_is_exact():
     assert (1, 1) in admissibility_region_report(f, {}, region).bad_vertices
 
 
-def test_discretize_field_rejects_non_mesh_input():
-    region = Region(boxes=(unit_cube(2),))
-    with pytest.raises(TypeError):
-        discretize_field(lambda p: (1, 0), region, 4)
-
-
 def test_region_report_trio_on_cube():
     region = Region(boxes=(unit_cube(2),))
     t = sample_capacities(
@@ -296,23 +244,6 @@ def test_region_report_trio_on_cube():
     g = constant_stream(unit_cube(2), (Fraction(1, 2), Fraction(0)), 4)
     rep2 = admissibility_region_report(g, t, region)
     assert rep2.capacity and rep2.node_law
-
-
-def test_rescale_preserves_admissibility_under_permuted_capacities():
-    region0 = Region(boxes=(unit_cube(2),))
-    n0, n = 2, 4
-    f = constant_stream(unit_cube(2), (Fraction(1, 2), Fraction(0)), n0)
-    caps0 = {e: Fraction(1) for e in f.values}
-    assert admissibility_region_report(f, caps0, region0).admissible
-    shift = (1, 1)
-    g = rescale_stream(f, shift, n)
-    # pushforward capacities and the image cube
-    caps = {EdgeId(tuple(c + s for c, s in zip(e.x, shift)), e.axis): v for e, v in caps0.items()}
-    image = Region(
-        boxes=(tuple((Fraction(-n0 // 2 + s, n), Fraction(n0 // 2 + s, n)) for s in shift),)
-    )
-    rep = admissibility_region_report(g, caps, image)
-    assert rep.capacity and rep.node_law
 
 
 def test_in_place_sum_matches_the_copying_sum():

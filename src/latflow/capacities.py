@@ -157,16 +157,6 @@ class CapacityDistribution:
             raise ValueError("probabilities must sum to 1")
         return cls("discrete", (values, probs))
 
-    @property
-    def support_bound(self) -> Fraction:
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "bernoulli":
-            return max(self.params[0], self.params[1])
-        if self.kind == "uniform":
-            return self.params[1]
-        return max(self.params[0])
-
     def mean(self) -> Fraction:
         if self.kind == "constant":
             return self.params[0]
@@ -256,15 +246,9 @@ def sample_numerators(hasher: EdgeHasher, dist: CapacityDistribution, seed: int)
     return list(map(draw, hasher.words(seed))), D
 
 
-def region_edges(region, n, d=None):
+def region_edges(region, n):
     """Edges with left endpoint in the region (the set the S_n(C) conditions
     can see)."""
     from .geometry import EdgeId
 
-    if d is None:
-        d = len(region.boxes[0]) if region.boxes is not None else region.cylinder.d
-    out = []
-    for v in region.lattice_vertices(n):
-        for j in range(d):
-            out.append(EdgeId(tuple(v), j))
-    return out
+    return [EdgeId(v, j) for v in region.lattice_vertices(n) for j in range(len(v))]

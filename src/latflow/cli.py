@@ -385,8 +385,7 @@ def cmd_rate(cfg, args):
     dist = parse_distribution(_need(sub, "dist", "rate"), "rate.dist")
     from .estimate import estimate_rate
 
-    results = estimate_rate(s, v, None, n, trials, dist, seed, d=d,
-                            threads=threads, eps_grid=eps_list)
+    results = estimate_rate(s, v, eps_list, n, trials, dist, seed, d=d, threads=threads)
     header = ["s"] + [f"v{j+1}" for j in range(d)] + [
         "eps", "n", "trials", "successes", "phat", "lo", "hi", "Ihat",
     ]
@@ -444,7 +443,8 @@ def cmd_tail(cfg, args):
     rows = []
     results = tail_probability(lams, n, trials, dist, seed, L, threads=threads)
     for lam, (p, (lo, hi), successes) in zip(lams, results):
-        neglog = -math.log(p) if p > 0 else float("inf")
+        # p <= 1, so -log p = |log p|, and abs gives 0.0, not -0.0, at p = 1
+        neglog = abs(math.log(p)) if p > 0 else float("inf")
         rows.append([lam, n, trials, successes, p, lo, hi,
                      neglog / n ** (d - 1), neglog / n**d])
     _write_csv(os.path.join(out_dir, "tail.csv"), header, rows)

@@ -17,15 +17,18 @@ from .measure import CubeGrid, DistanceOptions, VectorMeasure
 from .stream import Stream
 
 
-def wilson_interval(successes, trials, z=1.959963984540054):
+Z95 = 1.959963984540054  # the two-sided 95% quantile of the standard normal
+
+
+def wilson_interval(successes, trials):
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
+    half = Z95 * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
@@ -79,25 +82,21 @@ def rate_upper_bound(dist: CapacityDistribution, vec):
 
 
 class CubeSpace:
-    """Edges and node-law structure of a region at scale n (S_n(C)): edges
-    with left endpoint in C, node law at vertices whose backward neighbours
-    all stay in C.  Defaults to the unit cube.
+    """Edges and node-law structure of the unit cube C at scale n (S_n(C)):
+    edges with left endpoint in C, node law at vertices whose backward
+    neighbours all stay in C.
 
     ``B`` is the integer node-law incidence (interior vertices x edges):
     +1 on the edges leaving a vertex, -1 on those entering it."""
 
-    def __init__(self, d, n, region=None):
+    def __init__(self, d, n):
         from itertools import product
 
         import numpy as np
 
         self.d, self.n = d, n
-
-        if region is None:
-            lo, hi = cube_box(d, n)
-            verts = [coords for coords in product(range(lo, hi), repeat=d)]
-        else:
-            verts = [tuple(v) for v in region.lattice_vertices(n)]
+        lo, hi = cube_box(d, n)
+        verts = list(product(range(lo, hi), repeat=d))
         vert_set = set(verts)
         self.edges = []
         for coords in sorted(verts):
@@ -405,7 +404,7 @@ def _solve_gram(G, rhs):
     return y
 
 
-def min_distance(tables: CubeDistanceTables, caps, eps, iters=140, seed_vec=None) -> MinDistanceResult:
+def min_distance(tables: CubeDistanceTables, caps, eps, iters=140) -> MinDistanceResult:
     """Minimize the grid-evaluated distance upper bound between mu_n(f) and
     the tables' target over admissible streams in their space, for the
     capacity ``caps[i]`` of each edge ``tables.space.edges[i]``.
@@ -440,19 +439,16 @@ def min_distance(tables: CubeDistanceTables, caps, eps, iters=140, seed_vec=None
     # warm start: invert the target where possible (constant value on density
     # support, exact edge scalars for atoms sitting on edge midpoints)
     s = np.zeros(ne)
-    if seed_vec is not None:
-        s = np.array(seed_vec, dtype=float)
-    else:
-        if tables.target.densities:
-            for cell, v in tables.target.densities:
-                for i, e in enumerate(space.edges):
-                    s[i] += float(v[e.axis])
-        if tables.target.atoms:
-            mid_index = {e.midpoint(n): i for i, e in enumerate(space.edges)}
-            for p, w in tables.target.atoms:
-                i = mid_index.get(p)
-                if i is not None:
-                    s[i] += float(w[space.edges[i].axis]) * n**d
+    if tables.target.densities:
+        for cell, v in tables.target.densities:
+            for i, e in enumerate(space.edges):
+                s[i] += float(v[e.axis])
+    if tables.target.atoms:
+        mid_index = {e.midpoint(n): i for i, e in enumerate(space.edges)}
+        for p, w in tables.target.atoms:
+            i = mid_index.get(p)
+            if i is not None:
+                s[i] += float(w[space.edges[i].axis]) * n**d
     s = np.clip(s, -box, box) * active
     step0 = max(box.max(), 1e-9)
     best_val = float("inf")
@@ -513,25 +509,24 @@ def _run_trials(fn, trials, threads):
     return [fn(i) for i in range(trials)]
 
 
-def estimate_rate(s, v, eps, n, trials, dist: CapacityDistribution, seed,
-                  d=None, threads=1, opts=None, eps_grid=None):
-    """Monte Carlo estimate of the elementary rate function at s*v.
+def estimate_rate(s, v, eps_list, n, trials, dist: CapacityDistribution, seed,
+                  d=None, threads=1):
+    """Monte Carlo estimates of the elementary rate function at s*v, one
+    ``RateEstimate`` per epsilon of ``eps_list``.
 
     Per trial: sample capacities on the cube, run the feasibility solver and
-    count "holds".  With an eps grid the same per-trial solver value is
-    compared against every epsilon, so the counts are nested by construction.
+    count "holds".  The same per-trial solver value is compared against every
+    epsilon, so the counts are nested by construction.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     d = d or len(v)
-    opts = opts or DistanceOptions()
     target = constant_target(d, s, v)
-    eps_list = list(eps_grid) if eps_grid is not None else [eps]
     if s == 0:
         values = [0.0] * trials  # the zero stream certifies the event at any eps
     else:
         # built once: every trial, on any thread, reads the same tables
-        tables = CubeDistanceTables(CubeSpace(d, n), target, opts)
+        tables = CubeDistanceTables(CubeSpace(d, n), target, DistanceOptions())
         hasher = EdgeHasher(tables.space.edges)
 
         def one(trial):
@@ -543,7 +538,7 @@ def estimate_rate(s, v, eps, n, trials, dist: CapacityDistribution, seed,
     for e in eps_list:
         successes = sum(1 for val in values if val <= float(e))
         out.append(RateEstimate.from_counts(n, e, s, v, trials, successes, seed, d=d))
-    return out if eps_grid is not None else out[0]
+    return out
 
 
 def straight_base(d, n, axis):
@@ -572,7 +567,7 @@ class FlowConstantPoint:
             sd = math.sqrt(sum((x - m) ** 2 for x in vals) / (len(vals) - 1))
         else:
             sd = 0.0
-        half = 1.959963984540054 * sd / math.sqrt(len(vals))
+        half = Z95 * sd / math.sqrt(len(vals))
         return cls(n, h, len(vals), tuple(ratios), m, m - half, m + half)
 
 
@@ -584,8 +579,7 @@ def straight_tau_sampler(d, side, h, axis, dist: CapacityDistribution, exact=Tru
     over one denominator, and computes the flow value from them."""
     from .maxflow import tau_network
 
-    v = tuple(1 if j == axis else 0 for j in range(d))
-    network = tau_network(straight_base(d, side, axis), h, n=1, v=v)
+    network = tau_network(straight_base(d, side, axis), h)
     hasher = EdgeHasher(network.edges)
 
     def tau(seed):

@@ -169,12 +169,12 @@ def unit_square_domain() -> DomainSpec:
     )
 
 
-def unit_box_domain(d, axis=0) -> DomainSpec:
-    """(0,1)^d with source/sink the two faces orthogonal to e_axis."""
+def unit_box_domain(d) -> DomainSpec:
+    """(0,1)^d with source/sink the two faces orthogonal to e_0."""
     zero, one = Fraction(0), Fraction(1)
     b = tuple((zero, one) for _ in range(d))
-    src = tuple((zero, zero) if j == axis else (zero, one) for j in range(d))
-    snk = tuple((one, one) if j == axis else (zero, one) for j in range(d))
+    src = ((zero, zero),) + b[1:]
+    snk = ((one, one),) + b[1:]
     return DomainSpec(d=d, boxes=(b,), source=(src,), sink=(snk,))
 
 
@@ -250,8 +250,8 @@ def discretize_domain(spec: DomainSpec, n: int) -> LatticeDomain:
 
 
 class Region:
-    """Lattice-membership region: a union of half-open rational boxes, or an
-    axis-direction cylinder.  Membership at scale n is an integer range test.
+    """Lattice-membership region: a union of half-open rational boxes, or a
+    straight cylinder.  Membership at scale n is an integer range test.
     """
 
     def __init__(self, boxes=None, cylinder=None):
@@ -279,115 +279,48 @@ class Region:
 
 
 class Cylinder:
-    """cyl(A, h, v): two-sided when v is normal to A, one-sided otherwise.
+    """The straight two-sided cylinder cyl(A, h): the base A, a degenerate
+    rational box, extended by h both ways along the axis normal to it.
 
-    The base A is a degenerate rational box; its non-degenerate extents are
-    read half-open so that adjacent cylinders tile without overlap, and the
-    axis extent is closed.
+    The base's non-degenerate extents are read half-open so that adjacent
+    cylinders tile without overlap, and the axis extent is closed.
     """
 
-    def __init__(self, base, h, v, two_sided=True, tol=1e-9):
+    def __init__(self, base, h):
         self.base = base
         self.h = frac(h)
         if self.h <= 0:
             raise ValueError("cylinder height must be positive")
-        if any(lo == hi for j, (lo, hi) in enumerate(base) if j != face_axis(base)):
+        self.axis = face_axis(base)
+        if any(lo == hi for j, (lo, hi) in enumerate(base) if j != self.axis):
             raise ValueError("degenerate base")
-        self.two_sided = two_sided
-        self.tol = tol
-        self.v = tuple(v)
-        self.axis = None
-        self.sign = 0
-        nz = [(j, c) for j, c in enumerate(v) if c != 0]
-        if len(nz) == 1 and abs(nz[0][1]) == 1 and nz[0][0] == face_axis(base):
-            self.axis, self.sign = nz[0][0], (1 if nz[0][1] > 0 else -1)
-
-    @property
-    def d(self):
-        return len(self.base)
-
-    def _axis_interval(self):
-        c = self.base[self.axis][0]
-        if self.two_sided:
-            return c - self.h, c + self.h
-        if self.sign > 0:
-            return c, c + self.h
-        return c - self.h, c
 
     def ranges(self, n):
         """Per-axis integer ranges of the lattice vertices at scale n: the
         base extents half-open, the axis extent closed."""
-        if self.axis is None:
-            raise NotImplementedError("lattice vertices require an axis direction")
-        lo, hi = self._axis_interval()
+        c = self.base[self.axis][0]
         out = list(half_open_ranges(self.base, n))
-        out[self.axis] = range(math.ceil(lo * n), math.floor(hi * n) + 1)
+        out[self.axis] = range(math.ceil((c - self.h) * n), math.floor((c + self.h) * n) + 1)
         return tuple(out)
 
-    def contains(self, p) -> bool:
-        """Float point test for a tilted cylinder.  A straight cylinder's
-        membership is the integer range test of ``ranges(n)`` (through
-        ``Region.contains_vertex``)."""
-        if self.axis is not None:
-            raise ValueError("straight cylinder: test lattice vertices with ranges(n)")
-        # decompose p = q + t v with q in the base plane x_ax = c
-        ax = face_axis(self.base)
-        vf = [float(c) for c in self.v]
-        if vf[ax] == 0:
-            raise ValueError("direction parallel to the base plane")
-        t = (float(p[ax]) - float(self.base[ax][0])) / vf[ax]
-        lo = -float(self.h) if self.two_sided else 0.0
-        if not (lo - self.tol <= t <= float(self.h) + self.tol):
-            return False
-        q = [float(p[j]) - t * vf[j] for j in range(self.d)]
-        for j, (blo, bhi) in enumerate(self.base):
-            if j == ax:
-                continue
-            if not (float(blo) - self.tol <= q[j] <= float(bhi) + self.tol):
-                return False
-        return True
 
-
-def cylinder_sets(base, h, v, n=1, two_sided=True):
-    """Region and the discretized vertex sets (T, B, T', B') of cyl(A, h, v).
-
-    T/B are the vertices with an edge leaving the cylinder through the shifted
-    base A + hv (resp. A - hv); T'/B' split every boundary vertex by the sign
-    of (x - z).v where z is the center of A, vertices on the mid-plane
-    excluded.  Both tests compare integer coordinates at scale n.
-    """
-    cyl = Cylinder(base, h, v, two_sided=two_sided)
-    if cyl.axis is None:
-        raise NotImplementedError("discretized top/bottom sets require an axis direction")
+def cylinder_sets(base, h):
+    """The region of cyl(A, h) and its half-boundary vertex sets (T', B') at
+    scale 1: the boundary vertices above and below the base plane, those on
+    it excluded.  Scale the base and h by n for the sets at scale n."""
+    cyl = Cylinder(base, h)
     region = Region(cylinder=cyl)
-    verts = set(region.lattice_vertices(n))
-    ax, sign = cyl.axis, cyl.sign
-    c = base[ax][0]
-    lo, hi = cyl._axis_interval()
-    if cyl.two_sided:
-        top_val, bot_val = (hi, lo) if sign > 0 else (lo, hi)
-    else:
-        top_val, bot_val = (hi if sign > 0 else lo), c
-    top_n, bot_n, c_n = top_val * n, bot_val * n, c * n
-    top, bottom, top_half, bot_half = set(), set(), set(), set()
+    verts = set(region.lattice_vertices(1))
+    ax, c = cyl.axis, base[cyl.axis][0]
+    top_half, bot_half = set(), set()
     for x in verts:
-        outs = [y for y in neighbors(x) if y not in verts]
-        if not outs:
+        if all(y in verts for y in neighbors(x)):
             continue
-        # T/B: the edge to the outside must cross the shifted base plane
-        for y in outs:
-            if y[ax] != x[ax]:
-                a, b = sorted((x[ax], y[ax]))
-                if a <= top_n <= b:
-                    top.add(x)
-                if a <= bot_n <= b:
-                    bottom.add(x)
-        s = (x[ax] - c_n) * sign
-        if s > 0:
+        if x[ax] > c:
             top_half.add(x)
-        elif s < 0:
+        elif x[ax] < c:
             bot_half.add(x)
-    return region, frozenset(top), frozenset(bottom), frozenset(top_half), frozenset(bot_half)
+    return region, frozenset(top_half), frozenset(bot_half)
 
 
 def boundary_edge_set(axis, sign, face, n):
@@ -406,15 +339,13 @@ def boundary_edge_set(axis, sign, face, n):
     return [EdgeId(x, axis) for x in product(*ranges)]
 
 
-def face_partition(d, axis, sign, m, b=None):
-    """Partition the face of the rational box b (default the unit cube)
-    orthogonal to e_axis on side ``sign`` into m^(d-1) half-open cells, m
-    equal parts per side, listed in ``product(range(m), repeat=d - 1)``
-    order.  On the unit cube each cell has side 1/m and (d-1)-measure
-    1/m^(d-1)."""
+def face_partition(d, axis, sign, m):
+    """Partition the face of the unit cube orthogonal to e_axis on side
+    ``sign`` into m^(d-1) half-open cells of side 1/m and (d-1)-measure
+    1/m^(d-1), listed in ``product(range(m), repeat=d - 1)`` order."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    b = unit_cube(d) if b is None else b
+    b = unit_cube(d)
     c = b[axis][1] if sign > 0 else b[axis][0]
     widths = [Fraction(hi - lo, m) for lo, hi in b]
     cells = []

@@ -372,27 +372,24 @@ def max_flow(L, t) -> MaxFlowResult:
     return FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2).solve(t)
 
 
-def tau_network(base, h, n=1, v=None) -> FlowNetwork:
-    """The network of tau(A, h): the cylinder's upper half boundary as sources
-    and its lower half as sinks.  It depends on (base, h, n, v) only, so one
-    build serves every capacity sample."""
-    from .geometry import cylinder_sets, face_axis
+def tau_network(base, h) -> FlowNetwork:
+    """The network of tau(A, h) at scale 1: the cylinder's upper half
+    boundary as sources and its lower half as sinks.  It depends on (base,
+    h) only, so one build serves every capacity sample."""
+    from .geometry import cylinder_sets
 
-    if v is None:
-        ax = face_axis(base)
-        v = tuple(1 if j == ax else 0 for j in range(len(base)))
-    region, _, _, top_half, bot_half = cylinder_sets(base, h, v, n)
-    return _cylinder_network(region, top_half, bot_half, n)
+    region, top_half, bot_half = cylinder_sets(base, h)
+    return _cylinder_network(region, top_half, bot_half)
 
 
-def cylinder_flow_tau(base, h, t, n=1, v=None):
+def cylinder_flow_tau(base, h, t):
     """tau(A, h): maximal flow from the upper to the lower half boundary."""
-    return tau_network(base, h, n, v).solve(t)
+    return tau_network(base, h).solve(t)
 
 
-def _cylinder_network(region, sources, sinks, n):
-    verts = set(region.lattice_vertices(n))
+def _cylinder_network(region, sources, sinks):
+    verts = set(region.lattice_vertices(1))
     d = len(next(iter(verts))) if verts else 0
     terminals = sources | sinks
     edges = [e for e in inner_edges(verts) if not (e.x in terminals and e.right() in terminals)]
-    return FlowNetwork(d, n, verts, edges, sources, sinks)
+    return FlowNetwork(d, 1, verts, edges, sources, sinks)

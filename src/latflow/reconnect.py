@@ -159,13 +159,17 @@ def recompose(paths, d, n) -> Stream:
 # Mixing in dimension 2
 
 
-def _mix2d_core(f_in, M, instrument=None):
-    """Rerouting algorithm for nonnegative input sums.
+def _mix2d_steps(f_in, M):
+    """Rerouting algorithm for nonnegative input sums, one step at a time.
 
     Rows j = 1..r, support [0, r) x [1, r]; inputs on the column-0 edges,
     uniform outputs (the mean) on the column-(r-1) edges.  Transfers for a
     deficit source i run along row i up to a source-specific column, move
     vertically there, and follow the receiving row to its output.
+
+    Yields (f, beta, col) before the first step and after each one: the
+    stream, updated in place, the mean, and the transfer column of each
+    deficit source.
     """
     r = len(f_in)
     if any(abs(v) > M for v in f_in):
@@ -199,6 +203,7 @@ def _mix2d_core(f_in, M, instrument=None):
     def out_val(j):
         return f.get(EdgeId((r - 1, j), 0))
 
+    yield f, beta, col
     while True:
         i = next((i for i in range(1, r + 1) if abs(in_val(i)) < abs(f_in[i - 1])), None)
         if i is None:
@@ -216,39 +221,17 @@ def _mix2d_core(f_in, M, instrument=None):
                 f.add(EdgeId((c, k), 1), -amount)
         for k in range(c, r):
             f.add(EdgeId((k, j), 0), amount)
-        if instrument is not None:
-            _check_mix2d_invariants(f, f_in, beta, col, r, M)
-            instrument.append({e: v for e, v in f.values.items()})
+        yield f, beta, col
+
+
+def _mix2d_core(f_in, M):
+    """The stream of ``_mix2d_steps`` after its last step."""
+    for f, _, _ in _mix2d_steps(f_in, M):
+        pass
     return f
 
 
-def _check_mix2d_invariants(f, f_in, beta, col, r, M):
-    """Proof invariants, assertable after every rerouting step: transfer
-    columns carry verticals only for their deficit source and never more than
-    the source's input edge; below-mean rows are non-decreasing along the
-    flow, above-mean rows non-increasing."""
-    used_cols = set(col.values())
-    for c in range(r):
-        vert = [abs(f.get(EdgeId((c, k), 1))) for k in range(1, r)]
-        load = max(vert, default=0)
-        if c not in used_cols:
-            assert load == 0, f"column {c} must stay clear"
-        else:
-            i = next(i for i, cc in col.items() if cc == c)
-            assert load <= abs(f.get(EdgeId((0, i), 0))), "vertical exceeds source input"
-    for i in range(1, r + 1):
-        row = [f.get(EdgeId((k, i), 0)) for k in range(r)]
-        if f_in[i - 1] < beta:
-            assert row[0] == f_in[i - 1]
-            assert all(a <= b for a, b in zip(row, row[1:])), "below-mean row must be monotone"
-            assert row[-1] <= beta
-        elif f_in[i - 1] > beta:
-            assert all(a >= b for a, b in zip(row, row[1:])), "above-mean row must be antitone"
-            assert row[0] <= f_in[i - 1] and row[-1] >= beta
-    assert all(abs(v) <= M for v in f.values.values())
-
-
-def mix2d(f_in, M, instrument=None) -> Stream:
+def mix2d(f_in, M) -> Stream:
     """Two-dimensional mixing: reproduce the inputs on the column-0 edges and
     deliver their mean on every column-(r-1) edge, magnitudes bounded by M and
     node law away from the two boundary columns."""
@@ -256,7 +239,7 @@ def mix2d(f_in, M, instrument=None) -> Stream:
         raise ValueError("need at least one input")
     floats, [f_in, M] = _exact(f_in, M)
     sign = 1 if sum(f_in) >= 0 else -1
-    g = _mix2d_core([sign * v for v in f_in], M, instrument)
+    g = _mix2d_core([sign * v for v in f_in], M)
     return _rounded(g.scaled(sign), floats)
 
 
@@ -438,9 +421,9 @@ def _check_precise_conditions(f_in, r, k, M, eps):
 def _mix_precise_2d(vals, M, eps) -> Stream:
     total = sum(vals)
     if total >= 0:
-        return _mix2d_core(list(vals), max(M, eps), None)
+        return _mix2d_core(list(vals), max(M, eps))
     alpha = min(vals)
-    g = _mix2d_core([v - alpha for v in vals], max(M, eps), None)
+    g = _mix2d_core([v - alpha for v in vals], max(M, eps))
     r = len(vals)
     for i in range(1, r + 1):
         for kk in range(r):
@@ -481,25 +464,22 @@ def _sparse_coords(n, K, d):
     return coords
 
 
-def _face_cells(d, m, lattice_box=None, n=None):
-    """Mesoscopic face cells keyed by (axis, sign, offsets); the default box
-    is the centered unit cube, otherwise an integer-coordinate box at scale n."""
-    b = None
-    if lattice_box is not None:
-        b = tuple((Fraction(lo, n), Fraction(hi, n)) for lo, hi in lattice_box)
+def _face_cells(d, m):
+    """Mesoscopic face cells of the centered unit cube keyed by (axis, sign,
+    offsets)."""
     out = {}
     for axis in range(d):
         for sign in (1, -1):
-            cells = face_partition(d, axis, sign, m, b)
+            cells = face_partition(d, axis, sign, m)
             for offs, cell in zip(product(range(m), repeat=d - 1), cells):
                 out[(axis, sign, offs)] = cell
     return out
 
 
-def measure_face_fluxes(f: Stream, m, lattice_box=None):
-    """psi_axis^sign(f, A) for every mesoscopic face cell, keyed by
-    (axis, sign, cell offsets)."""
-    cells = _face_cells(f.d, m, lattice_box, f.n)
+def measure_face_fluxes(f: Stream, m):
+    """psi_axis^sign(f, A) for every mesoscopic face cell of the unit cube,
+    keyed by (axis, sign, cell offsets)."""
+    cells = _face_cells(f.d, m)
     return {key: face_flux(f, cell, key[0], key[1]) for key, cell in cells.items()}
 
 
@@ -594,7 +574,7 @@ def _l_path(d, n, x, axis_i, sign_i, axis_j, delivery, weight) -> Stream:
     return f
 
 
-def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
+def balance_faces(lam, beta, K, m, d, n) -> Stream:
     """Algorithm 1: build the residual stream whose face fluxes are exactly
     beta - lam on every mesoscopic face cell of the unit cube.
 
@@ -610,12 +590,7 @@ def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
     cells = _face_cells(d, m)
     if sorted(lam) != sorted(cells) or sorted(beta) != sorted(cells):
         raise ValueError("lam and beta must cover every face cell")
-    floats, [lam, beta, M, f] = _exact(lam, beta, M, f)
-    if f is not None:
-        got = measure_face_fluxes(f, m)
-        bad = [k for k in cells if got[k] != lam[k]]
-        if bad:
-            raise ValueError(f"lam disagrees with the stream's measured fluxes at {bad[0]}")
+    floats, [lam, beta] = _exact(lam, beta)
     total_minus = sum(beta[k] - lam[k] for k in cells if k[1] == -1)
     total_plus = sum(beta[k] - lam[k] for k in cells if k[1] == 1)
     if total_minus != total_plus:
@@ -638,7 +613,7 @@ def balance_faces(lam, beta, K, m, d, n, M=None, f=None) -> Stream:
             w[p] = Fraction(diff, len(pts))
 
     max_w = max((abs(v) for v in w.values()), default=0)
-    bound = M if M is not None else (max_w * 2 * (2 * d) ** 2 + 1)
+    bound = max_w * 2 * (2 * d) ** 2 + 1
 
     def face_profile(axis, sign):
         prof = {}

@@ -35,9 +35,6 @@ class Stream:
     def copy(self):
         return Stream(self.d, self.n, dict(self.values))
 
-    def support(self):
-        return set(self.values)
-
     def scaled(self, c):
         out = Stream(self.d, self.n)
         if c != 0:
@@ -206,47 +203,36 @@ def face_flux(f: Stream, face, axis, sign) -> object:
     return acc
 
 
-def constant_stream(b, vec, n, damping=1) -> Stream:
+def constant_stream(b, vec, n) -> Stream:
     """The discretized version of the constant field vec restricted to the
-    half-open box b: every edge with left endpoint in b carries
-    damping * vec[axis].  Face fluxes through every mesoscopic cell of the box
-    boundary come out exactly proportional to the cell area."""
+    half-open box b: every edge with left endpoint in b carries vec[axis].
+    Face fluxes through every mesoscopic cell of the box boundary come out
+    exactly proportional to the cell area."""
     d = len(b)
     f = Stream(d, n)
     for coords in product(*half_open_ranges(b, n)):
         for j in range(d):
-            val = damping * vec[j]
-            if val != 0:
-                f.values[EdgeId(tuple(coords), j)] = val
+            if vec[j] != 0:
+                f.values[EdgeId(tuple(coords), j)] = vec[j]
     return f
 
 
-def transform(f: Stream, perm=None, flips=None, offset=None, n=None) -> Stream:
-    """Push a stream through an axis permutation, per-axis reflections and an
-    integer translation (all at the stored integer scale).
+def transform(f: Stream, flips, offset) -> Stream:
+    """Push a stream through per-axis reflections and an integer translation
+    (at the stored integer scale).
 
-    perm maps source axis j to target axis perm[j].  flips[k] reflects target
-    coordinate k via c -> -1 - c (which maps a half-open box onto a half-open
-    box); the scalar of an edge along a flipped axis changes sign.
+    flips[k] reflects coordinate k via c -> -1 - c (which maps a half-open box
+    onto a half-open box); the scalar of an edge along a flipped axis changes
+    sign.  offset[k] is then added to coordinate k.
     """
-    d = f.d
-    perm = perm or list(range(d))
-    flips = flips or [False] * d
-    offset = offset or [0] * d
-    out = Stream(d, n or f.n)
+    out = Stream(f.d, f.n)
     for e, v in f.values.items():
-        tgt = [0] * d
-        for j, c in enumerate(e.x):
-            k = perm[j]
-            tgt[k] = (-1 - c) if flips[k] else c
-        k = perm[e.axis]
-        val = v
-        if flips[k]:
+        tgt = [(-1 - c if flip else c) + o for c, flip, o in zip(e.x, flips, offset)]
+        if flips[e.axis]:
             # edge [c, c+1] maps to [-2-c, -1-c]; left endpoint shifts
-            tgt[k] -= 1
-            val = -v
-        tgt = [tgt[k] + offset[k] for k in range(d)]
-        out.add(EdgeId(tuple(tgt), k), val)
+            tgt[e.axis] -= 1
+            v = -v
+        out.add(EdgeId(tuple(tgt), e.axis), v)
     return out
 
 

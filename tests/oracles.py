@@ -82,18 +82,15 @@ def box_region_by_scan(boxes, n):
     ]
 
 
-def cylinder_by_scan(base, h, axis, sign, two_sided, n):
-    """(vertices, T, B, T', B') of the straight cylinder over the base from the
-    definitions, with Fractions: the axis extent closed, the base extents
-    half-open; T/B have an edge to the outside whose segment meets the
-    shifted base plane; T'/B' split the boundary vertices by the side of the
-    base plane."""
+def cylinder_by_scan(base, h, n):
+    """(vertices, T, B, T', B') of the straight two-sided cylinder over the
+    base at scale n from the definitions, with Fractions: the axis extent
+    [c - h, c + h] closed, the base extents half-open; T/B have an edge to
+    the outside whose segment meets the shifted base plane c + h (c - h);
+    T'/B' split the boundary vertices by the side of the base plane c."""
+    axis = next(j for j, (lo, hi) in enumerate(base) if lo == hi)
     c = base[axis][0]
-    lo, hi = (c - h, c + h) if two_sided else ((c, c + h) if sign > 0 else (c - h, c))
-    if two_sided:
-        top_val, bot_val = (hi, lo) if sign > 0 else (lo, hi)
-    else:
-        top_val, bot_val = (hi if sign > 0 else lo), c
+    lo, hi = c - h, c + h
     window = tuple((lo, hi) if j == axis else b for j, b in enumerate(base))
     verts = [
         v for v in _scan_window((window,), n)
@@ -111,11 +108,11 @@ def cylinder_by_scan(base, h, axis, sign, two_sided, n):
         for w in outs:
             if w[axis] != v[axis]:
                 a, b = sorted((Fraction(v[axis], n), Fraction(w[axis], n)))
-                if a <= top_val <= b:
+                if a <= hi <= b:
                     top.add(v)
-                if a <= bot_val <= b:
+                if a <= lo <= b:
                     bottom.add(v)
-        side = (Fraction(v[axis], n) - c) * sign
+        side = Fraction(v[axis], n) - c
         if side > 0:
             top_half.add(v)
         elif side < 0:
@@ -430,3 +427,59 @@ def flow_law(L, values):
         phi, _ = min_cut_by_partitions(L.omega, edges, dict(zip(edges, caps)), L.gamma1, L.gamma2)
         law[phi] = law.get(phi, 0) + 1
     return law
+
+
+def check_mix2d_invariants(f, f_in, beta, col, r, M):
+    """Assert the proof invariants of the 2-d rerouting mixer on its state
+    (``reconnect._mix2d_steps``): transfer columns carry verticals only for
+    their deficit source and never more than the source's input edge;
+    below-mean rows are non-decreasing along the flow, above-mean rows
+    non-increasing."""
+    from latflow.geometry import EdgeId
+
+    used_cols = set(col.values())
+    for c in range(r):
+        vert = [abs(f.get(EdgeId((c, k), 1))) for k in range(1, r)]
+        load = max(vert, default=0)
+        if c not in used_cols:
+            assert load == 0, f"column {c} must stay clear"
+        else:
+            i = next(i for i, cc in col.items() if cc == c)
+            assert load <= abs(f.get(EdgeId((0, i), 0))), "vertical exceeds source input"
+    for i in range(1, r + 1):
+        row = [f.get(EdgeId((k, i), 0)) for k in range(r)]
+        if f_in[i - 1] < beta:
+            assert row[0] == f_in[i - 1]
+            assert all(a <= b for a, b in zip(row, row[1:])), "below-mean row must be monotone"
+            assert row[-1] <= beta
+        elif f_in[i - 1] > beta:
+            assert all(a >= b for a, b in zip(row, row[1:])), "above-mean row must be antitone"
+            assert row[0] <= f_in[i - 1] and row[-1] >= beta
+    assert all(abs(v) <= M for v in f.values.values())
+
+
+def box_face_fluxes(f, m, lattice_box):
+    """``reconnect.measure_face_fluxes`` on the faces of a half-open
+    integer-coordinate box at the stream's scale instead of the unit cube:
+    psi_axis^sign(f, A) for each of the m^(d-1) equal cells A of each face,
+    keyed by (axis, sign, cell offsets)."""
+    from latflow.stream import face_flux
+
+    d, n = f.d, f.n
+    b = [(Fraction(lo, n), Fraction(hi, n)) for lo, hi in lattice_box]
+    out = {}
+    for axis in range(d):
+        for sign in (1, -1):
+            c = b[axis][1] if sign > 0 else b[axis][0]
+            for offs in product(range(m), repeat=d - 1):
+                it = iter(offs)
+                cell = []
+                for j, (lo, hi) in enumerate(b):
+                    if j == axis:
+                        cell.append((c, c))
+                    else:
+                        w = Fraction(hi - lo, m)
+                        start = lo + next(it) * w
+                        cell.append((start, start + w))
+                out[(axis, sign, offs)] = face_flux(f, tuple(cell), axis, sign)
+    return out

@@ -262,9 +262,9 @@ def test_criterion_7_rate_function_anchors():
         from latflow.estimate import estimate_rate
 
         dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
-        r0 = estimate_rate(0, (1, 0), 0.3, 3, 2000, dist, seed=70)
+        [r0] = estimate_rate(0, (1, 0), [0.3], 3, 2000, dist, seed=70)
         assert r0.p_hat == 1.0 and r0.i_hat == 0.0
-        r = estimate_rate(Fraction(1, 2), (1, 0), 0.3, 3, 2000, dist, seed=71)
+        [r] = estimate_rate(Fraction(1, 2), (1, 0), [0.3], 3, 2000, dist, seed=71)
         bound = 2 * math.log(2)
         value = r.i_hat if r.i_hat != float("inf") else r.i_hat_bound
         assert value <= bound + 3 * r.ci_half_width

@@ -41,20 +41,19 @@ def test_exact_and_float_modes_agree_for_discrete_kinds():
 
 def test_values_within_support_bound():
     region = Region(boxes=(box((0, 6), (0, 6)),))
-    edges = region_edges(region, 1, d=2)
-    for dist in (
-        CapacityDistribution.uniform(0, 2),
-        CapacityDistribution.discrete([1, 2, 3], [Fraction(1, 3)] * 3),
-        CapacityDistribution.bernoulli(Fraction(1, 4), Fraction(3, 4), Fraction(1, 3)),
+    edges = region_edges(region, 1)
+    for dist, M in (
+        (CapacityDistribution.uniform(0, 2), 2),
+        (CapacityDistribution.discrete([1, 2, 3], [Fraction(1, 3)] * 3), 3),
+        (CapacityDistribution.bernoulli(Fraction(1, 4), Fraction(3, 4), Fraction(1, 3)), Fraction(3, 4)),
     ):
         t = sample_capacities(edges, dist, seed=11)
-        M = dist.support_bound
         assert all(0 <= v <= M for v in t.values())
 
 
 def test_uniform_empirical_mean_within_clt_band():
     region = Region(boxes=(box((0, 224), (0, 224)),))
-    edges = region_edges(region, 1, d=2)  # ~1e5 edges
+    edges = region_edges(region, 1)  # ~1e5 edges
     dist = CapacityDistribution.uniform(0, 2)
     t = sample_capacities(edges, dist, seed=123, exact=False)
     vals = list(t.values())
@@ -223,7 +222,7 @@ def test_edge_words_are_bit_identical_to_recorded_words():
     from latflow.maxflow import tau_network
 
     square = discretize_domain(unit_square_domain(), 24).edges
-    tau = tau_network(straight_base(3, 4, 2), 4, 1, (0, 0, 1)).edges
+    tau = tau_network(straight_base(3, 4, 2), 4).edges
     assert (len(square), len(tau)) == (1200, 152)
     words = []
     for edges in (square, tau):

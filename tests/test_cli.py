@@ -304,6 +304,18 @@ def test_tail_subcommand_and_determinism(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_tail_csv_writes_zero_when_every_trial_succeeds(tmp_path):
+    # constant capacities with lam below the flow: p = 1, and -log p is 0.0
+    out = tmp_path / "out"
+    cfg = {"tail": {"domain": "unit_square", "n": 4, "lam": ["1/2"], "trials": 3,
+                    "dist": {"kind": "constant", "c": "1"}}}
+    assert run_cli(tmp_path, "tail", cfg, "--out-dir", str(out)) == 0
+    header, row = (out / "tail.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert row["successes"] == "3" and row["phat"] == "1.0"
+    assert row["neglog_per_nd1"] == row["neglog_per_nd"] == "0.0"
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = {"seed": "not-an-int", "maxflow": {}}
     assert run_cli(tmp_path, "maxflow__bad", cfg) == 2

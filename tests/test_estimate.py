@@ -20,7 +20,7 @@ from latflow.estimate import (
     tail_probability,
     wilson_interval,
 )
-from latflow.geometry import EdgeId, Region, discretize_domain, unit_cube, unit_square_domain
+from latflow.geometry import EdgeId, discretize_domain, unit_cube, unit_square_domain
 from latflow.measure import DistanceOptions, VectorMeasure, distance
 from latflow.stream import Stream, dump_stream, vector_measure
 
@@ -144,7 +144,7 @@ def _stream_grid_value(tables, f):
 
 def test_estimate_rate_zero_target():
     dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
-    r = estimate_rate(0, (1, 0), 0.1, 2, 50, dist, seed=5)
+    [r] = estimate_rate(0, (1, 0), [0.1], 2, 50, dist, seed=5)
     assert r.p_hat == 1.0
     assert r.successes == 50
     assert r.i_hat == 0.0
@@ -152,10 +152,7 @@ def test_estimate_rate_zero_target():
 
 def test_estimate_rate_monotone_in_eps():
     dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
-    rs = estimate_rate(
-        Fraction(1, 2), (1, 0), None, 2, 40, dist, seed=9,
-        eps_grid=[0.3, 0.5, 0.8, 1.2],
-    )
+    rs = estimate_rate(Fraction(1, 2), (1, 0), [0.3, 0.5, 0.8, 1.2], 2, 40, dist, seed=9)
     succ = [r.successes for r in rs]
     assert succ == sorted(succ)
 
@@ -164,7 +161,7 @@ def test_estimate_rate_respects_analytic_bound():
     # bernoulli(0,1,1/2), d=2, n=3, eps=0.3, s=1/2: I_hat (or its zero-success
     # CI bound) stays below 2 log 2 + 3 half-widths
     dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
-    r = estimate_rate(Fraction(1, 2), (1, 0), 0.3, 3, 120, dist, seed=11)
+    [r] = estimate_rate(Fraction(1, 2), (1, 0), [0.3], 3, 120, dist, seed=11)
     bound = 2 * math.log(2)
     value = r.i_hat if r.i_hat != float("inf") else r.i_hat_bound
     assert value <= bound + 3 * r.ci_half_width
@@ -325,31 +322,14 @@ def test_one_edge_hasher_per_network(monkeypatch):
 
 def test_determinism_across_threads():
     dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
-    a = estimate_rate(Fraction(1, 2), (1, 0), 0.5, 2, 24, dist, seed=7, threads=1)
-    b = estimate_rate(Fraction(1, 2), (1, 0), 0.5, 2, 24, dist, seed=7, threads=8)
+    a = estimate_rate(Fraction(1, 2), (1, 0), [0.5], 2, 24, dist, seed=7, threads=1)
+    b = estimate_rate(Fraction(1, 2), (1, 0), [0.5], 2, 24, dist, seed=7, threads=8)
     assert a == b
     fa = estimate_flow_constant(CapacityDistribution.uniform(0, 1), 1, [3],
                                 lambda n: 3, trials=12, seed=8, d=2, threads=1)
     fb = estimate_flow_constant(CapacityDistribution.uniform(0, 1), 1, [3],
                                 lambda n: 3, trials=12, seed=8, d=2, threads=8)
     assert fa == fb
-
-
-def test_min_distance_on_explicit_region():
-    from latflow.geometry import box
-
-    d, n = 2, 2
-    region = Region(boxes=(box((0, 1), (0, 1)),))
-    target = VectorMeasure.from_density(
-        ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))),
-        (Fraction(1, 4), Fraction(0)),
-    )
-    space = CubeSpace(d, n, region=region)
-    tables = CubeDistanceTables(space, target, DistanceOptions())
-    res = min_distance(tables, [1.0] * len(space.edges), eps=2.0)
-    assert res.status == "holds"
-    for e in res.stream.values:
-        assert all(0 <= c < 2 for c in e.x)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -436,16 +416,13 @@ def test_min_distance_at_the_bench_size_is_bit_identical_to_recorded_values():
 
 
 def _table_case(d, n, kind):
-    """(space, target) of a constant target on the cube, a mixed target on the
-    cube (atoms on and off the edge midpoints, and a density with every
-    component nonzero), or a mixed target on an explicit region."""
-    from latflow.geometry import box
-
+    """(space, target) of a constant target on the cube, or a mixed target on
+    the cube: atoms on and off the edge midpoints, and a density with every
+    component nonzero."""
     if kind == "constant":
         return CubeSpace(d, n), constant_target(d, Fraction(1, 2), (1,) + (0,) * (d - 1))
-    region = Region(boxes=(box(*[(0, 1)] * d),)) if kind == "region" else None
-    space = CubeSpace(d, n, region=region)
-    lo = Fraction(0) if region else Fraction(-1, 2)
+    space = CubeSpace(d, n)
+    lo = Fraction(-1, 2)
     atoms = tuple(
         (space.edges[i].midpoint(n), tuple(Fraction(j - i, 5) for j in range(d)))
         for i in (0, len(space.edges) // 2, len(space.edges) - 1)
@@ -455,7 +432,7 @@ def _table_case(d, n, kind):
     return space, VectorMeasure(d=d, atoms=atoms, densities=((cell, values),))
 
 
-@pytest.mark.parametrize("kind", ["constant", "mixed", "region"])
+@pytest.mark.parametrize("kind", ["constant", "mixed"])
 @pytest.mark.parametrize("d, n", [(2, 3), (2, 6), (3, 2)])
 def test_tables_match_the_bincount_reference_bit_for_bit(d, n, kind):
     from oracles import BincountTables
@@ -492,7 +469,6 @@ def test_tables_match_the_bincount_reference_bit_for_bit(d, n, kind):
     (2, 3, "mixed", "aca527ca1d900b97f68ec427a358e1ab38e6911f74c6f2a8db6c50c81373ec9c"),
     (3, 2, "constant", "e55767bd7dd692c9dfa31ed485944058a45264df90b0764457084be43ecc3a7f"),
     (3, 2, "mixed", "db45fdd49519fb022ad30e1552fbe2033b922e2ff2aa2441800f9285beef35be"),
-    (2, 4, "region", "e46f799bad12a8def350ffe51a016ecb11ece8bbcf4af364d0fd3d5fc4ae1162"),
 ])
 def test_cube_cells_are_bit_identical_to_recorded_arrays(d, n, kind, digest):
     # SHA-256 of each array's dtype, shape and bytes, recorded while

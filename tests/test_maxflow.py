@@ -8,7 +8,7 @@ import pytest
 
 from latflow.capacities import CapacityDistribution, EdgeHasher, region_edges, sample_capacities, sample_numerators
 from latflow.geometry import (
-    Cylinder, DomainSpec, Region, box, cylinder_sets, discretize_domain, inner_edges, unit_box_domain,
+    Cylinder, DomainSpec, Region, box, discretize_domain, inner_edges, unit_box_domain,
     unit_square_domain,
 )
 from latflow.maxflow import (
@@ -102,52 +102,50 @@ def test_monotone_in_single_capacity():
         assert max_flow(L, bumped).value >= base
 
 
-def cylinder_phi(base, h, v, t):
-    """Phi(A, h): the maximal flow from T(A, h) to B(A, h) inside cyl(A, h, v),
-    on the cylinder network of tau with T and B as its terminals."""
-    region, top, bottom, _, _ = cylinder_sets(base, h, v)
-    return _cylinder_network(region, top, bottom, 1).solve(t)
+def cylinder_phi(base, h, t):
+    """Phi(A, h): the maximal flow from T(A, h) to B(A, h) inside cyl(A, h),
+    on the cylinder network of tau with the oracle's T and B as its
+    terminals."""
+    _, top, bottom, _, _ = oracles.cylinder_by_scan(base, h, 1)
+    return _cylinder_network(Region(cylinder=Cylinder(base, h)), frozenset(top), frozenset(bottom)).solve(t)
 
 
 def test_cylinder_phi_constant_capacities_column_count():
     d = 2
     for k, c in ((2, Fraction(1)), (3, Fraction(2, 3))):
         base = straight_base(d, k, d - 1)
-        v = (0, 1)
-        region = Region(cylinder=Cylinder(base, 2, v, two_sided=True))
+        region = Region(cylinder=Cylinder(base, 2))
         t = sample_capacities(
-            region_edges(region, 1, d=d), CapacityDistribution.constant(c), seed=0
+            region_edges(region, 1), CapacityDistribution.constant(c), seed=0
         )
-        res = cylinder_phi(base, 2, v, t)
+        res = cylinder_phi(base, 2, t)
         assert res.value == c * oracles.column_count(base, d - 1)
 
 
 def test_cylinder_phi_unchanged_by_height():
     d, k = 2, 3
     base = straight_base(d, k, d - 1)
-    v = (0, 1)
     vals = []
     for h in (1, 2, 4):
-        region = Region(cylinder=Cylinder(base, h, v, two_sided=True))
+        region = Region(cylinder=Cylinder(base, h))
         t = sample_capacities(
-            region_edges(region, 1, d=d), CapacityDistribution.constant(1), seed=0
+            region_edges(region, 1), CapacityDistribution.constant(1), seed=0
         )
-        vals.append(cylinder_phi(base, h, v, t).value)
+        vals.append(cylinder_phi(base, h, t).value)
     assert vals[0] == vals[1] == vals[2]
 
 
 def test_cylinder_phi_bounded_by_any_flat_layer():
     d, k, h = 2, 3, 2
     base = straight_base(d, k, d - 1)
-    v = (0, 1)
-    region = Region(cylinder=Cylinder(base, h, v, two_sided=True))
+    region = Region(cylinder=Cylinder(base, h))
     rng = random.Random(13)
     for _ in range(10):
         t = sample_capacities(
-            region_edges(region, 1, d=d), CapacityDistribution.uniform(0, 1),
+            region_edges(region, 1), CapacityDistribution.uniform(0, 1),
             seed=rng.getrandbits(32),
         )
-        res = cylinder_phi(base, h, v, t)
+        res = cylinder_phi(base, h, t)
         verts = set(region.lattice_vertices(1))
         for level in range(-h, h):
             from latflow.geometry import EdgeId
@@ -164,9 +162,9 @@ def test_cylinder_phi_bounded_by_any_flat_layer():
 def test_tau_unit_capacities_ratio_one():
     d, k, h = 2, 4, 4
     base = straight_base(d, k, d - 1)
-    region = Region(cylinder=Cylinder(base, h, (0, 1), two_sided=True))
+    region = Region(cylinder=Cylinder(base, h))
     t = sample_capacities(
-        region_edges(region, 1, d=d), CapacityDistribution.constant(1), seed=0
+        region_edges(region, 1), CapacityDistribution.constant(1), seed=0
     )
     res = cylinder_flow_tau(base, h, t)
     assert res.value == oracles.column_count(base, d - 1) == k
@@ -188,9 +186,9 @@ def test_tau_subadditive_over_adjacent_bases():
         base_full = box((0, a + b), (0, 0))
         base_1 = box((0, a), (0, 0))
         base_2 = box((a, a + b), (0, 0))
-        region = Region(cylinder=Cylinder(base_full, h, (0, 1), two_sided=True))
+        region = Region(cylinder=Cylinder(base_full, h))
         t = sample_capacities(
-            region_edges(region, 1, d=d), CapacityDistribution.uniform(0, 1),
+            region_edges(region, 1), CapacityDistribution.uniform(0, 1),
             seed=rng.getrandbits(32),
         )
         tau_full = cylinder_flow_tau(base_full, h, t).value
@@ -212,9 +210,9 @@ def test_tau_subadditivity_exact_for_constant_capacities():
         base_full = box((0, a + b), (0, 0))
         base_1 = box((0, a), (0, 0))
         base_2 = box((a, a + b), (0, 0))
-        region = Region(cylinder=Cylinder(base_full, h, (0, 1), two_sided=True))
+        region = Region(cylinder=Cylinder(base_full, h))
         t = sample_capacities(
-            region_edges(region, 1, d=d), CapacityDistribution.constant(1), seed=0
+            region_edges(region, 1), CapacityDistribution.constant(1), seed=0
         )
         tau_full = cylinder_flow_tau(base_full, h, t).value
         tau_1 = cylinder_flow_tau(base_1, h, t).value
@@ -258,7 +256,7 @@ def _network(L):
 
 def _rounded_exact_networks():
     yield "square-n24", _network(discretize_domain(unit_square_domain(), 24))
-    yield "tau-d2", tau_network(straight_base(2, 8, 1), 8, 1, (0, 1))
+    yield "tau-d2", tau_network(straight_base(2, 8, 1), 8)
     yield "d3", _network(discretize_domain(unit_box_domain(3), 4))
 
 
@@ -331,8 +329,8 @@ def _exact_golden_solves():
     S -> v -> T, whose bottleneck is the terminal arc ``big``."""
     for side in (8, 16):
         base = straight_base(2, side, 1)
-        region = Region(cylinder=Cylinder(base, side, (0, 1), two_sided=True))
-        t = sample_capacities(region_edges(region, 1, d=2), CapacityDistribution.uniform(0, 1), side)
+        region = Region(cylinder=Cylinder(base, side))
+        t = sample_capacities(region_edges(region, 1), CapacityDistribution.uniform(0, 1), side)
         yield f"tau-n{side}", cylinder_flow_tau(base, side, t)
     L = discretize_domain(unit_square_domain(), 12)
     third = Fraction(1, 3)
@@ -482,7 +480,7 @@ def test_planar_value_equals_solve_on_random_exact_cylinders():
     for side in range(2, 14):
         for h in (1, side, 2 * side):
             for axis in (0, 1):
-                network = tau_network(straight_base(2, side, axis), h, 1, (1 - axis, axis))
+                network = tau_network(straight_base(2, side, axis), h)
                 assert network.dual is not None
                 for _ in range(3):
                     law = rng.randrange(len(EXACT_LAWS) + 1)
@@ -515,9 +513,9 @@ SAMPLED_LAWS = EXACT_LAWS + (
 
 
 def _sampled_networks():
-    yield "tau-d2", tau_network(straight_base(2, 6, 1), 6, 1, (0, 1))
+    yield "tau-d2", tau_network(straight_base(2, 6, 1), 6)
     yield "square-n8", _network(discretize_domain(unit_square_domain(), 8))
-    yield "tau-d3", tau_network(straight_base(3, 3, 2), 3, 1, (0, 0, 1))
+    yield "tau-d3", tau_network(straight_base(3, 3, 2), 3)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in _sampled_networks()])
@@ -536,8 +534,7 @@ def test_sample_value_is_the_value_of_the_sampled_capacities(name):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_tau_sampler_value_is_the_value_of_the_sampled_capacities(d):
-    v = tuple(int(j == d - 1) for j in range(d))
-    network = tau_network(straight_base(d, 3, d - 1), 3, 1, v)
+    network = tau_network(straight_base(d, 3, d - 1), 3)
     for law in SAMPLED_LAWS:
         for exact in (True, False):
             tau = straight_tau_sampler(d, 3, 3, d - 1, law, exact=exact)
@@ -580,8 +577,8 @@ def _grid_network(sources, sinks, hole=()):
 
 def _no_dual_networks():
     for axis in (0, 1):
-        yield f"side-1-axis{axis}", tau_network(straight_base(2, 1, axis), 3, 1, (1 - axis, axis))
-    yield "d3", tau_network(straight_base(3, 3, 2), 3, 1, (0, 0, 1))
+        yield f"side-1-axis{axis}", tau_network(straight_base(2, 1, axis), 3)
+    yield "d3", tau_network(straight_base(3, 3, 2), 3)
     L = discretize_domain(unit_square_domain(), 3)
     yield "both-terminals", FlowNetwork(2, 3, L.omega, L.active_edges, L.gamma1 | {(1, 1)}, L.gamma2 | {(1, 1)})
     left, right = {(0, y) for y in range(4)}, {(3, y) for y in range(4)}
@@ -605,7 +602,7 @@ def test_value_falls_back_to_dinic_without_a_planar_dual(name):
 def test_float_capacities_take_the_dual_on_a_planar_network(monkeypatch):
     import latflow.maxflow
 
-    network = tau_network(straight_base(2, 6, 1), 6, 1, (0, 1))
+    network = tau_network(straight_base(2, 6, 1), 6)
     assert network.dual is not None
     samples = [sample_capacities(network.edges, CapacityDistribution.uniform(0, 1), seed, exact=False)
                for seed in range(3)]
@@ -633,8 +630,7 @@ def test_tau_sampler_is_bit_identical_to_recorded_values(d, sides):
                 lines.extend(repr(tau(seed)) for seed in range(4))
             # uniform(0, 1) floats: the exact value of the same sample, rounded once
             tau = straight_tau_sampler(d, side, side, axis, FLOAT_LAWS[0], exact=False)
-            v = tuple(int(j == axis) for j in range(d))
-            network = tau_network(straight_base(d, side, axis), side, 1, v)
+            network = tau_network(straight_base(d, side, axis), side)
             for seed in range(4):
                 t = sample_capacities(network.edges, FLOAT_LAWS[0], seed, exact=False)
                 got = tau(seed)
@@ -657,6 +653,5 @@ def test_tau_sampler_samples_the_network_edges_only(d, monkeypatch):
 
     monkeypatch.setattr(latflow.estimate, "sample_numerators", recording)
     side = 4
-    v = tuple(int(j == d - 1) for j in range(d))
     straight_tau_sampler(d, side, side, d - 1, CapacityDistribution.uniform(0, 1))(5)
-    assert sampled == [set(tau_network(straight_base(d, side, d - 1), side, 1, v).edges)]
+    assert sampled == [set(tau_network(straight_base(d, side, d - 1), side).edges)]

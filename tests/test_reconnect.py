@@ -20,6 +20,7 @@ from latflow.reconnect import (
     recompose,
     sparse_c,
     _face_cells,
+    _mix2d_steps,
 )
 from latflow.stream import Stream, admissibility_region_report, constant_stream, divergence_at
 
@@ -188,12 +189,18 @@ def test_mix2d_postconditions_random():
 
 
 def test_mix2d_instrumented_invariants():
+    # the proof invariants hold before the first rerouting step and after
+    # each one, on the nonnegative-sum inputs mix2d gives the core mixer
     rng = random.Random(6)
+    M = Fraction(1)
     for _ in range(50):
         r = rng.randint(2, 6)
         f_in = [rand_frac(rng, -1, 1) for _ in range(r)]
-        steps = []
-        mix2d(f_in, Fraction(1), instrument=steps)  # asserts internally per step
+        sign = 1 if sum(f_in) >= 0 else -1
+        core_in = [sign * v for v in f_in]
+        for f, beta, col in _mix2d_steps(core_in, M):
+            oracles.check_mix2d_invariants(f, core_in, beta, col, r, M)
+        assert f.scaled(sign).values == mix2d(f_in, M).values
 
 
 def test_mix2d_rejects_oversized_inputs():
@@ -892,8 +899,8 @@ def _golden_texts():
                 fa, fb = fa.scaled(1.0), fb.scaled(1.0)
             out.append(text(glue_adjacent, fa, box_a, fb, box_b, m, 1))
             for f, b in ((fa, box_a), (fb, box_b)):
-                out.append(text(measure_face_fluxes, f, m, b))
-                out.append(text(measure_face_fluxes, f, m + 2, b))
+                out.append(text(oracles.box_face_fluxes, f, m, b))
+                out.append(text(oracles.box_face_fluxes, f, m + 2, b))
     dist = CapacityDistribution.uniform(0, 1)
     for d, n in ((2, 3), (2, 4), (3, 2)):
         L = discretize_domain(unit_box_domain(d), n)
@@ -902,7 +909,7 @@ def _golden_texts():
             out.append(text(decompose, f, L))
             box = tuple((0, n) for _ in range(d))
             for m in (1, 2, 3):
-                out.append(text(measure_face_fluxes, f, m, box))
+                out.append(text(oracles.box_face_fluxes, f, m, box))
                 out.append(text(measure_face_fluxes, f, m))
     return out
 

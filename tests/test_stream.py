@@ -172,10 +172,11 @@ def test_transform_round_trip():
     f = Stream(2, 1)
     f.values[EdgeId((0, 1), 0)] = Fraction(2)
     f.values[EdgeId((1, 1), 1)] = Fraction(-3)
-    g = transform(f, perm=[1, 0], flips=[False, True], offset=[2, 3])
-    h = transform(g, perm=[1, 0], flips=[True, False], offset=[0, 0])
-    # applying the inverse permutation with matching flips returns a translate
-    assert len(h.values) == len(f.values)
+    g = transform(f, [False, True], [2, 3])
+    # an edge along the flipped axis changes sign, one across it keeps its value
+    assert g.values == {EdgeId((2, 1), 0): Fraction(2), EdgeId((3, 0), 1): Fraction(3)}
+    # the same flip, with the opposite shift, undoes it
+    assert transform(g, [False, True], [-2, 3]).values == f.values
 
 
 def test_decompose_then_sum_identity_on_maxflow_outputs():

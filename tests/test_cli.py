@@ -218,8 +218,8 @@ def test_rate_subcommand_zero_speed(tmp_path):
 
 # SHA-256 of rate.csv for the bench rate law at n=4 over 20 eps in [1/2, 1]:
 # the counts climb from 0 to all 32 trials, so they tell the trials' solver
-# values apart
-GOLDEN_RATE_CSV = "5946dd1815e57070617cb878a3854daa63cd6ec0ec0b5f1e4dd1db22bada967b"
+# values apart; the last row, where every trial holds, writes Ihat as 0.0
+GOLDEN_RATE_CSV = "da46ef1d6522d9b75b5eae4991bf05e2d37a924d79bf72bbfdf4e1b09eccdb10"
 
 
 def test_rate_csv_is_bit_identical_to_the_recorded_file(tmp_path):
@@ -314,6 +314,18 @@ def test_tail_csv_writes_zero_when_every_trial_succeeds(tmp_path):
     row = dict(zip(header.split(","), row.split(",")))
     assert row["successes"] == "3" and row["phat"] == "1.0"
     assert row["neglog_per_nd1"] == row["neglog_per_nd"] == "0.0"
+
+
+def test_rate_csv_writes_zero_when_every_trial_holds(tmp_path):
+    # eps 2 clears every trial's distance: p = 1, and Ihat = -log p / n^d is 0.0
+    out = tmp_path / "out"
+    cfg = {"rate": {"d": 2, "n": 2, "s": "1/2", "v": ["1", "0"], "eps": ["2"], "trials": 4,
+                    "dist": {"kind": "bernoulli", "a": "0", "b": "1", "p": "1/2"}}}
+    assert run_cli(tmp_path, "rate", cfg, "--out-dir", str(out)) == 0
+    header, row = (out / "rate.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert row["successes"] == "4" and row["phat"] == "1.0"
+    assert row["Ihat"] == "0.0"
 
 
 def test_config_error_exit_code(tmp_path):

@@ -462,6 +462,84 @@ def test_tables_match_the_bincount_reference_bit_for_bit(d, n, kind):
         assert repr(tables.value(s)) == repr(ref.value(s))
 
 
+def _random_mixed_target(space, rng):
+    """Atoms on random edge midpoints and at random dyadic points, and
+    density boxes with disjoint interiors (split along axis 0), every weight
+    a random Fraction with some components zero."""
+    d, n = space.d, space.n
+
+    def weight():
+        return tuple(Fraction(int(rng.integers(-4, 5)) * int(rng.random() < 0.7), int(rng.integers(1, 7)))
+                     for _ in range(d))
+
+    def coord(lo, hi):
+        return Fraction(int(rng.integers(lo, hi + 1)), 24)
+
+    mids = [space.edges[i].midpoint(n) for i in rng.choice(len(space.edges), 4, replace=False)]
+    atoms = tuple((p, weight()) for p in mids) + tuple(
+        (tuple(coord(-12, 12) for _ in range(d)), weight()) for _ in range(2))
+    cuts = sorted({coord(-12, 12) for _ in range(3)} | {Fraction(-1, 2), Fraction(1, 2)})
+    densities = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if rng.random() < 0.7:
+            rest = [sorted((coord(-12, 11), coord(-11, 12))) for _ in range(d - 1)]
+            box = ((lo, hi),) + tuple((a, b) if a < b else (a, a + Fraction(1, 24)) for a, b in rest)
+            densities.append((box, weight()))
+    return VectorMeasure(d=d, atoms=atoms, densities=tuple(densities))
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (2, 5), (3, 2)])
+def test_tables_match_the_bincount_reference_on_random_targets(d, n):
+    from oracles import BincountTables
+
+    rng = np.random.default_rng(500 + 10 * d + n)
+    space = CubeSpace(d, n)
+    ne = len(space.edges)
+    mid_index = {e.midpoint(n): i for i, e in enumerate(space.edges)}
+    # the default grid, and a grid of one point, whose per-point sum has a
+    # single column
+    for opts in (DistanceOptions(), DistanceOptions(lambdas=(Fraction(1),), shifts=(Fraction(0),))):
+        target = _random_mixed_target(space, rng)
+        tables = CubeDistanceTables(space, target, opts)
+        ref = BincountTables(space, target, opts)
+        # the atoms on midpoints cancelled exactly: zero residuals there
+        warm = np.zeros(ne)
+        for p, w in target.atoms:
+            if p in mid_index:
+                warm[mid_index[p]] += float(w[space.edges[mid_index[p]].axis]) * n**d
+        vecs = [np.zeros(ne), -np.zeros(ne), warm, -warm]
+        for _ in range(12):
+            s = rng.uniform(-1.5, 1.5, ne)
+            s[rng.random(ne) < 0.3] = 0.0
+            s[rng.random(ne) < 0.3] = -0.0
+            vecs.append(s)
+            mixed = warm.copy()
+            mixed[rng.random(ne) < 0.5] = -0.0
+            vecs.append(mixed)
+        for s in vecs:
+            val, grad = tables.value_and_grad(s)
+            ref_val, ref_grad = ref.value_and_grad(s)
+            assert repr(val) == repr(ref_val)
+            assert grad.tobytes() == ref_grad.tobytes()
+            assert repr(tables.value(s)) == repr(ref.value(s))
+
+
+def test_tables_evaluate_each_distinct_single_edge_cell_once():
+    # the benchmark's rate instance: a constant target repeats each cube's
+    # mass over the shifts, so the single-edge slots (23896 of 25556) share
+    # 3446 distinct cells, and one call evaluates each of them once
+    space = CubeSpace(2, 6)
+    tables = CubeDistanceTables(space, constant_target(2, Fraction(1, 2), (1, 0)), DistanceOptions())
+    nslots = tables.b_all.shape[1]
+    assert nslots == 25556
+    for a in (tables.one_edge, tables.one_b, tables.one_fixed, tables.one_weight):
+        assert 5 * len(a) <= nslots
+    # every value the per-point sum reads is a distinct cell, a many-edge
+    # slot or the padding
+    assert tables.layout.max() == len(tables.one_edge) + len(tables.many_weight)
+    assert np.count_nonzero(tables.layout < tables.layout.max()) == nslots
+
+
 @pytest.mark.parametrize("d, n, kind, digest", [
     (2, 3, "constant", "c1625d750818fce06772b9c1d3bf16f354ad329aaff71974b1ae951da85116af"),
     # the benchmark's rate target at its n

@@ -7,11 +7,12 @@ edge list (the lattice line of each edge, each edge's last word packed
 into a 128-bit lane of one int) and then hashes every edge at once per
 seed with whole-int operations on the lanes; the tau, tail and rate trials
 build one per edge list and share it across trials and threads.  A sample
-is an integer numerator over one denominator D fixed by the law: exact
-mode reads it as the Fraction x / D, float mode rounds it once, by the int
-true division x / D, into an IEEE double.  Both modes draw the same 64-bit
-word per edge, so discrete distributions sample identically in either
-mode.
+is an integer numerator over one denominator D fixed by the law: the tau
+and tail trials solve the numerators exactly, the rate trials round each
+once, by the int true division x / D, into an IEEE double, and
+``sample_capacities`` returns the Fraction x / D or (float mode) that
+double.  All draw the same 64-bit word per edge, so discrete distributions
+sample identically in any of them.
 """
 
 import math

@@ -80,11 +80,12 @@ def _as_frac(v, path):
     raise ConfigError(f"{path}: expected a rational like '1/2', got {v!r}")
 
 
-def _as_real(v, path):
-    """A value used as a float: a finite float as written, else a rational."""
+def _as_threshold(v, path):
+    """A threshold, kept exact: a finite float as the dyadic rational it is,
+    which compares as that float does, else a rational by ``_as_frac``."""
     if isinstance(v, float) and math.isfinite(v):
-        return v
-    return float(_as_frac(v, path))
+        return Fraction(v)
+    return _as_frac(v, path)
 
 
 def parse_distribution(cfg, path="dist"):
@@ -159,8 +160,8 @@ def _versions():
 
 def _write_manifest(out_dir, subcommand, cfg, seed, mode, threads):
     """``mode`` and ``threads`` are what the run used, not what the config
-    asked for: ``mode`` is None for a subcommand without a float/exact
-    choice, and ``threads`` is 1 for one that runs no trials in a pool."""
+    asked for: ``mode`` is the arithmetic of its capacity samples, None for
+    a subcommand with none, and ``threads`` is 1 without a trial pool."""
     payload = {
         "subcommand": subcommand,
         "config": cfg,
@@ -271,10 +272,10 @@ def cmd_tau(cfg, args):
     dist = parse_distribution(_need(sub, "dist", "tau"), "tau.dist")
     from .estimate import straight_tau_sampler
 
-    tau = straight_tau_sampler(d, side, h, axis, dist, exact=(mode == "exact"))(seed)
+    tau = straight_tau_sampler(d, side, h, axis, dist)(seed)
     summary = {"tau": float(tau), "side": side, "h": h, "d": d}
     _write_json(out_dir, "tau.json", summary)
-    _write_manifest(out_dir, "tau", cfg, seed, mode, 1)
+    _write_manifest(out_dir, "tau", cfg, seed, "exact", 1)
     return 0
 
 
@@ -380,7 +381,7 @@ def cmd_rate(cfg, args):
     v = [_as_frac(c, "rate.v") for c in _need_list(sub, "v", "rate")]
     if len(v) != d:
         raise ConfigError("rate.v: must have d components")
-    eps_list = [_as_real(e, "rate.eps") for e in _need_list(sub, "eps", "rate")]
+    eps_list = [_as_threshold(e, "rate.eps") for e in _need_list(sub, "eps", "rate")]
     trials = _as_int(_need(sub, "trials", "rate"), "rate.trials", minimum=1)
     dist = parse_distribution(_need(sub, "dist", "rate"), "rate.dist")
     from .estimate import estimate_rate
@@ -418,11 +419,11 @@ def cmd_flow_constant(cfg, args):
     from .estimate import estimate_flow_constant
 
     points = estimate_flow_constant(dist, axis, n_list, h_of_n, trials, seed,
-                                    d=d, exact=(mode == "exact"), threads=threads)
+                                    d=d, threads=threads)
     header = ["n", "h", "trials", "mean", "lo", "hi"]
     rows = [[p.n, p.h, p.trials, p.mean, p.ci_lo, p.ci_hi] for p in points]
     _write_csv(os.path.join(out_dir, "nu.csv"), header, rows)
-    _write_manifest(out_dir, "flow-constant", cfg, seed, mode, threads)
+    _write_manifest(out_dir, "flow-constant", cfg, seed, "exact", threads)
     return 0
 
 
@@ -431,7 +432,7 @@ def cmd_tail(cfg, args):
     sub = _need(cfg, "tail", "config")
     domain = parse_domain(_need(sub, "domain", "tail"), "tail.domain")
     n = _as_int(_need(sub, "n", "tail"), "tail.n", minimum=1)
-    lams = [_as_real(l, "tail.lam") for l in _need_list(sub, "lam", "tail")]
+    lams = [_as_threshold(l, "tail.lam") for l in _need_list(sub, "lam", "tail")]
     trials = _as_int(_need(sub, "trials", "tail"), "tail.trials", minimum=1)
     dist = parse_distribution(_need(sub, "dist", "tail"), "tail.dist")
     L = discretize_domain(domain, n)
@@ -448,7 +449,7 @@ def cmd_tail(cfg, args):
         rows.append([lam, n, trials, successes, p, lo, hi,
                      neglog / n ** (d - 1), neglog / n**d])
     _write_csv(os.path.join(out_dir, "tail.csv"), header, rows)
-    _write_manifest(out_dir, "tail", cfg, seed, "float", threads)
+    _write_manifest(out_dir, "tail", cfg, seed, "exact", threads)
     return 0
 
 

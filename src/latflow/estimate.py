@@ -621,35 +621,34 @@ class FlowConstantPoint:
         return cls(n, h, len(vals), tuple(ratios), m, m - half, m + half)
 
 
-def straight_tau_sampler(d, side, h, axis, dist: CapacityDistribution, exact=True):
-    """seed -> tau(A, h) for one capacity sample on the two-sided straight
-    cylinder over A = straight_base(d, side, axis), at scale 1.  The flow
+def straight_tau_sampler(d, side, h, axis, dist: CapacityDistribution):
+    """seed -> the exact tau(A, h) for one capacity sample on the two-sided
+    straight cylinder over A = straight_base(d, side, axis), at scale 1.  The
     network and the hasher of its edges are built once, when the sampler is
     made; a call samples the network's edges only, as integer numerators
-    over one denominator, and computes the flow value from them."""
+    over one denominator, and solves them."""
     from .maxflow import tau_network
 
     network = tau_network(straight_base(d, side, axis), h)
     hasher = EdgeHasher(network.edges)
 
     def tau(seed):
-        return network.sample_value(*sample_numerators(hasher, dist, seed), exact)
+        return network.sample_value(*sample_numerators(hasher, dist, seed))
 
     return tau
 
 
 def estimate_flow_constant(dist: CapacityDistribution, axis, n_list, h_of_n,
-                           trials, seed, d=2, exact=True, threads=1):
+                           trials, seed, d=2, threads=1):
     """Per-n estimates of tau(nA, h(n)) / (n^{d-1} H^{d-1}(A)) for the straight
-    unit hyperrectangle A."""
+    unit hyperrectangle A: each ratio is exact until the mean rounds it."""
     out = []
     for n in n_list:
         h = h_of_n(n)
-        tau = straight_tau_sampler(d, n, h, axis, dist, exact=exact)
-        scale = Fraction(n ** (d - 1)) if exact else n ** (d - 1)
+        tau = straight_tau_sampler(d, n, h, axis, dist)
 
-        def one(trial, n=n, tau=tau, scale=scale):
-            return tau(derive_seed(seed, n, trial)) / scale
+        def one(trial, n=n, tau=tau):
+            return Fraction(tau(derive_seed(seed, n, trial)), n ** (d - 1))
 
         ratios = _run_trials(one, trials, threads)
         out.append(FlowConstantPoint.from_ratios(n, h, ratios))
@@ -660,10 +659,11 @@ def tail_probability(lams, n, trials, dist: CapacityDistribution, seed, L, threa
     """P(phi_n >= lam n^{d-1}) for every lam of the sequence, estimated over
     independent capacity samples: one (p, (lo, hi), successes) per lam.
 
-    Each trial is sampled and solved once and its flow value compared against
-    every threshold, so the counts are nested by construction.  One network
-    and one hasher of its edges serve every trial, on any thread; a trial
-    samples the network's edges only."""
+    Each trial is solved once, exactly, and its flow value compared against
+    every exact threshold lam n^{d-1}, a tie counting as a success, so the
+    counts are nested by construction.  One network and one hasher of its
+    edges serve every trial, on any thread; a trial samples the network's
+    edges only."""
     from .maxflow import FlowNetwork
 
     network = FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2)
@@ -671,12 +671,12 @@ def tail_probability(lams, n, trials, dist: CapacityDistribution, seed, L, threa
 
     def one(trial):
         nums, D = sample_numerators(hasher, dist, derive_seed(seed, trial))
-        return network.sample_value(nums, D, exact=False)
+        return network.sample_value(nums, D)
 
     values = _run_trials(one, trials, threads)
     out = []
     for lam in lams:
-        threshold = float(lam * n ** (L.d - 1))
+        threshold = Fraction(lam) * n ** (L.d - 1)  # a float lam as the dyadic it is
         successes = sum(1 for val in values if val >= threshold)
         out.append((successes / trials, wilson_interval(successes, trials), successes))
     return out

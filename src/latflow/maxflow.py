@@ -9,9 +9,9 @@ them, and the value and stream are divided back by D once at the end, into
 Fractions, or, with a float among the capacities, into the correctly rounded
 floats of the exact answer.  When only the value is wanted and the network
 is a planar d=2 one, a shortest path in its dual gives the same value
-(``FlowNetwork.value``).  An exact capacity sample given as integer
-numerators over one denominator is already scaled, and runs as it is
-(``FlowNetwork.sample_value``).
+(``FlowNetwork.value``).  A capacity sample given as integer numerators over
+one denominator is already scaled, and runs as it is, to the exact value
+(``FlowNetwork.sample_value``): every tau and tail trial solves that way.
 """
 
 import functools
@@ -179,17 +179,13 @@ class FlowNetwork:
         else Dinic for the value."""
         return self._value(*_scale([t.get(e, 0) for e in self.edges]))
 
-    def sample_value(self, nums, D, exact):
-        """``value`` of one capacity sample of ``edges`` given as its
-        numerators nums over the law's denominator D (``sample_numerators``
-        with an ``EdgeHasher`` of ``edges``), equal in value and type to
-        ``value(sample_capacities(...))``.  In
-        exact mode the ints run as they are, and no Fraction is built per
-        edge; in float mode each capacity is first rounded once to the float
-        x / D, as the float sample is, so the flow is that of the floats."""
-        if exact:
-            return self._value(nums, D, _fraction_over(D))
-        return self._value(*_scale([x / D for x in nums]))
+    def sample_value(self, nums, D):
+        """The exact ``value`` of one capacity sample of ``edges`` given as
+        its numerators nums over the law's denominator D
+        (``sample_numerators`` with an ``EdgeHasher`` of ``edges``), equal in
+        value and type to ``value(sample_capacities(...))``: the ints run as
+        they are, and no Fraction is built per edge."""
+        return self._value(nums, D, _fraction_over(D))
 
     def _value(self, caps, D, back):
         """back(the flow value) for the scaled capacities caps."""

@@ -263,6 +263,13 @@ def test_manifest_records_the_mode_and_threads_that_ran(tmp_path, monkeypatch):
     assert manifest["mode"] == "float"
     assert manifest["threads"] == min(2, os.cpu_count() or 1)
     assert manifest["config"]["mode"] == "exact"
+    # tail always solves its trials exactly, whatever the config's mode says
+    out = tmp_path / "tail"
+    cfg = {"seed": 2, "mode": "float", "out_dir": str(out), "tail": TINY["tail"]}
+    assert run_cli(tmp_path, "tail", cfg) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["mode"] == "exact"
+    assert manifest["config"]["mode"] == "float"
 
 
 def test_flow_constant_subcommand_unit(tmp_path):
@@ -314,6 +321,29 @@ def test_tail_csv_writes_zero_when_every_trial_succeeds(tmp_path):
     row = dict(zip(header.split(","), row.split(",")))
     assert row["successes"] == "3" and row["phat"] == "1.0"
     assert row["neglog_per_nd1"] == row["neglog_per_nd"] == "0.0"
+
+
+def test_tail_counts_a_flow_that_ties_the_threshold(tmp_path):
+    # constant 7/10 on the unit square at n=2: phi is exactly 21/10 = lam n on
+    # every trial, so P = 1; a float comparison of the rounded flow missed it.
+    # A YAML float lam is the dyadic it is: 1.05 lies just above 21/20, so no
+    # trial reaches it, and the lam column prints 1.05 for both
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    rows = {}
+    for lam in ("21/20", 1.05):
+        out = tmp_path / f"out_{lam!r}"
+        path = tmp_path / "tie.yaml"
+        path.write_text(yaml.safe_dump({"tail": {"domain": "unit_square", "n": 2, "lam": [lam], "trials": 3,
+                                                 "dist": {"kind": "constant", "c": "7/10"}}}))
+        proc = subprocess.run([sys.executable, "-m", "latflow.cli", "tail", "--config", str(path),
+                               "--out-dir", str(out)], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        header, row = (out / "tail.csv").read_text().splitlines()
+        rows[lam] = dict(zip(header.split(","), row.split(",")))
+    assert rows["21/20"]["lam"] == rows[1.05]["lam"] == "1.05"
+    assert rows["21/20"]["successes"] == "3" and rows["21/20"]["phat"] == "1.0"
+    assert rows[1.05]["successes"] == "0"
 
 
 def test_rate_csv_writes_zero_when_every_trial_holds(tmp_path):
@@ -474,7 +504,8 @@ def test_inexact_yaml_floats_in_rational_fields_exit_2(tmp_path, capsys):
         assert run_cli(tmp_path, f"{cmd}__{i}", cfg) == 2, field
         assert f"config error: {field}: the float 0.3 is not exactly 3/10; " \
                f"write it as the quoted rational '3/10'" in capsys.readouterr().err
-    # an exact binary float stays a rational; eps and lam are read as floats
+    # an exact binary float stays a rational; eps and lam take any float as
+    # the dyadic rational it is
     out = tmp_path / "ok"
     cfg = {"out_dir": str(out),
            "maxflow": {"domain": domain, "n": 2, "dist": dict(bern, p=0.5)}}

@@ -272,6 +272,15 @@ def test_tail_probability_matches_the_exact_law():
         p = Fraction(sum(c for phi, c in law.items() if phi >= lam * 2), 256)
         z = (successes - trials * p) / math.sqrt(trials * p * (1 - p))
         assert abs(z) <= 4
+    # thresholds on the atoms themselves, where a tie counts: P(phi >= k) at
+    # lam = k / 2, and at lam = 7k / 20 under bernoulli(0, 7/10, 1/2), whose
+    # samples come from the same hash words and whose atoms 7k/10 are not
+    # dyadic, so a float comparison misses the ties
+    for a, lams in ((1, [Fraction(k, 2) for k in range(4)]),
+                    (Fraction(7, 10), [Fraction(7 * k, 20) for k in range(4)])):
+        out = tail_probability(lams, 2, trials, CapacityDistribution.bernoulli(0, a, Fraction(1, 2)),
+                               seed=7, L=L)
+        assert [s for _, _, s in out] == [2000, 1362, 386, 33], a
 
 
 def test_tail_probability_solves_each_trial_once_for_all_lams(monkeypatch):
@@ -280,9 +289,9 @@ def test_tail_probability_solves_each_trial_once_for_all_lams(monkeypatch):
     solves = []
     real = FlowNetwork.sample_value
 
-    def counting(network, nums, D, exact):
+    def counting(network, nums, D):
         solves.append(1)
-        return real(network, nums, D, exact)
+        return real(network, nums, D)
 
     monkeypatch.setattr(FlowNetwork, "sample_value", counting)
     L = discretize_domain(unit_square_domain(), 4)

@@ -525,37 +525,19 @@ def test_sample_value_is_the_value_of_the_sampled_capacities(name):
     hasher = EdgeHasher(network.edges)
     for law in SAMPLED_LAWS:
         for seed in range(3):
-            nums, D = sample_numerators(hasher, law, seed)
-            for exact in (True, False):
-                got = network.sample_value(nums, D, exact)
-                want = network.value(sample_capacities(network.edges, law, seed, exact=exact))
-                assert got == want and type(got) is type(want), (law, seed, exact, got, want)
+            got = network.sample_value(*sample_numerators(hasher, law, seed))
+            want = network.value(sample_capacities(network.edges, law, seed))
+            assert got == want and type(got) is type(want), (law, seed, got, want)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_tau_sampler_value_is_the_value_of_the_sampled_capacities(d):
     network = tau_network(straight_base(d, 3, d - 1), 3)
     for law in SAMPLED_LAWS:
-        for exact in (True, False):
-            tau = straight_tau_sampler(d, 3, 3, d - 1, law, exact=exact)
-            for seed in range(2):
-                got, want = tau(seed), network.value(sample_capacities(network.edges, law, seed, exact=exact))
-                assert got == want and type(got) is type(want), (law, seed, exact, got, want)
-
-
-def test_float_sample_value_solves_the_rounded_samples():
-    # the flow of the float samples, not the exact flow of the numerators
-    # rounded: the two differ on some of these seeds
-    network = _network(discretize_domain(unit_square_domain(), 8))
-    law = CapacityDistribution.uniform(0, 1)
-    hasher = EdgeHasher(network.edges)
-    differ = 0
-    for seed in range(40):
-        nums, D = sample_numerators(hasher, law, seed)
-        got = network.sample_value(nums, D, exact=False)
-        assert got == network.value(sample_capacities(network.edges, law, seed, exact=False)), seed
-        differ += got != float(network.sample_value(nums, D, exact=True))
-    assert differ > 0
+        tau = straight_tau_sampler(d, 3, 3, d - 1, law)
+        for seed in range(2):
+            got, want = tau(seed), network.value(sample_capacities(network.edges, law, seed))
+            assert got == want and type(got) is type(want), (law, seed, got, want)
 
 
 @pytest.mark.parametrize("c", [-1, Fraction(-1, 3), -0.25])
@@ -628,14 +610,12 @@ def test_tau_sampler_is_bit_identical_to_recorded_values(d, sides):
             for dist in (EXACT_LAWS[1], EXACT_LAWS[2]):
                 tau = straight_tau_sampler(d, side, side, axis, dist)
                 lines.extend(repr(tau(seed)) for seed in range(4))
-            # uniform(0, 1) floats: the exact value of the same sample, rounded once
-            tau = straight_tau_sampler(d, side, side, axis, FLOAT_LAWS[0], exact=False)
+            # uniform(0, 1): the exact value of the same sample, rounded once
+            tau = straight_tau_sampler(d, side, side, axis, FLOAT_LAWS[0])
             network = tau_network(straight_base(d, side, axis), side)
             for seed in range(4):
-                t = sample_capacities(network.edges, FLOAT_LAWS[0], seed, exact=False)
-                got = tau(seed)
-                assert type(got) is float
-                assert got == float(network.value({e: Fraction(c) for e, c in t.items()}))
+                t = sample_capacities(network.edges, FLOAT_LAWS[0], seed)
+                assert float(tau(seed)) == float(network.value(t))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_TAU[d, sides]
 
 

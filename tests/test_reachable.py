@@ -29,7 +29,6 @@ ALLOWED_PARAMETERS = {
     # when it is defined; _run_trials calls it with the trial index only
     ("one", "n"),
     ("one", "tau"),
-    ("one", "scale"),
 }
 
 

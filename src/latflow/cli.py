@@ -80,14 +80,6 @@ def _as_frac(v, path):
     raise ConfigError(f"{path}: expected a rational like '1/2', got {v!r}")
 
 
-def _as_threshold(v, path):
-    """A threshold, kept exact: a finite float as the dyadic rational it is,
-    which compares as that float does, else a rational by ``_as_frac``."""
-    if isinstance(v, float) and math.isfinite(v):
-        return Fraction(v)
-    return _as_frac(v, path)
-
-
 def parse_distribution(cfg, path="dist"):
     from .capacities import CapacityDistribution
 
@@ -381,20 +373,22 @@ def cmd_rate(cfg, args):
     v = [_as_frac(c, "rate.v") for c in _need_list(sub, "v", "rate")]
     if len(v) != d:
         raise ConfigError("rate.v: must have d components")
-    eps_list = [_as_threshold(e, "rate.eps") for e in _need_list(sub, "eps", "rate")]
+    eps_list = [_as_frac(e, "rate.eps") for e in _need_list(sub, "eps", "rate")]
     trials = _as_int(_need(sub, "trials", "rate"), "rate.trials", minimum=1)
     dist = parse_distribution(_need(sub, "dist", "rate"), "rate.dist")
     from .estimate import estimate_rate
 
     results = estimate_rate(s, v, eps_list, n, trials, dist, seed, d=d, threads=threads)
     header = ["s"] + [f"v{j+1}" for j in range(d)] + [
-        "eps", "n", "trials", "successes", "phat", "lo", "hi", "Ihat",
+        "eps", "n", "trials", "successes", "phat", "lo", "hi", "Ihat", "Ihat_is_bound",
     ]
     rows = []
     for r in results:
-        ih = r.i_hat if r.i_hat != float("inf") else r.i_hat_bound
+        # with no success, Ihat is the bound -log(hi) / n^d, not -log(phat) / n^d
+        bound = r.successes == 0
         rows.append([float(s)] + [float(c) for c in v] + [
-            r.eps, n, r.trials, r.successes, r.p_hat, r.ci_lo, r.ci_hi, ih,
+            r.eps, n, r.trials, r.successes, r.p_hat, r.ci_lo, r.ci_hi,
+            r.i_hat_bound if bound else r.i_hat, int(bound),
         ])
     _write_csv(os.path.join(out_dir, "rate.csv"), header, rows)
     _write_manifest(out_dir, "rate", cfg, seed, "float", threads)
@@ -432,7 +426,7 @@ def cmd_tail(cfg, args):
     sub = _need(cfg, "tail", "config")
     domain = parse_domain(_need(sub, "domain", "tail"), "tail.domain")
     n = _as_int(_need(sub, "n", "tail"), "tail.n", minimum=1)
-    lams = [_as_threshold(l, "tail.lam") for l in _need_list(sub, "lam", "tail")]
+    lams = [_as_frac(l, "tail.lam") for l in _need_list(sub, "lam", "tail")]
     trials = _as_int(_need(sub, "trials", "tail"), "tail.trials", minimum=1)
     dist = parse_distribution(_need(sub, "dist", "tail"), "tail.dist")
     L = discretize_domain(domain, n)

@@ -18,6 +18,12 @@ from .stream import Stream
 
 
 Z95 = 1.959963984540054  # the two-sided 95% quantile of the standard normal
+# a rate trial's solver stops once this many evaluations in a row have not
+# improved its best value
+STALL_EVALUATIONS = 15
+# rounds of alternating projection (node law, then capacity box) that bring
+# its best iterate close to admissible before the exact polish
+SETTLE_ROUNDS = 50
 
 
 def wilson_interval(successes, trials):
@@ -459,11 +465,15 @@ def min_distance(tables: CubeDistanceTables, caps, eps, iters=140) -> MinDistanc
     the tables' target over admissible streams in their space, for the
     capacity ``caps[i]`` of each edge ``tables.space.edges[i]``.
 
-    Alternating projections (graph-Laplacian node-law projection, capacity
-    box clipping) driven by subgradient steps; the final stream is polished
-    to exact rational admissibility, so a "holds" verdict is certified by an
-    explicit member of S_n(C).  The tables are only read, so one object
-    serves every call, on any thread."""
+    Projected subgradient descent: the warm start and every step are
+    projected onto the node law (graph-Laplacian projection) and clipped to
+    the capacity box, so every value compared is that of such an iterate.
+    The loop makes at most ``iters`` evaluations and ends sooner once the
+    best value has not improved for ``STALL_EVALUATIONS`` of them.  The best
+    iterate is settled by ``SETTLE_ROUNDS`` alternating projections and
+    polished to exact rational admissibility, so a "holds" verdict is
+    certified by an explicit member of S_n(C).  The tables are only read,
+    so one object serves every call, on any thread."""
     import numpy as np
 
     space = tables.space
@@ -500,25 +510,32 @@ def min_distance(tables: CubeDistanceTables, caps, eps, iters=140) -> MinDistanc
             if i is not None:
                 s[i] += float(w[space.edges[i].axis]) * n**d
     s = np.clip(s, -box, box) * active
-    step0 = max(box.max(), 1e-9)
+    s = np.clip(proj_div(s), -box, box) * active
     best_val = float("inf")
-    best_s = s.copy()
-    evaluations = 0
-    for it in range(iters):
+    best_s = s
+    evaluations = stalled = 0
+    for k in range(iters):
         val, g = tables.value_and_grad(s)
         evaluations += 1
         if val < best_val:
-            best_val = val
-            best_s = s.copy()
-        gn2 = float((g * g).sum())
-        if gn2 < 1e-30:
+            best_val, best_s, stalled = val, s, 0
+        else:
+            stalled += 1
+            if stalled == STALL_EVALUATIONS:
+                break
+        # step along the subgradient's projection onto the node law
+        h = proj_div(g * active)
+        hn2 = float((h * h).sum())
+        if hn2 < 1e-30:
             break
-        # Polyak-style step against the running best, with a vanishing margin
-        step = (val - best_val + 0.05 * step0 / (it + 5)) / gn2
-        s = s - step * g
-        s = proj_div(s * active)
-        s = np.clip(s, -box, box) * active
+        s = s - 0.5 / math.sqrt((k + 1) * hn2) * h
+        s = np.clip(proj_div(s * active), -box, box) * active
+    # a clipped iterate is off the node law, and the polish below would
+    # shrink the whole of its projection back into the box: alternating
+    # projections bring it close to admissible first
     s = best_s
+    for _ in range(SETTLE_ROUNDS):
+        s = np.clip(proj_div(s), -box, box) * active
 
     # exact polish: rational projection then uniform shrink into the box
     s = proj_div(s * active)

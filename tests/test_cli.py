@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -212,14 +213,15 @@ def test_rate_subcommand_zero_speed(tmp_path):
     }
     assert run_cli(tmp_path, "rate", cfg) == 0
     rows = (out / "rate.csv").read_text().strip().splitlines()
-    assert rows[0] == "s,v1,v2,eps,n,trials,successes,phat,lo,hi,Ihat"
+    assert rows[0] == "s,v1,v2,eps,n,trials,successes,phat,lo,hi,Ihat,Ihat_is_bound"
     assert rows[1].split(",")[7] == "1.0"  # phat
 
 
 # SHA-256 of rate.csv for the bench rate law at n=4 over 20 eps in [1/2, 1]:
-# the counts climb from 0 to all 32 trials, so they tell the trials' solver
-# values apart; the last row, where every trial holds, writes Ihat as 0.0
-GOLDEN_RATE_CSV = "da46ef1d6522d9b75b5eae4991bf05e2d37a924d79bf72bbfdf4e1b09eccdb10"
+# the counts climb from 0 to all 32 trials (0, 0, 0, 0, 3, 4, 4, 8, 8, 10, 12,
+# 15, 18, 21, 21, 26, 27, 28, 31, 32), so they tell the trials' solver values
+# apart; the last row, where every trial holds, writes Ihat as 0.0
+GOLDEN_RATE_CSV = "38395a34ea495d99bc177ad861014311c21e1c3de046913069769ee34f19faea"
 
 
 def test_rate_csv_is_bit_identical_to_the_recorded_file(tmp_path):
@@ -326,24 +328,26 @@ def test_tail_csv_writes_zero_when_every_trial_succeeds(tmp_path):
 def test_tail_counts_a_flow_that_ties_the_threshold(tmp_path):
     # constant 7/10 on the unit square at n=2: phi is exactly 21/10 = lam n on
     # every trial, so P = 1; a float comparison of the rounded flow missed it.
-    # A YAML float lam is the dyadic it is: 1.05 lies just above 21/20, so no
-    # trial reaches it, and the lam column prints 1.05 for both
+    # The YAML float 1.05 is not exactly 21/20, so it is a config error, as in
+    # every other rational field, not a threshold just above the tie
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    rows = {}
-    for lam in ("21/20", 1.05):
-        out = tmp_path / f"out_{lam!r}"
+    procs = {}
+    for i, lam in enumerate(("21/20", 1.05)):
+        out = tmp_path / f"out{i}"
         path = tmp_path / "tie.yaml"
         path.write_text(yaml.safe_dump({"tail": {"domain": "unit_square", "n": 2, "lam": [lam], "trials": 3,
                                                  "dist": {"kind": "constant", "c": "7/10"}}}))
-        proc = subprocess.run([sys.executable, "-m", "latflow.cli", "tail", "--config", str(path),
-                               "--out-dir", str(out)], env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        header, row = (out / "tail.csv").read_text().splitlines()
-        rows[lam] = dict(zip(header.split(","), row.split(",")))
-    assert rows["21/20"]["lam"] == rows[1.05]["lam"] == "1.05"
-    assert rows["21/20"]["successes"] == "3" and rows["21/20"]["phat"] == "1.0"
-    assert rows[1.05]["successes"] == "0"
+        procs[lam] = subprocess.run([sys.executable, "-m", "latflow.cli", "tail", "--config", str(path),
+                                     "--out-dir", str(out)], env=dict(os.environ, PYTHONPATH=src),
+                                    capture_output=True, text=True, timeout=120)
+    assert procs["21/20"].returncode == 0, procs["21/20"].stderr
+    header, row = (tmp_path / "out0" / "tail.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    assert row["lam"] == "1.05"
+    assert row["successes"] == "3" and row["phat"] == "1.0"
+    assert procs[1.05].returncode == 2
+    assert "config error: tail.lam: the float 1.05 is not exactly 21/20" in procs[1.05].stderr
+    assert not (tmp_path / "out1" / "tail.csv").exists()
 
 
 def test_rate_csv_writes_zero_when_every_trial_holds(tmp_path):
@@ -356,6 +360,24 @@ def test_rate_csv_writes_zero_when_every_trial_holds(tmp_path):
     row = dict(zip(header.split(","), row.split(",")))
     assert row["successes"] == "4" and row["phat"] == "1.0"
     assert row["Ihat"] == "0.0"
+
+
+def test_rate_csv_marks_the_rows_whose_ihat_is_a_bound(tmp_path):
+    # no trial is within 1/10 of the target, so that row's Ihat is the bound
+    # -log(hi) / n^d; every trial is within 2, so that row's Ihat is -log(phat) / n^d
+    from latflow.estimate import wilson_interval
+
+    out = tmp_path / "out"
+    cfg = {"rate": {"d": 2, "n": 2, "s": "1/2", "v": ["1", "0"], "eps": ["1/10", "2"], "trials": 4,
+                    "dist": {"kind": "bernoulli", "a": "0", "b": "1", "p": "1/2"}}}
+    assert run_cli(tmp_path, "rate", cfg, "--out-dir", str(out)) == 0
+    header, none, every = (out / "rate.csv").read_text().splitlines()
+    assert header.endswith(",Ihat,Ihat_is_bound")
+    none, every = (dict(zip(header.split(","), r.split(","))) for r in (none, every))
+    assert none["successes"] == "0" and none["Ihat_is_bound"] == "1"
+    assert none["Ihat"] == repr(-math.log(wilson_interval(0, 4)[1]) / 2**2)
+    assert every["successes"] == "4" and every["Ihat_is_bound"] == "0"
+    assert every["Ihat"] == "0.0"
 
 
 def test_config_error_exit_code(tmp_path):
@@ -497,6 +519,8 @@ def test_inexact_yaml_floats_in_rational_fields_exit_2(tmp_path, capsys):
         ("maxflow", {"domain": bad_domain, "n": 2, "dist": bern}, "maxflow.domain.boxes[0]"),
         ("rate", dict(rate, s=0.3), "rate.s"),
         ("rate", dict(rate, v=[0.3, "0"]), "rate.v"),
+        ("rate", dict(rate, eps=["1/2", 0.3]), "rate.eps"),
+        ("tail", {"domain": "unit_square", "n": 2, "lam": [0.3], "trials": 2, "dist": bern}, "tail.lam"),
         ("mix-demo", {"kind": "mix2d", "M": "1", "inputs": [0.3, "-3/10"]}, "mix_demo.inputs"),
     ]
     for i, (cmd, sub, field) in enumerate(cases):
@@ -504,19 +528,18 @@ def test_inexact_yaml_floats_in_rational_fields_exit_2(tmp_path, capsys):
         assert run_cli(tmp_path, f"{cmd}__{i}", cfg) == 2, field
         assert f"config error: {field}: the float 0.3 is not exactly 3/10; " \
                f"write it as the quoted rational '3/10'" in capsys.readouterr().err
-    # an exact binary float stays a rational; eps and lam take any float as
-    # the dyadic rational it is
+    # an exact binary float stays a rational, in eps too
     out = tmp_path / "ok"
     cfg = {"out_dir": str(out),
            "maxflow": {"domain": domain, "n": 2, "dist": dict(bern, p=0.5)}}
     assert run_cli(tmp_path, "maxflow__ok", cfg) == 0
     rows = {}
-    for eps in ("3/10", 0.3):
+    for eps in ("1/2", 0.5):
         out = tmp_path / f"rate_{eps!r}"
         cfg = {"out_dir": str(out), "rate": dict(rate, eps=[eps], s="0")}
         assert run_cli(tmp_path, f"rate__{len(rows)}", cfg) == 0
         rows[eps] = (out / "rate.csv").read_bytes()
-    assert rows["3/10"] == rows[0.3]
+    assert rows["1/2"] == rows[0.5]
 
 
 def test_yaml_booleans_in_rational_fields_exit_2(tmp_path, capsys):

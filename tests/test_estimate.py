@@ -10,6 +10,7 @@ import pytest
 
 from latflow.capacities import CapacityDistribution, derive_seed, sample_capacities
 from latflow.estimate import (
+    STALL_EVALUATIONS,
     CubeDistanceTables,
     CubeSpace,
     constant_target,
@@ -390,7 +391,8 @@ def test_min_distance_only_reads_the_tables_it_is_given():
 
 def test_min_distance_is_bit_identical_to_recorded_values():
     # SHA-256 of (repr(value), status, dump_stream) over nine trials, recorded
-    # with the per-block gradient loop and the dict-row exact projection
+    # with the projected warm start, the projected subgradient step, the
+    # stall stop and the settle rounds
     bern = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
     unif = CapacityDistribution.uniform(0, 1)
     h = hashlib.sha256()
@@ -404,14 +406,14 @@ def test_min_distance_is_bit_identical_to_recorded_values():
             r = min_distance(tables, [t[e] for e in space.edges], 1.0)
             statuses.append(r.status)
             h.update(repr((repr(r.value), r.status, dump_stream(r.stream))).encode())
-    assert statuses.count("holds") == 6
-    assert h.hexdigest() == "ff1fbe8b2a3c980f016c9e8f58c1896ed9fc7c78417f8651235f6b23105fdf15"
+    assert statuses.count("holds") == 9
+    assert h.hexdigest() == "fdc64970ea8ce48ec22099dbfb353a9c24ca5d83fb8a2186b753fd1b9f3f5adc"
 
 
 def test_min_distance_at_the_bench_size_is_bit_identical_to_recorded_values():
     # SHA-256 of (repr(value), status, dump_stream) over four trials of the
-    # benchmark's rate instance (d=2, n=6), recorded with the dense bincount
-    # evaluation and the Fraction Gauss-Jordan polish
+    # benchmark's rate instance (d=2, n=6), recorded with the projected warm
+    # start, the projected subgradient step, the stall stop and the settle rounds
     dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
     target = constant_target(2, Fraction(1, 2), (1, 0))
     space = CubeSpace(2, 6)
@@ -421,7 +423,38 @@ def test_min_distance_at_the_bench_size_is_bit_identical_to_recorded_values():
         t = sample_capacities(space.edges, dist, derive_seed(1, trial), exact=False)
         r = min_distance(tables, [t[e] for e in space.edges], 1.0)
         h.update(repr((repr(r.value), r.status, dump_stream(r.stream))).encode())
-    assert h.hexdigest() == "0e4a7f19e650ee45a4f071bc95646cde2fe59f35c24a32faf801223cfdfa2ee4"
+    assert h.hexdigest() == "6b8050391a4c143c630f4ab100f10eafdfbc28a4a5b282c1cbbc538b5ef1ec53"
+
+
+BENCH_RATE_EPS = [Fraction(3, 10), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+GOLDEN_RATE_EPS = [Fraction(1, 2) + Fraction(k, 38) for k in range(20)]
+
+
+@pytest.mark.parametrize("n, trials, seed, eps_list, before", [
+    # the benchmark's rate config at its seeds 1 and 17
+    (6, 16, 73186075, BENCH_RATE_EPS, [0, 0, 1, 16]),
+    (6, 16, 777787492, BENCH_RATE_EPS, [0, 0, 2, 16]),
+    # the n=4 grid of test_cli's rate.csv golden
+    (4, 32, 1, GOLDEN_RATE_EPS, [0, 0, 0, 0, 1, 2, 2, 3, 4, 5, 7, 11, 12, 15, 20, 23, 26, 27, 31, 32]),
+])
+def test_rate_counts_rise_over_the_unprojected_warm_start(n, trials, seed, eps_list, before):
+    # `before` holds the counts of the Polyak loop that scored its warm start
+    # before projecting it onto the node law: no projected iterate could beat
+    # that value, so at n=6 nearly every trial polished the warm start
+    dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
+    counts = [r.successes for r in estimate_rate(Fraction(1, 2), (1, 0), eps_list, n, trials, dist, seed)]
+    assert all(c >= b for c, b in zip(counts, before)), (counts, before)
+    assert sum(counts) > sum(before), (counts, before)
+
+
+def test_min_distance_stops_once_its_best_value_stalls():
+    # a trial of the benchmark's rate instance (d=2, n=6) ends long before the
+    # cap of 140 evaluations, after STALL_EVALUATIONS that did not improve
+    dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
+    tables = CubeDistanceTables(CubeSpace(2, 6), constant_target(2, Fraction(1, 2), (1, 0)), DistanceOptions())
+    t = sample_capacities(tables.space.edges, dist, derive_seed(73186075, 0), exact=False)
+    res = min_distance(tables, [t[e] for e in tables.space.edges], 1.0)
+    assert STALL_EVALUATIONS < res.iterations < 140
 
 
 def _table_case(d, n, kind):

@@ -10,9 +10,8 @@ build one per edge list and share it across trials and threads.  A sample
 is an integer numerator over one denominator D fixed by the law: the tau
 and tail trials solve the numerators exactly, the rate trials round each
 once, by the int true division x / D, into an IEEE double, and
-``sample_capacities`` returns the Fraction x / D or (float mode) that
-double.  All draw the same 64-bit word per edge, so discrete distributions
-sample identically in any of them.
+``sample_capacities`` returns the Fraction x / D.  All draw the same 64-bit
+word per edge, so discrete distributions sample identically in any of them.
 """
 
 import math
@@ -220,10 +219,10 @@ class CapacityDistribution:
         # the first value whose cut exceeds u (the last value past every cut)
         return D, lambda u: nums[bisect_right(cuts, u)]
 
-def sample_capacities(edges, dist: CapacityDistribution, seed: int, exact=True) -> dict:
+def sample_capacities(edges, dist: CapacityDistribution, seed: int) -> dict:
     """Sample t(e) for every edge of a LatticeDomain, Region or edge list:
     ``{EdgeId: value}``, each numerator x of ``sample_numerators`` read as
-    the Fraction x / D or rounded once to the float x / D.
+    the Fraction x / D.
 
     Deterministic in (seed, edge identity): the per-edge word is a hash of the
     seed and the integer edge coordinates, independent of enumeration order.
@@ -235,9 +234,7 @@ def sample_capacities(edges, dist: CapacityDistribution, seed: int, exact=True) 
     else:
         edge_list = list(edges)
     nums, D = sample_numerators(EdgeHasher(edge_list), dist, seed)
-    if exact:
-        return {e: Fraction(x, D) for e, x in zip(edge_list, nums)}
-    return {e: x / D for e, x in zip(edge_list, nums)}
+    return {e: Fraction(x, D) for e, x in zip(edge_list, nums)}
 
 
 def sample_numerators(hasher: EdgeHasher, dist: CapacityDistribution, seed: int):

@@ -151,9 +151,9 @@ def _versions():
 
 
 def _write_manifest(out_dir, subcommand, cfg, seed, mode, threads):
-    """``mode`` and ``threads`` are what the run used, not what the config
-    asked for: ``mode`` is the arithmetic of its capacity samples, None for
-    a subcommand with none, and ``threads`` is 1 without a trial pool."""
+    """``mode`` and ``threads`` are what the run used: ``mode`` is the
+    arithmetic of its capacity samples, None for a subcommand with none, and
+    ``threads`` is 1 without a trial pool."""
     payload = {
         "subcommand": subcommand,
         "config": cfg,
@@ -194,25 +194,16 @@ def _common(cfg, args):
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed: expected an integer")
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("LATFLOW_THREADS")
-        try:
-            threads = int(env) if env else cfg.get("threads", 1)
-        except ValueError:
-            raise ConfigError(f"LATFLOW_THREADS: expected an integer, got {env!r}")
+    threads = args.threads if args.threads is not None else cfg.get("threads", 1)
     # more workers than cores only adds scheduling overhead
     threads = min(_as_int(threads, "threads", minimum=1), os.cpu_count() or 1)
     out_dir = args.out_dir or cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    mode = cfg.get("mode", "exact")
-    if mode not in ("exact", "float"):
-        raise ConfigError("mode: must be 'exact' or 'float'")
-    return seed, threads, out_dir, mode
+    return seed, threads, out_dir
 
 
 def cmd_maxflow(cfg, args):
-    seed, threads, out_dir, mode = _common(cfg, args)
+    seed, threads, out_dir = _common(cfg, args)
     sub = _need(cfg, "maxflow", "config")
     domain = parse_domain(_need(sub, "domain", "maxflow"), "maxflow.domain")
     n = _as_int(_need(sub, "n", "maxflow"), "maxflow.n", minimum=1)
@@ -222,17 +213,11 @@ def cmd_maxflow(cfg, args):
     from .stream import admissibility_report, dump_stream
 
     L = discretize_domain(domain, n)
-    t = sample_capacities(L, dist, seed, exact=(mode == "exact"))
-    # a float is an exact dyadic rational, so the certificate is checked on
-    # the exact flow of the sample without a tolerance; float mode writes that
-    # flow rounded once, which is max_flow's result on the floats
-    t = {e: Fraction(c) for e, c in t.items()}
+    t = sample_capacities(L, dist, seed)
     res = max_flow(L, t)
     report = admissibility_report(res.stream, t, L)
     cut_cap = res.cut_capacity(t)
     duality = res.value == cut_cap
-    if mode == "float":
-        res.stream.values = {e: float(s) for e, s in res.stream.values.items()}
     with open(os.path.join(out_dir, "stream.txt"), "w") as fh:
         fh.write(dump_stream(res.stream))
     with open(os.path.join(out_dir, "cut.txt"), "w") as fh:
@@ -247,7 +232,7 @@ def cmd_maxflow(cfg, args):
         "vertices": len(L.omega),
     }
     _write_json(out_dir, "summary.json", summary)
-    _write_manifest(out_dir, "maxflow", cfg, seed, mode, 1)
+    _write_manifest(out_dir, "maxflow", cfg, seed, "exact", 1)
     if not duality or not report.admissible:
         print("invariant violation: duality or admissibility failed", file=sys.stderr)
         return 3
@@ -255,7 +240,7 @@ def cmd_maxflow(cfg, args):
 
 
 def cmd_tau(cfg, args):
-    seed, threads, out_dir, mode = _common(cfg, args)
+    seed, threads, out_dir = _common(cfg, args)
     sub = _need(cfg, "tau", "config")
     d = _as_int(sub.get("d", 2), "tau.d", minimum=2)
     side = _as_int(_need(sub, "side", "tau"), "tau.side", minimum=1)
@@ -272,7 +257,7 @@ def cmd_tau(cfg, args):
 
 
 def cmd_decompose(cfg, args):
-    seed, threads, out_dir, mode = _common(cfg, args)
+    seed, threads, out_dir = _common(cfg, args)
     sub = _need(cfg, "decompose", "config")
     domain = parse_domain(_need(sub, "domain", "decompose"), "decompose.domain")
     from .reconnect import decompose, recompose
@@ -310,7 +295,7 @@ def _mix_values(sub, key, count=None):
 
 
 def cmd_mix_demo(cfg, args):
-    seed, threads, out_dir, mode = _common(cfg, args)
+    seed, threads, out_dir = _common(cfg, args)
     sub = _need(cfg, "mix_demo", "config")
     kind = sub.get("kind", "mix2d")
     M = _as_frac(sub.get("M", 1), "mix_demo.M")
@@ -346,7 +331,7 @@ def cmd_mix_demo(cfg, args):
 
 
 def cmd_distance(cfg, args):
-    seed, threads, out_dir, mode = _common(cfg, args)
+    seed, threads, out_dir = _common(cfg, args)
     sub = _need(cfg, "distance", "config")
     mu = _read_file(sub, "measure_a", "distance", from_json)
     nu = _read_file(sub, "measure_b", "distance", from_json)
@@ -365,7 +350,7 @@ def cmd_distance(cfg, args):
 
 
 def cmd_rate(cfg, args):
-    seed, threads, out_dir, mode = _common(cfg, args)
+    seed, threads, out_dir = _common(cfg, args)
     sub = _need(cfg, "rate", "config")
     d = _as_int(sub.get("d", 2), "rate.d", minimum=2)
     n = _as_int(_need(sub, "n", "rate"), "rate.n", minimum=1)
@@ -396,7 +381,7 @@ def cmd_rate(cfg, args):
 
 
 def cmd_flow_constant(cfg, args):
-    seed, threads, out_dir, mode = _common(cfg, args)
+    seed, threads, out_dir = _common(cfg, args)
     sub = _need(cfg, "flow_constant", "config")
     d = _as_int(sub.get("d", 2), "flow_constant.d", minimum=2)
     axis = _as_int(sub.get("axis", d - 1), "flow_constant.axis", minimum=0, maximum=d - 1)
@@ -422,7 +407,7 @@ def cmd_flow_constant(cfg, args):
 
 
 def cmd_tail(cfg, args):
-    seed, threads, out_dir, mode = _common(cfg, args)
+    seed, threads, out_dir = _common(cfg, args)
     sub = _need(cfg, "tail", "config")
     domain = parse_domain(_need(sub, "domain", "tail"), "tail.domain")
     n = _as_int(_need(sub, "n", "tail"), "tail.n", minimum=1)

@@ -2,16 +2,14 @@
 
 Each undirected lattice edge becomes two antiparallel arcs of capacity t(e);
 the net arc flow gives the stream scalar, so |s(e)| <= t(e) holds exactly.
-Every capacity is an exact rational (a float is a dyadic one), so one
-integer search serves every numeric mode: the capacities are scaled to ints
-by the lcm D of their denominators, Dinic's blocking-flow search runs on
-them, and the value and stream are divided back by D once at the end, into
-Fractions, or, with a float among the capacities, into the correctly rounded
-floats of the exact answer.  When only the value is wanted and the network
-is a planar d=2 one, a shortest path in its dual gives the same value
-(``FlowNetwork.value``).  A capacity sample given as integer numerators over
-one denominator is already scaled, and runs as it is, to the exact value
+Every capacity is an int or a Fraction: the capacities are scaled to ints by
+the lcm D of their denominators, Dinic's blocking-flow search runs on them,
+and the value and stream are divided back by D once at the end, into
+Fractions.  A capacity sample given as integer numerators over one
+denominator is already scaled, and runs as it is, to the exact value
 (``FlowNetwork.sample_value``): every tau and tail trial solves that way.
+When only the value is wanted and the network is a planar d=2 one, a
+shortest path in its dual gives it.
 """
 
 import functools
@@ -108,8 +106,8 @@ def _dinic(adj, head, cap, s, t, big):
 
 class FlowNetwork:
     """Max flow on the given lattice edge set between the vertex sets: the
-    arc structure, built once, and ``solve(t)`` or ``value(t)`` for each
-    capacity sample.
+    arc structure, built once, and ``solve(t)`` or ``sample_value(nums, D)``
+    for each capacity sample.
 
     Edge k of ``edges`` becomes arcs 2k (+e_axis) and 2k + 1 (reverse), both
     of capacity t(e); terminal arcs follow, with capacity above the total.
@@ -158,11 +156,10 @@ class FlowNetwork:
 
         The search runs on the ints scaled by D: with ``big`` scaled too,
         every min, difference and truth test is the Fraction run's times D,
-        so the value and stream, divided by D, are the same Fractions, or
-        their correctly rounded floats for float capacities.  The net flow
-        of each edge, the flow added to its reverse arc, has its cycles
-        cancelled on those ints (``_cancel_cycles``) before the stream is
-        built, once, in edge order."""
+        so the value and stream, divided by D, are the same Fractions.  The
+        net flow of each edge, the flow added to its reverse arc, has its
+        cycles cancelled on those ints (``_cancel_cycles``) before the stream
+        is built, once, in edge order."""
         caps, D, back = _scale([t.get(e, 0) for e in self.edges])
         value, cap, level = self._max_flow(caps, D)
         head = self.head
@@ -173,50 +170,39 @@ class FlowNetwork:
                            if (level[head[2 * k + 1]] >= 0) != (level[head[2 * k]] >= 0)))
         return MaxFlowResult(value=back(value), stream=stream, cutset=cut)
 
-    def value(self, t):
-        """``solve(t).value``, the same in value and type, without the stream
-        or the cut: the planar dual's shortest path when there is a dual,
-        else Dinic for the value."""
-        return self._value(*_scale([t.get(e, 0) for e in self.edges]))
-
     def sample_value(self, nums, D):
-        """The exact ``value`` of one capacity sample of ``edges`` given as
-        its numerators nums over the law's denominator D
-        (``sample_numerators`` with an ``EdgeHasher`` of ``edges``), equal in
-        value and type to ``value(sample_capacities(...))``: the ints run as
-        they are, and no Fraction is built per edge."""
-        return self._value(nums, D, _fraction_over(D))
-
-    def _value(self, caps, D, back):
-        """back(the flow value) for the scaled capacities caps."""
+        """The flow value of one capacity sample of ``edges`` given as its
+        numerators nums over the law's denominator D (``sample_numerators``
+        with an ``EdgeHasher`` of ``edges``), equal in value and type to
+        ``solve(sample_capacities(...)).value``, without the stream or the
+        cut: the planar dual's shortest path when there is a dual, else
+        Dinic for the value.  The ints run as they are, and no Fraction is
+        built per edge."""
         if self.dual is not None:
-            return back(self.dual.shortest_path(caps))
-        return back(self._max_flow(caps, D)[0])
+            x = self.dual.shortest_path(nums)
+        else:
+            x = self._max_flow(nums, D)[0]
+        return Fraction(x, D) if x else 0
 
 
 def _scale(values):
     """(caps, D, back) for the capacities ``values`` of a network's edges:
-    ints scaled by the lcm D of their denominators, a float's being those of
-    ``float.as_integer_ratio``, and the map of a scaled result x back.  With
-    a float among the capacities that is the int true division x / D, which
-    rounds the exact result once and correctly; else Fraction(x, D) with a
-    Fraction among them (the int 0 for no flow, as on Fractions), and x
-    itself for ints."""
+    ints scaled by the lcm D of their denominators, and the map of a scaled
+    result x back, Fraction(x, D) with a Fraction among them (the int 0 for
+    no flow, as on Fractions), and x itself for ints.  A capacity that is
+    neither an int nor a Fraction raises TypeError: a float, say, would
+    otherwise come back multiplied by D."""
     ratios = [c.as_integer_ratio() for c in values]
     D = math.lcm(*{q for _, q in ratios})
     caps = [p * (D // q) for p, q in ratios]
     if caps and min(caps) < 0:
         raise ValueError("negative capacity")
-    if any(isinstance(c, float) for c in values):
-        return caps, D, lambda x: x / D
+    other = next((c for c in values if not isinstance(c, (int, Fraction))), None)
+    if other is not None:
+        raise TypeError(f"a capacity must be an int or a Fraction, got {other!r}")
     if any(isinstance(c, Fraction) for c in values):
-        return caps, D, _fraction_over(D)
+        return caps, D, lambda x: Fraction(x, D) if x else 0
     return caps, D, lambda x: x
-
-
-def _fraction_over(D):
-    """x -> Fraction(x, D), or the int 0 for no flow (as on Fractions)."""
-    return lambda x: Fraction(x, D) if x else 0
 
 
 class _PlanarDual:

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from math import lcm, prod, sqrt
+from math import isfinite, lcm, prod, sqrt
 
 from .geometry import box_volume
 
@@ -563,8 +563,12 @@ def to_json(nu: VectorMeasure) -> str:
 
 
 def _dec(v):
+    """A JSON value: a string as its Fraction, a number as it is, except that
+    a non-finite float (``Infinity``, ``NaN``) raises ValueError."""
     if isinstance(v, str):
         return Fraction(v)
+    if isinstance(v, float) and not isfinite(v):
+        raise ValueError(f"non-finite number {v!r}")
     return v
 
 

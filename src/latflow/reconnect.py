@@ -5,9 +5,8 @@ The mixing builders work on abstract boxes [0, m) x [1, r]^{d-1} of the unit
 lattice (scale 1), with inputs on the column-0 edges and outputs on the
 column-(m-1) edges; ``embed``/``transform`` place them inside concrete cubes.
 
-The builders compute exactly.  A float argument is read as the dyadic
-rational it is, and when one was given each value of the returned stream is
-rounded once to the nearest float.
+The builders compute exactly, on ints and Fractions.  A float among a
+mixer's inputs raises TypeError where their mean, a Fraction, is formed.
 """
 
 from fractions import Fraction
@@ -15,40 +14,6 @@ from itertools import product
 
 from .geometry import EdgeId, boundary_edge_set, cube_box, face_partition
 from .stream import Stream, divergence_at, face_flux, incident_edges, transform
-
-
-def _exact(*args):
-    """(whether a float was among args, args with every float read as its
-    Fraction); an argument is a number, a list or dict of numbers or a Stream.
-    Ints and Fractions are kept, so exact callers get their own types back."""
-    floats = False
-
-    def read(v):
-        nonlocal floats
-        if isinstance(v, float):
-            floats = True
-            return Fraction(v)
-        return v
-
-    out = []
-    for a in args:
-        if isinstance(a, Stream):
-            a = Stream(a.d, a.n, {e: read(v) for e, v in a.values.items()})
-        elif isinstance(a, dict):
-            a = {k: read(v) for k, v in a.items()}
-        elif isinstance(a, (list, tuple)):
-            a = [read(v) for v in a]
-        else:
-            a = read(a)
-        out.append(a)
-    return floats, out
-
-
-def _rounded(g: Stream, floats) -> Stream:
-    """g with each value rounded once to the nearest float if floats."""
-    if floats:
-        g.values = {e: float(v) for e, v in g.values.items()}
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +26,10 @@ def decompose(f: Stream, L):
 
     Returns a list of (vertex tuple path, weight); the weighted sum of unit
     path streams reproduces f exactly and every path edge is strictly aligned
-    with the flow.  The weights are exact, also for a float stream.
+    with the flow.
     """
     terminals = L.gamma1 | L.gamma2
-    _, [res] = _exact(f)  # a copy, peeled down to zero below
+    res = f.copy()  # peeled down to zero below
     for x in sorted(L.omega - terminals):
         if divergence_at(res, x) != 0:
             raise ValueError(f"node law violated at interior vertex {x}")
@@ -237,10 +202,9 @@ def mix2d(f_in, M) -> Stream:
     node law away from the two boundary columns."""
     if len(f_in) < 1:
         raise ValueError("need at least one input")
-    floats, [f_in, M] = _exact(f_in, M)
     sign = 1 if sum(f_in) >= 0 else -1
     g = _mix2d_core([sign * v for v in f_in], M)
-    return _rounded(g.scaled(sign), floats)
+    return g.scaled(sign)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +281,6 @@ def mix(f_in, f_out, m, M) -> Stream:
     d = k + 1
     if sorted(f_out) != sorted(f_in):
         raise ValueError("output grid must match the input grid")
-    floats, [f_in, f_out, M] = _exact(f_in, f_out, M)
     if any(abs(v) > M for v in f_in.values()) or any(abs(v) > M for v in f_out.values()):
         raise ValueError("magnitude exceeds the bound M")
     s_in = sum(f_in.values())
@@ -350,7 +313,7 @@ def mix(f_in, f_out, m, M) -> Stream:
         if v != 0:
             for c in range(start, m):
                 g.add(EdgeId((c,) + y, 0), v)
-    return _rounded(g, floats)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +400,9 @@ def mix_precise(f_in, M, eps) -> Stream:
     mean.  Inputs must satisfy the nested prefix conditions, which are checked
     and reported by level."""
     r, k = _infer_grid(f_in)
-    floats, [f_in, M, eps] = _exact(f_in, M, eps)
     # the conditions on every prefix imply those of each sub-grid mixed below
     _check_precise_conditions(f_in, r, k, M, eps)
-    g = _mix_nested(k + 1, r, f_in, lambda vals: _mix_precise_2d(vals, M, eps))
-    return _rounded(g, floats)
+    return _mix_nested(k + 1, r, f_in, lambda vals: _mix_precise_2d(vals, M, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +551,6 @@ def balance_faces(lam, beta, K, m, d, n) -> Stream:
     cells = _face_cells(d, m)
     if sorted(lam) != sorted(cells) or sorted(beta) != sorted(cells):
         raise ValueError("lam and beta must cover every face cell")
-    floats, [lam, beta] = _exact(lam, beta)
     total_minus = sum(beta[k] - lam[k] for k in cells if k[1] == -1)
     total_plus = sum(beta[k] - lam[k] for k in cells if k[1] == 1)
     if total_minus != total_plus:
@@ -662,7 +622,7 @@ def balance_faces(lam, beta, K, m, d, n) -> Stream:
             steps += 1
             if steps > (2 * d) ** 2:
                 raise RuntimeError("face pairing failed to terminate")
-    return _rounded(f_res, floats)
+    return f_res
 
 
 def _transverse(pt, axis):
@@ -729,7 +689,6 @@ def glue_adjacent(f_a: Stream, box_a, f_b: Stream, box_b, m, M) -> Stream:
     n = f_a.n
     if (f_b.d, f_b.n) != (d, n):
         raise ValueError("streams must share lattice and dimension")
-    floats, [f_a, f_b, M] = _exact(f_a, f_b, M)
     diffs = [j for j in range(d) if box_a[j] != box_b[j]]
     if len(diffs) != 1:
         raise ValueError("cubes must be translates along a single axis")
@@ -777,4 +736,4 @@ def glue_adjacent(f_a: Stream, box_a, f_b: Stream, box_b, m, M) -> Stream:
         for k, j in enumerate(trans_axes):
             offset[j] = windows[k].start - 1
         out += embed(g, d, amap, offset=offset, n=n)
-    return _rounded(out, floats)
+    return out

@@ -2,9 +2,7 @@
 
 A stream assigns to each lattice edge a signed magnitude in the canonical
 +e_axis orientation; the vector value on edge e is s(e) * e_axis.  Magnitudes
-may be Fractions (verification mode) or floats (Monte Carlo mode); every
-operation here is agnostic to the numeric type, except that the node law is
-decided exactly on floats too.
+are ints and Fractions, so every quantity here is exact.
 """
 
 from dataclasses import dataclass, field
@@ -76,15 +74,13 @@ def incident_edges(x, d):
 def divergence_at(f: Stream, x) -> object:
     """Discrete divergence d f_n(x) = n * sum f(e).(y->x): the amount of water
     appearing at x.  A single edge of magnitude s gives -s at its left
-    endpoint and +s at its right one; zero exactly when the node law holds.
-    A float is summed as the Fraction it equals, so no cancellation hides a
-    violation."""
+    endpoint and +s at its right one; zero exactly when the node law holds."""
     acc = 0
     for e, orient in incident_edges(x, f.d):
         v = f.values.get(e)
         if v:
             # f(e).(vector y->x) * n = -orient * s(e)
-            acc += -orient * (Fraction(v) if isinstance(v, float) else v)
+            acc += -orient * v
     return acc
 
 
@@ -105,14 +101,7 @@ class AdmissibilityReport:
 def admissibility_report(f: Stream, t, L) -> AdmissibilityReport:
     """Three verdicts for f against a LatticeDomain: support inside
     Omega_n^2 minus (Gamma_n^1 u Gamma_n^2)^2, capacity bound, node law off
-    the terminals.
-
-    The node law is decided exactly (``divergence_at``), on floats too, so a
-    float stream whose values were rounded usually fails it: the float max
-    flow of float capacities is the exact max flow rounded once per edge,
-    and the rounded values need not sum to zero at a vertex.  Check the
-    exact flow instead: solve on the capacities read as Fractions, as
-    ``cmd_maxflow`` does."""
+    the terminals."""
     allowed = set(L.active_edges)
     bad_support = [e for e in f.values if e not in allowed]
     bad_capacity = [e for e in f.values if abs(f.values[e]) > t.get(e, 0)]
@@ -170,7 +159,7 @@ def vector_measure(f: Stream):
     atoms = []
     for e, v in sorted(f.values.items()):
         w = [0] * f.d
-        w[e.axis] = v * scale if isinstance(v, Fraction) else v * float(scale)
+        w[e.axis] = v * scale
         atoms.append((e.midpoint(f.n), tuple(w)))
     return VectorMeasure(d=f.d, atoms=tuple(atoms))
 
@@ -236,34 +225,23 @@ def transform(f: Stream, flips, offset) -> Stream:
     return out
 
 
-def value_repr(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    return repr(float(v))
-
-
-def parse_value(s):
-    if "/" in s:
-        return Fraction(s)
-    if "." in s or "e" in s or "E" in s or s in ("inf", "nan"):
-        return float(s)
-    return Fraction(s)
-
-
 def dump_stream(f: Stream) -> str:
     """Bit-exact text format: header 'd n', then 'x1 ... xd axis value'."""
     lines = [f"{f.d} {f.n}"]
     for e in sorted(f.values):
-        lines.append(" ".join(str(c) for c in e.x) + f" {e.axis} {value_repr(f.values[e])}")
+        lines.append(" ".join(str(c) for c in e.x) + f" {e.axis} {f.values[e]}")
     return "\n".join(lines) + "\n"
 
 
 def load_stream(text) -> Stream:
+    """The stream of ``dump_stream``'s text; each value is read as the exact
+    Fraction of the number written ('1/3', '2', or a decimal such as '0.1'),
+    and anything else, 'inf' say, raises ValueError."""
     lines = text.strip().splitlines()
     d, n = (int(tok) for tok in lines[0].split())
     f = Stream(d, n)
     for line in lines[1:]:
         parts = line.split()
         coords = tuple(int(c) for c in parts[:d])
-        f.values[EdgeId(coords, int(parts[d]))] = parse_value(parts[d + 1])
+        f.values[EdgeId(coords, int(parts[d]))] = Fraction(parts[d + 1])
     return f

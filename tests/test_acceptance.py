@@ -89,7 +89,7 @@ def test_criterion_1_maxflow_mincut_exactness():
                 if trial % 4 < 2
                 else CapacityDistribution.uniform(0, 1)
             )
-            t = sample_capacities(L, dist, seed=rng.getrandbits(32), exact=True)
+            t = sample_capacities(L, dist, seed=rng.getrandbits(32))
             res = max_flow(L, t)
             oracle, _ = oracles.min_cut_by_partitions(
                 L.omega, L.active_edges, t, L.gamma1, L.gamma2
@@ -109,7 +109,7 @@ def test_criterion_2_decomposition_fidelity():
             L = domains[n]
             t = sample_capacities(
                 L, CapacityDistribution.bernoulli(0, 1, Fraction(1, 2)),
-                seed=rng.getrandbits(32), exact=True,
+                seed=rng.getrandbits(32),
             )
             res = max_flow(L, t)
             paths = decompose(res.stream, L)

@@ -31,12 +31,13 @@ def test_determinism_across_runs_and_iteration_order():
 
 
 def test_exact_and_float_modes_agree_for_discrete_kinds():
+    # the rate trials run on the floats x / D of the numerators
     L = discretize_domain(unit_square_domain(), 3)
     dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
-    exact = sample_capacities(L, dist, seed=9, exact=True)
-    flt = sample_capacities(L, dist, seed=9, exact=False)
-    for e in L.edges:
-        assert float(exact[e]) == flt[e]
+    exact = sample_capacities(L, dist, seed=9)
+    nums, D = sample_numerators(EdgeHasher(L.edges), dist, 9)
+    for e, x in zip(L.edges, nums):
+        assert float(exact[e]) == x / D
 
 
 def test_values_within_support_bound():
@@ -55,8 +56,8 @@ def test_uniform_empirical_mean_within_clt_band():
     region = Region(boxes=(box((0, 224), (0, 224)),))
     edges = region_edges(region, 1)  # ~1e5 edges
     dist = CapacityDistribution.uniform(0, 2)
-    t = sample_capacities(edges, dist, seed=123, exact=False)
-    vals = list(t.values())
+    nums, D = sample_numerators(EdgeHasher(edges), dist, 123)
+    vals = [x / D for x in nums]
     mean = sum(vals) / len(vals)
     # sd of U(0,2) is 1/sqrt(3); three sigma of the mean
     band = 3 * (1 / 3**0.5) / len(vals) ** 0.5
@@ -66,10 +67,10 @@ def test_uniform_empirical_mean_within_clt_band():
 def test_resampling_same_seed_is_bit_identical():
     L = discretize_domain(unit_square_domain(), 3)
     dist = CapacityDistribution.uniform(0, 2)
-    a = sample_capacities(L, dist, seed=77, exact=False)
-    b = sample_capacities(L, dist, seed=77, exact=False)
+    a = sample_capacities(L, dist, seed=77)
+    b = sample_capacities(L, dist, seed=77)
     assert a == b
-    c = sample_capacities(L, dist, seed=78, exact=False)
+    c = sample_capacities(L, dist, seed=78)
     assert a != c
 
 
@@ -246,8 +247,6 @@ def test_sample_numerators_are_the_samples_over_one_denominator(dist):
     edges = list(reversed(L.edges))
     nums, D = sample_numerators(EdgeHasher(edges), dist, 21)
     assert len(nums) == len(edges) and all(type(x) is int for x in nums)
-    exact = sample_capacities(edges, dist, 21, exact=True)
-    flt = sample_capacities(edges, dist, 21, exact=False)
+    exact = sample_capacities(edges, dist, 21)
     for e, x in zip(edges, nums):
         assert exact[e] == Fraction(x, D) and type(exact[e]) is Fraction
-        assert flt[e] == x / D and type(flt[e]) is float

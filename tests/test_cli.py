@@ -52,29 +52,37 @@ def test_maxflow_subcommand_outputs(tmp_path):
     assert manifest["seed"] == 3
 
 
-def _float_maxflow_config(out):
+def _maxflow_config(out, **top):
     return {
         "seed": 3,
-        "mode": "float",
         "out_dir": str(out),
         "maxflow": {"domain": "unit_square", "n": 8, "dist": {"kind": "uniform", "a": "0", "b": "1"}},
+        **top,
     }
 
 
 def test_float_maxflow_certifies_the_cut_without_a_tolerance(tmp_path):
-    out = tmp_path / "out"
-    assert run_cli(tmp_path, "maxflow", _float_maxflow_config(out)) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["flow_equals_cut"] is True and summary["admissible"] is True
-    assert summary["cut_capacity"] == summary["value"]
-    # the outputs are the library's float solve of the same sample
+    # a config's mode key is read by no subcommand: with mode: float too, the
+    # run solves and writes the exact flow, and its manifest records "exact"
     L = discretize_domain(unit_square_domain(), 8)
-    res = max_flow(L, sample_capacities(L, CapacityDistribution.uniform(0, 1), 3, exact=False))
-    assert summary["value"] == res.value
-    assert (out / "stream.txt").read_text() == dump_stream(res.stream)
+    res = max_flow(L, sample_capacities(L, CapacityDistribution.uniform(0, 1), 3))
+    runs = {}
+    for mode in (None, "float"):
+        out = tmp_path / f"out-{mode}"
+        cfg = _maxflow_config(out, **({"mode": mode} if mode else {}))
+        assert run_cli(tmp_path, "maxflow", cfg) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["flow_equals_cut"] is True and summary["admissible"] is True
+        assert summary["cut_capacity"] == summary["value"] == float(res.value)
+        # the outputs are the library's exact solve of the same sample
+        assert (out / "stream.txt").read_text() == dump_stream(res.stream)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["mode"] == "exact" and manifest["config"].get("mode") == mode
+        runs[mode] = [(out / name).read_bytes() for name in ("stream.txt", "cut.txt", "summary.json")]
+    assert runs["float"] == runs[None]
 
 
-def test_float_maxflow_with_a_cut_missing_an_edge_exits_3(tmp_path, monkeypatch):
+def test_maxflow_with_a_cut_missing_an_edge_exits_3(tmp_path, monkeypatch):
     def short_cut(L, t):
         res = cli_max_flow(L, t)
         return dataclasses.replace(res, cutset=res.cutset[1:])
@@ -83,7 +91,7 @@ def test_float_maxflow_with_a_cut_missing_an_edge_exits_3(tmp_path, monkeypatch)
     cli_max_flow = latflow.maxflow.max_flow
     monkeypatch.setattr(latflow.maxflow, "max_flow", short_cut)
     out = tmp_path / "out"
-    assert run_cli(tmp_path, "maxflow", _float_maxflow_config(out)) == 3
+    assert run_cli(tmp_path, "maxflow", _maxflow_config(out)) == 3
     assert json.loads((out / "summary.json").read_text())["flow_equals_cut"] is False
 
 
@@ -247,9 +255,9 @@ def test_rate_csv_is_bit_identical_to_the_recorded_file(tmp_path):
     assert hashlib.sha256(data).hexdigest() == GOLDEN_RATE_CSV
 
 
-def test_manifest_records_the_mode_and_threads_that_ran(tmp_path, monkeypatch):
-    # rate always samples float capacities, whatever the config's mode says
-    monkeypatch.delenv("LATFLOW_THREADS", raising=False)
+def test_manifest_records_the_mode_and_threads_that_ran(tmp_path):
+    # rate's solver always runs on float capacities; a mode key in the config
+    # is recorded with the config and read by no subcommand
     out = tmp_path / "rate"
     cfg = {
         "seed": 2,
@@ -265,7 +273,7 @@ def test_manifest_records_the_mode_and_threads_that_ran(tmp_path, monkeypatch):
     assert manifest["mode"] == "float"
     assert manifest["threads"] == min(2, os.cpu_count() or 1)
     assert manifest["config"]["mode"] == "exact"
-    # tail always solves its trials exactly, whatever the config's mode says
+    # tail always solves its trials exactly
     out = tmp_path / "tail"
     cfg = {"seed": 2, "mode": "float", "out_dir": str(out), "tail": TINY["tail"]}
     assert run_cli(tmp_path, "tail", cfg) == 0
@@ -427,7 +435,7 @@ def test_outputs_reparse_under_schema(tmp_path):
     assert rows and float(rows[0]["mean"]) == 1.0
 
 
-def test_bad_thread_counts_exit_2(tmp_path, monkeypatch):
+def test_bad_thread_counts_exit_2(tmp_path):
     cfg = {
         "out_dir": str(tmp_path / "out"),
         "tail": {
@@ -438,13 +446,9 @@ def test_bad_thread_counts_exit_2(tmp_path, monkeypatch):
             "dist": {"kind": "constant", "c": "1"},
         },
     }
-    for env in ("abc", "0", "-3", "1.5"):
-        monkeypatch.setenv("LATFLOW_THREADS", env)
-        assert run_cli(tmp_path, f"tail__env{env}", cfg) == 2
-    monkeypatch.delenv("LATFLOW_THREADS")
     assert run_cli(tmp_path, "tail__flag", cfg, "--threads", "0") == 2
-    assert run_cli(tmp_path, "tail__cfg", dict(cfg, threads=0)) == 2
-    assert run_cli(tmp_path, "tail__cfgstr", dict(cfg, threads="two")) == 2
+    for i, threads in enumerate((0, -3, 1.5, "two", "2")):
+        assert run_cli(tmp_path, f"tail__cfg{i}", dict(cfg, threads=threads)) == 2
     assert not (tmp_path / "out" / "tail.csv").exists()
 
 
@@ -452,7 +456,6 @@ def test_thread_count_is_capped_at_the_core_count(tmp_path, monkeypatch):
     # resolution only: no pool is started here
     cores = os.cpu_count() or 1
     huge = 10**6
-    monkeypatch.delenv("LATFLOW_THREADS", raising=False)
 
     def resolved(cfg, flag=None):
         args = argparse.Namespace(threads=flag, out_dir=str(tmp_path))
@@ -461,8 +464,10 @@ def test_thread_count_is_capped_at_the_core_count(tmp_path, monkeypatch):
     assert resolved({}, flag=huge) == cores
     assert resolved({"threads": huge}) == cores
     assert resolved({}, flag=1) == 1
+    assert resolved({"threads": huge}, flag=1) == 1
+    # the flag and the config set the count, and no environment variable does
     monkeypatch.setenv("LATFLOW_THREADS", str(huge))
-    assert resolved({"threads": 1}) == cores
+    assert resolved({"threads": 1}) == 1
 
 
 def test_unreadable_or_malformed_input_files_exit_2(tmp_path, capsys):
@@ -479,6 +484,10 @@ def test_unreadable_or_malformed_input_files_exit_2(tmp_path, capsys):
         "bad_point.json": '{"d": 2, "atoms": [{"point": ["1/0", "0"], "weight": ["1", "0"]}], "densities": []}',
         "bad_stream.txt": "2 2\n0 0\n",
         "empty.txt": "",
+        # an Infinity point would overflow the distance's integer cube
+        # placement, and a NaN weight would make every bound NaN
+        "inf_point.json": '{"d": 2, "atoms": [{"point": [Infinity, "0"], "weight": ["1", "0"]}], "densities": []}',
+        "nan_weight.json": '{"d": 2, "atoms": [{"point": ["0", "0"], "weight": [NaN, "0"]}], "densities": []}',
     }
     for name, text in bad.items():
         (tmp_path / name).write_text(text)
@@ -487,6 +496,8 @@ def test_unreadable_or_malformed_input_files_exit_2(tmp_path, capsys):
         ("distance", "measure_b", str(tmp_path / "truncated.json")),
         ("distance", "measure_a", str(tmp_path / "no_atoms.json")),
         ("distance", "measure_b", str(tmp_path / "bad_point.json")),
+        ("distance", "measure_b", str(tmp_path / "inf_point.json")),
+        ("distance", "measure_a", str(tmp_path / "nan_weight.json")),
         ("distance", "measure_a", str(tmp_path)),
         ("distance", "measure_a", 5),
         ("decompose", "stream", str(tmp_path / "missing.txt")),
@@ -501,6 +512,23 @@ def test_unreadable_or_malformed_input_files_exit_2(tmp_path, capsys):
         cfg = {"out_dir": str(tmp_path / "out"), cmd: sub}
         assert run_cli(tmp_path, f"{cmd}__{i}", cfg) == 2, (key, value)
         assert f"config error: {cmd}.{key}:" in capsys.readouterr().err
+
+
+def test_decompose_stream_file_holding_inf_exits_2(tmp_path):
+    # a fresh process, as the console script runs, where an exception that
+    # escapes main exits 1: a value is read as the exact number written, and
+    # inf is none
+    (tmp_path / "inf.txt").write_text("2 2\n0 0 0 inf\n")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"out_dir": str(tmp_path / "out"), "decompose": {
+        "domain": "unit_square", "stream": str(tmp_path / "inf.txt")}}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "latflow.cli", "decompose", "--config", str(path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: decompose.stream: malformed file")
+    assert not (tmp_path / "out" / "paths.json").exists()
 
 
 def test_inexact_yaml_floats_in_rational_fields_exit_2(tmp_path, capsys):

@@ -8,7 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latflow.capacities import CapacityDistribution, derive_seed, sample_capacities
+from latflow.capacities import (
+    CapacityDistribution,
+    EdgeHasher,
+    derive_seed,
+    sample_numerators,
+)
 from latflow.estimate import (
     STALL_EVALUATIONS,
     CubeDistanceTables,
@@ -26,6 +31,13 @@ from latflow.measure import DistanceOptions, VectorMeasure, distance
 from latflow.stream import Stream, dump_stream, vector_measure
 
 import oracles
+
+
+def float_capacities(edges, dist, seed):
+    """{edge: capacity} as a rate trial samples it: each numerator of
+    ``sample_numerators`` over D, rounded once to a float."""
+    nums, D = sample_numerators(EdgeHasher(edges), dist, seed)
+    return {e: x / D for e, x in zip(edges, nums)}
 
 
 def test_wilson_interval_basics():
@@ -181,7 +193,7 @@ def test_estimate_rate_conservative_vs_oracle():
     solver_succ = 0
     oracle_succ = 0
     for trial in range(12):
-        t = sample_capacities(space.edges, dist, derive_seed(3, trial), exact=False)
+        t = float_capacities(space.edges, dist, derive_seed(3, trial))
         res = min_distance(tables, [t[e] for e in space.edges], eps)
         grid_val = _stream_grid_value(tables, res.stream)
         tail = res.value - grid_val
@@ -378,7 +390,7 @@ def test_min_distance_only_reads_the_tables_it_is_given():
     laws = (CapacityDistribution.bernoulli(0, 1, Fraction(1, 2)), CapacityDistribution.uniform(0, 1))
     for law in laws:
         for trial in range(3):
-            t = sample_capacities(edges, law, derive_seed(2, trial), exact=False)
+            t = float_capacities(edges, law, derive_seed(2, trial))
             caps = [t[e] for e in edges]
             got = min_distance(tables, caps, 1.0)
             assert digests() == before
@@ -402,7 +414,7 @@ def test_min_distance_is_bit_identical_to_recorded_values():
         space = CubeSpace(d, n)
         tables = CubeDistanceTables(space, target, DistanceOptions())
         for trial in range(3):
-            t = sample_capacities(space.edges, dist, derive_seed(5, trial), exact=False)
+            t = float_capacities(space.edges, dist, derive_seed(5, trial))
             r = min_distance(tables, [t[e] for e in space.edges], 1.0)
             statuses.append(r.status)
             h.update(repr((repr(r.value), r.status, dump_stream(r.stream))).encode())
@@ -420,7 +432,7 @@ def test_min_distance_at_the_bench_size_is_bit_identical_to_recorded_values():
     tables = CubeDistanceTables(space, target, DistanceOptions())
     h = hashlib.sha256()
     for trial in range(4):
-        t = sample_capacities(space.edges, dist, derive_seed(1, trial), exact=False)
+        t = float_capacities(space.edges, dist, derive_seed(1, trial))
         r = min_distance(tables, [t[e] for e in space.edges], 1.0)
         h.update(repr((repr(r.value), r.status, dump_stream(r.stream))).encode())
     assert h.hexdigest() == "6b8050391a4c143c630f4ab100f10eafdfbc28a4a5b282c1cbbc538b5ef1ec53"
@@ -452,7 +464,7 @@ def test_min_distance_stops_once_its_best_value_stalls():
     # cap of 140 evaluations, after STALL_EVALUATIONS that did not improve
     dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
     tables = CubeDistanceTables(CubeSpace(2, 6), constant_target(2, Fraction(1, 2), (1, 0)), DistanceOptions())
-    t = sample_capacities(tables.space.edges, dist, derive_seed(73186075, 0), exact=False)
+    t = float_capacities(tables.space.edges, dist, derive_seed(73186075, 0))
     res = min_distance(tables, [t[e] for e in tables.space.edges], 1.0)
     assert STALL_EVALUATIONS < res.iterations < 140
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 import sys
 from fractions import Fraction
@@ -227,56 +228,26 @@ def test_solve_leaves_the_recursion_limit_alone():
     sys.setrecursionlimit(1000)
     try:
         L = discretize_domain(unit_square_domain(), 48)
-        t = sample_capacities(L, CapacityDistribution.uniform(0, 1), seed=1, exact=False)
+        t = sample_capacities(L, CapacityDistribution.uniform(0, 1), seed=1)
         res = max_flow(L, t)
         assert sys.getrecursionlimit() == 1000
-        assert float(sum(Fraction(t[e]) for e in res.cutset)) == res.value
+        assert sum(t[e] for e in res.cutset) == res.value
     finally:
         sys.setrecursionlimit(old)
-
-
-def _assert_rounded_exact(network, t):
-    """For float capacities t, ``value(t)``, ``solve(t).value`` and every
-    stream entry are floats, each the result of the same call on the exact
-    rationals of t rounded once; |s(e)| <= t(e) holds in float."""
-    ref = network.solve({e: Fraction(c) for e, c in t.items()})
-    res = network.solve(t)
-    for got in (network.value(t), res.value):
-        assert type(got) is float and got == float(ref.value), (got, ref.value)
-    assert res.stream.values.keys() == ref.stream.values.keys()
-    for e, s in res.stream.values.items():
-        assert type(s) is float and s == float(ref.stream.values[e]), (e, s)
-        assert abs(s) <= t[e]
-    assert res.cutset == ref.cutset
 
 
 def _network(L):
     return FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2)
 
 
-def _rounded_exact_networks():
-    yield "square-n24", _network(discretize_domain(unit_square_domain(), 24))
-    yield "tau-d2", tau_network(straight_base(2, 8, 1), 8)
-    yield "d3", _network(discretize_domain(unit_box_domain(3), 4))
-
-
-# a float Bernoulli whose values are not dyadic: float sums of 1/3 round
-FLOAT_LAWS = (CapacityDistribution.uniform(0, 1), CapacityDistribution.bernoulli(Fraction(1, 3), 2, Fraction(1, 2)))
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_float_solve_at_n12_is_the_exact_solve_rounded_once(seed):
-    network = _network(discretize_domain(unit_square_domain(), 12))
-    _assert_rounded_exact(network, sample_capacities(network.edges, FLOAT_LAWS[0], seed, exact=False))
-
-
-@pytest.mark.parametrize("name", [name for name, _ in _rounded_exact_networks()])
-def test_float_results_are_the_exact_results_rounded_once(name):
-    network = dict(_rounded_exact_networks())[name]
-    assert (network.dual is None) == (name == "d3")
-    for seed in (1, 2, 3):
-        for law in FLOAT_LAWS:
-            _assert_rounded_exact(network, sample_capacities(network.edges, law, seed, exact=False))
+def test_a_float_capacity_raises():
+    # scaled to ints and sent back as one, a float would come back
+    # multiplied by D: 2 here, on the capacities 1/2
+    L = discretize_domain(unit_square_domain(), 2)
+    for t in ({e: 0.5 for e in L.active_edges},
+              {e: 0.5 if k == 3 else Fraction(1, 2) for k, e in enumerate(L.active_edges)}):
+        with pytest.raises(TypeError, match="a capacity must be an int or a Fraction, got 0.5"):
+            max_flow(L, t)
 
 
 def _random_box_domain(rng):
@@ -300,24 +271,19 @@ def test_value_matches_networkx_on_random_domains():
             if rng.random() < 0.5
             else CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
         )
-        for exact in (True, False):
-            t = sample_capacities(L, dist, seed=rng.getrandbits(32), exact=exact)
-            res = max_flow(L, t)
-            G = nx.DiGraph()
-            G.add_nodes_from(("s", "t"))
-            for e in L.active_edges:
-                G.add_edge(e.x, e.right(), capacity=t[e])
-                G.add_edge(e.right(), e.x, capacity=t[e])
-            # terminal arcs without a capacity attribute are unbounded
-            G.add_edges_from(("s", v) for v in L.gamma1)
-            G.add_edges_from((v, "t") for v in L.gamma2)
-            ref = nx.maximum_flow_value(G, "s", "t")
-            if exact:
-                assert res.value == ref
-                assert res.cut_capacity(t) == res.value
-            else:
-                assert res.value == pytest.approx(ref, rel=1e-12, abs=1e-12)
-                assert res.cut_capacity(t) == pytest.approx(res.value, rel=1e-12, abs=1e-12)
+        t = sample_capacities(L, dist, seed=rng.getrandbits(32))
+        res = max_flow(L, t)
+        G = nx.DiGraph()
+        G.add_nodes_from(("s", "t"))
+        for e in L.active_edges:
+            G.add_edge(e.x, e.right(), capacity=t[e])
+            G.add_edge(e.right(), e.x, capacity=t[e])
+        # terminal arcs without a capacity attribute are unbounded
+        G.add_edges_from(("s", v) for v in L.gamma1)
+        G.add_edges_from((v, "t") for v in L.gamma2)
+        ref = nx.maximum_flow_value(G, "s", "t")
+        assert res.value == ref
+        assert res.cut_capacity(t) == res.value
 
 
 def _exact_golden_solves():
@@ -471,8 +437,13 @@ EXACT_LAWS = (
 
 
 def _assert_value_is_the_solve_value(network, t):
-    value, ref = network.value(t), network.solve(t).value
-    assert value == ref and type(value) is type(ref), (value, ref)
+    """``sample_value`` of the capacities t, as ints over the lcm D of their
+    denominators, equals ``solve(t).value``: the planar dual's or Dinic's
+    value alone, against the full solve."""
+    caps = [Fraction(t.get(e, 0)) for e in network.edges]
+    D = math.lcm(*(c.denominator for c in caps))
+    value, ref = network.sample_value([int(c * D) for c in caps], D), network.solve(t).value
+    assert value == ref, (value, ref)
 
 
 def test_planar_value_equals_solve_on_random_exact_cylinders():
@@ -526,7 +497,7 @@ def test_sample_value_is_the_value_of_the_sampled_capacities(name):
     for law in SAMPLED_LAWS:
         for seed in range(3):
             got = network.sample_value(*sample_numerators(hasher, law, seed))
-            want = network.value(sample_capacities(network.edges, law, seed))
+            want = network.solve(sample_capacities(network.edges, law, seed)).value
             assert got == want and type(got) is type(want), (law, seed, got, want)
 
 
@@ -536,7 +507,7 @@ def test_tau_sampler_value_is_the_value_of_the_sampled_capacities(d):
     for law in SAMPLED_LAWS:
         tau = straight_tau_sampler(d, 3, 3, d - 1, law)
         for seed in range(2):
-            got, want = tau(seed), network.value(sample_capacities(network.edges, law, seed))
+            got, want = tau(seed), network.solve(sample_capacities(network.edges, law, seed)).value
             assert got == want and type(got) is type(want), (law, seed, got, want)
 
 
@@ -545,8 +516,6 @@ def test_negative_capacity_raises(c):
     for _, network in _sampled_networks():
         t = {e: Fraction(1, 2) for e in network.edges}
         t[network.edges[len(t) // 2]] = c
-        with pytest.raises(ValueError, match="negative capacity"):
-            network.value(t)
         with pytest.raises(ValueError, match="negative capacity"):
             network.solve(t)
 
@@ -577,20 +546,18 @@ def test_value_falls_back_to_dinic_without_a_planar_dual(name):
     for seed in range(3):
         for law in EXACT_LAWS:
             _assert_value_is_the_solve_value(network, sample_capacities(network.edges, law, seed))
-        t = sample_capacities(network.edges, EXACT_LAWS[0], seed, exact=False)
-        assert repr(network.value(t)) == repr(network.solve(t).value)
 
 
-def test_float_capacities_take_the_dual_on_a_planar_network(monkeypatch):
+def test_sample_value_takes_the_dual_on_a_planar_network(monkeypatch):
     import latflow.maxflow
 
     network = tau_network(straight_base(2, 6, 1), 6)
     assert network.dual is not None
-    samples = [sample_capacities(network.edges, CapacityDistribution.uniform(0, 1), seed, exact=False)
-               for seed in range(3)]
-    values = [network.solve(t).value for t in samples]
+    law = CapacityDistribution.uniform(0, 1)
+    values = [network.solve(sample_capacities(network.edges, law, seed)).value for seed in range(3)]
+    samples = [sample_numerators(EdgeHasher(network.edges), law, seed) for seed in range(3)]
     monkeypatch.setattr(latflow.maxflow, "_dinic", None)  # a call would raise
-    assert [network.value(t) for t in samples] == values
+    assert [network.sample_value(*sample) for sample in samples] == values
 
 
 # SHA-256 of the repr of straight_tau_sampler values, h = side, seeds 0..3,
@@ -611,11 +578,11 @@ def test_tau_sampler_is_bit_identical_to_recorded_values(d, sides):
                 tau = straight_tau_sampler(d, side, side, axis, dist)
                 lines.extend(repr(tau(seed)) for seed in range(4))
             # uniform(0, 1): the exact value of the same sample, rounded once
-            tau = straight_tau_sampler(d, side, side, axis, FLOAT_LAWS[0])
+            tau = straight_tau_sampler(d, side, side, axis, EXACT_LAWS[0])
             network = tau_network(straight_base(d, side, axis), side)
             for seed in range(4):
-                t = sample_capacities(network.edges, FLOAT_LAWS[0], seed)
-                assert float(tau(seed)) == float(network.value(t))
+                t = sample_capacities(network.edges, EXACT_LAWS[0], seed)
+                assert float(tau(seed)) == float(network.solve(t).value)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_TAU[d, sides]
 
 

@@ -215,7 +215,7 @@ def test_restriction_property_with_proof_constants():
     rng = random.Random(7)
     for _ in range(5):
         t = sample_capacities(
-            L, CapacityDistribution.uniform(0, 1), seed=rng.getrandbits(32), exact=True
+            L, CapacityDistribution.uniform(0, 1), seed=rng.getrandbits(32)
         )
         f = max_flow(L, t).stream
         mu = vector_measure(f)

@@ -10,9 +10,13 @@ exactly (up to float norm accumulation) on a deterministic (x, lam) grid and
 returns a bracket: the lower bound is the grid maximum of the truncated sum,
 the upper bound adds the certified truncation tail.  The bracket therefore
 encloses the grid-restricted supremum of the untruncated series; the grid
-itself is part of the reported result.
+itself is part of the reported result.  The grid points are refined
+best-first, each level bounded by the total variation TV(mu) + TV(nu), and
+a point is left unfinished once that bound puts it below the best complete
+sum: the bracket and the grid are those of summing every level everywhere.
 """
 
+import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,7 +117,12 @@ class DistanceBracket:
 @dataclass
 class DistanceOptions:
     """Deterministic evaluation grid for the bracket.  The default is the
-    fixed quarter grid (measure-independent)."""
+    fixed quarter grid (measure-independent).
+
+    ``cube_budget`` caps the cubes a level enumerates one by one, for the
+    levels ``distance`` evaluates: a level of a point that the search
+    prunes away is never evaluated, so it cannot exceed the budget, and the
+    bracket returned is still exact."""
 
     k_max: int = 12
     lambdas: tuple = (
@@ -497,6 +506,18 @@ def _difference(mu: VectorMeasure, nu: VectorMeasure):
     return atoms, tuple((c, v) for c, v in cells)
 
 
+def _prepare(mu: VectorMeasure, nu: VectorMeasure, opts: DistanceOptions):
+    """The evaluation grid of ``opts`` for mu - nu, and the atoms and cells of
+    mu - nu in the integer form of that grid, as ``_level_sum`` takes them."""
+    atoms, cells = _difference(mu, nu)
+    grid = CubeGrid(mu.d, opts, [c for p, _ in atoms for c in p]
+                    + [c for b, _ in cells for iv in b for c in iv])
+    atoms = (grid.columns([p for p, _ in atoms]), [[float(c) for c in w] for _, w in atoms])
+    cells = _Cells([(tuple((grid.scale(lo), grid.scale(hi)) for lo, hi in b), v)
+                    for b, v in cells], grid.D)
+    return grid, atoms, cells
+
+
 def distance(mu: VectorMeasure, nu: VectorMeasure, opts: DistanceOptions = None) -> DistanceBracket:
     """Bracket the dyadic-cube distance between two vector measures.
 
@@ -505,31 +526,41 @@ def distance(mu: VectorMeasure, nu: VectorMeasure, opts: DistanceOptions = None)
     the discarded tail.  The continuum (x, lam) supremum is represented by the
     documented grid (piecewise-constant dependence on x makes a useful
     Lipschitz modulus impossible for atomic measures).
+
+    The grid points are refined best-first: a level sums ||h(Q)|| over a
+    partition of space, so it is at most tv = TV(mu) + TV(nu), and a point
+    whose levels 0..k-1 sum to g ends at most at g + tv (2^{1-k} - 2^{-k_max}).
+    The point with the largest such bound gets its next level, until that
+    bound is below the best complete sum; the points left unfinished provably
+    lie below it.  Each point's sum is still taken level by level, in order,
+    so the bracket, and ``best_point`` (the first maximum in grid order), are
+    those of summing every level of every point.
     """
     if mu.d != nu.d:
         raise ValueError("dimension mismatch")
     opts = opts or DistanceOptions()
     if not (mu.atoms or mu.densities or nu.atoms or nu.densities):
         return DistanceBracket(0.0, 0.0, "empty", opts.k_max)
-    atoms, cells = _difference(mu, nu)
-    grid = CubeGrid(mu.d, opts, [c for p, _ in atoms for c in p]
-                    + [c for b, _ in cells for iv in b for c in iv])
-    atoms = (grid.columns([p for p, _ in atoms]), [[float(c) for c in w] for _, w in atoms])
-    cells = _Cells([(tuple((grid.scale(lo), grid.scale(hi)) for lo, hi in b), v)
-                    for b, v in cells], grid.D)
-    best = 0.0
-    best_pt = None
-    for xs, lam in grid.points:
-        X, sides = grid.levels(xs, lam)
-        g = 0.0
-        for k, S in enumerate(sides):
-            g += _level_sum(atoms, cells, X, S, grid, opts.cube_budget) / 2**k
-        if g > best:
-            best = g
-            best_pt = (xs, lam)
-    tail = (mu.total_variation() + nu.total_variation()) / 2**opts.k_max
+    grid, atoms, cells = _prepare(mu, nu, opts)
+    tv = mu.total_variation() + nu.total_variation()
+    K = opts.k_max
+    # (-bound on the point's final sum, grid index, sum of its levels < k, k);
+    # equal bounds pop in grid order
+    heap = [(-tv * (2 - 2.0**-K), i, 0.0, 0) for i in range(len(grid.points))]
+    best, best_i = 0.0, None
+    # the relative margin covers the rounding of the float sums against tv
+    while heap and -heap[0][0] * (1 + 1e-6) >= best:
+        _, i, g, k = heapq.heappop(heap)
+        X, sides = grid.levels(*grid.points[i])
+        g += _level_sum(atoms, cells, X, sides[k], grid, opts.cube_budget) / 2**k
+        if k < K:
+            heapq.heappush(heap, (-(g + tv * (2.0**-k - 2.0**-K)), i, g, k + 1))
+        elif g > best or 0 < g == best and i < best_i:
+            best, best_i = g, i
+    best_pt = None if best_i is None else grid.points[best_i]
+    tail = tv / 2**K
     desc = f"lambdas={[str(l) for l in opts.lambdas]}, shifts={[str(s) for s in opts.shifts]}"
-    return DistanceBracket(best, best + tail, desc, opts.k_max, best_pt)
+    return DistanceBracket(best, best + tail, desc, K, best_pt)
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +595,12 @@ def to_json(nu: VectorMeasure) -> str:
 
 def _dec(v):
     """A JSON value: a string as its Fraction, a number as it is, except that
-    a non-finite float (``Infinity``, ``NaN``) raises ValueError."""
+    a non-finite float (``Infinity``, ``NaN``) and a boolean, which Python
+    would take for 1 or 0, raise ValueError."""
     if isinstance(v, str):
         return Fraction(v)
+    if isinstance(v, bool):
+        raise ValueError(f"boolean {json.dumps(v)} is not a number")
     if isinstance(v, float) and not isfinite(v):
         raise ValueError(f"non-finite number {v!r}")
     return v

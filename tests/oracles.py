@@ -395,6 +395,26 @@ def overlap_volume(bounds, box):
     return vol
 
 
+def distance_by_exhaustion(mu, nu, opts):
+    """(lower, upper, best_point) of ``measure.distance`` with every level of
+    every grid point summed: the search is re-derived, the level sums are the
+    library's.  The maximum is kept by strict increase in grid order, so
+    best_point is the first maximum, and None when every sum is 0."""
+    from latflow.measure import _level_sum, _prepare
+
+    grid, atoms, cells = _prepare(mu, nu, opts)
+    best, best_pt = 0.0, None
+    for xs, lam in grid.points:
+        X, sides = grid.levels(xs, lam)
+        g = 0.0
+        for k, S in enumerate(sides):
+            g += _level_sum(atoms, cells, X, S, grid, opts.cube_budget) / 2**k
+        if g > best:
+            best, best_pt = g, (xs, lam)
+    tail = (mu.total_variation() + nu.total_variation()) / 2**opts.k_max
+    return best, best + tail, best_pt
+
+
 def cube_face(d, axis, sign) -> tuple:
     """Face of the unit cube [-1/2, 1/2)^d orthogonal to e_axis on side
     ``sign`` (+1/-1)."""

@@ -531,6 +531,24 @@ def test_decompose_stream_file_holding_inf_exits_2(tmp_path):
     assert not (tmp_path / "out" / "paths.json").exists()
 
 
+def test_distance_measure_file_holding_a_boolean_exits_2(tmp_path):
+    # a fresh process, as the console script runs: JSON true is no number,
+    # though Python would add it up as 1
+    (tmp_path / "a.json").write_text('{"d": 2, "atoms": [], "densities": []}')
+    (tmp_path / "b.json").write_text('{"d": 2, "atoms": [{"point": [true, "0"], "weight": [true, "0"]}], "densities": []}')
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"out_dir": str(tmp_path / "out"), "distance": {
+        "measure_a": str(tmp_path / "a.json"), "measure_b": str(tmp_path / "b.json")}}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "latflow.cli", "distance", "--config", str(path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: distance.measure_b: malformed file")
+    assert "boolean true" in proc.stderr
+    assert not (tmp_path / "out" / "distance.json").exists()
+
+
 def test_inexact_yaml_floats_in_rational_fields_exit_2(tmp_path, capsys):
     # 0.3 parses as the double nearest 3/10, which limit_denominator(10**12)
     # used to round to 3/10 without a word

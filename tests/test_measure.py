@@ -457,3 +457,94 @@ def test_bracket_is_bit_identical_to_recorded_values(pair, lower, upper):
     mu, nu, opts = pair()
     br = distance(mu, nu, opts)
     assert (repr(br.lower), repr(br.upper)) == (lower, upper)
+
+
+def _random_atoms(rng, d, count):
+    return tuple(
+        (tuple(Fraction(rng.randint(-8, 8), 8) for _ in range(d)),
+         tuple(Fraction(rng.randint(-8, 8), 8) for _ in range(d)))
+        for _ in range(count))
+
+
+def _touching_pair(rng, corner):
+    # two boxes on the eighths grid, the second starting where the first
+    # ends on axis 0 and, for a corner contact, on axis 1 too; random values
+    lo = [Fraction(rng.randint(-4, 0), 8) for _ in range(2)]
+    hi = [l + Fraction(rng.randint(1, 4), 8) for l in lo]
+    a = ((lo[0], hi[0]), (lo[1], hi[1]))
+    b_lo1 = hi[1] if corner else lo[1] + Fraction(rng.randint(0, 1), 8)
+    b = ((hi[0], hi[0] + Fraction(rng.randint(1, 4), 8)), (b_lo1, b_lo1 + Fraction(rng.randint(1, 4), 8)))
+
+    def value():
+        return tuple(Fraction(rng.choice([k for k in range(-8, 9) if k]), 8) for _ in range(2))
+
+    return VectorMeasure(d=2, densities=((a, value()),)), VectorMeasure(d=2, densities=((b, value()),))
+
+
+def _oracle_pairs():
+    rng = random.Random(11)
+    empty = VectorMeasure(d=2)
+    pairs = []
+    for _ in range(4):
+        pairs.append((VectorMeasure(d=2, atoms=_random_atoms(rng, 2, rng.randint(1, 4))),
+                      VectorMeasure(d=2, atoms=_random_atoms(rng, 2, rng.randint(1, 4)))))
+        pairs.append((random_density_measure(rng, 2, count=3), random_density_measure(rng, 2)))
+        pairs.append(_touching_pair(rng, corner=False))
+        pairs.append(_touching_pair(rng, corner=True))
+        mixed = random_density_measure(rng, 2) + VectorMeasure(d=2, atoms=_random_atoms(rng, 2, 3))
+        pairs.append((mixed, random_density_measure(rng, 2)))
+    mu = random_density_measure(rng, 2)
+    pairs += [(mu, mu), (empty, empty), (mu, empty)]
+    # one atom: every grid point has the same sum at every level, so all of
+    # them tie and best_point is the first grid point
+    one = VectorMeasure(d=2, atoms=(((Fraction(1, 3), Fraction(0)), (Fraction(1), Fraction(-1, 2))),))
+    pairs.append((one, empty))
+    # symmetric under swapping the axes: at the default grid the points
+    # (1/4, 1/2) and (1/2, 1/4) of lambda = 1 tie for the maximum, and the
+    # corner pair ties at 8 points
+    diag = tuple(((Fraction(s, 8), Fraction(s, 8)), (Fraction(s), Fraction(0))) for s in (1, -1))
+    pairs.append((VectorMeasure(d=2, atoms=diag), empty))
+    quarter = ((Fraction(0), Fraction(1, 4)),) * 2
+    pairs.append((VectorMeasure.from_density(quarter, (Fraction(1), Fraction(1))),
+                  VectorMeasure.from_density(((Fraction(1, 4), Fraction(1, 2)),) * 2, (Fraction(-1), Fraction(1)))))
+    return pairs
+
+
+def test_distance_equals_the_exhaustive_oracle_bit_for_bit():
+    from oracles import distance_by_exhaustion
+
+    pairs = _oracle_pairs()
+    for opts in (DistanceOptions(), DistanceOptions(k_max=5, lambdas=(Fraction(3, 2), Fraction(1)))):
+        for mu, nu in pairs:
+            br = distance(mu, nu, opts)
+            assert (br.lower, br.upper, br.best_point) == distance_by_exhaustion(mu, nu, opts)
+        one, empty = pairs[-3]
+        assert distance(one, empty, opts).best_point == ((Fraction(0), Fraction(0)), opts.lambdas[0])
+    diag, empty = pairs[-2]
+    assert distance(diag, empty).best_point == ((Fraction(1, 4), Fraction(1, 2)), Fraction(1))
+
+
+def test_distance_prunes_levels_on_the_lattice_pair(monkeypatch):
+    # the benchmark's lattice pair: the n = 12 constant stream (1, 0) on the
+    # unit square as atoms against its density; summing every level of the
+    # 36 grid points would take 36 * 13 = 468 level sums
+    import latflow.measure
+
+    n = 12
+    atoms = tuple(((Fraction(2 * x + 1, 2 * n), Fraction(y, n)), (Fraction(1, n**2), Fraction(0)))
+                  for x in range(n) for y in range(n))
+    mu = VectorMeasure(d=2, atoms=atoms)
+    nu = VectorMeasure.from_density(((Fraction(0), Fraction(1)),) * 2, (Fraction(1), Fraction(0)))
+    calls = []
+    level_sum = latflow.measure._level_sum
+
+    def counted(atoms, cells, X, S, grid, budget):
+        calls.append((X, S, grid))
+        return level_sum(atoms, cells, X, S, grid, budget)
+
+    monkeypatch.setattr(latflow.measure, "_level_sum", counted)
+    br = distance(mu, nu, DistanceOptions(k_max=12))
+    assert len(calls) <= 468 // 2
+    X, sides = calls[0][2].levels(*br.best_point)
+    assert sorted(S for x, S, _ in calls if x == X and S in sides) == sorted(sides)
+    assert len(sides) == 13

@@ -5,7 +5,6 @@ Exit codes: 0 ok, 2 config error, 3 invariant violation.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -16,7 +15,6 @@ from itertools import product
 import yaml
 
 from . import __version__
-from .geometry import DomainSpec, discretize_domain, frac, unit_box_domain, unit_square_domain
 from .measure import DistanceOptions, distance, from_json
 
 
@@ -67,6 +65,8 @@ def _as_int(v, path, minimum=None, maximum=None):
 def _as_frac(v, path):
     """A value that stays rational, read by ``frac``: a float only when it is
     exactly the decimal written, and never a boolean (YAML true/false)."""
+    from .geometry import frac
+
     if isinstance(v, float) and math.isfinite(v):
         try:
             return frac(v)
@@ -111,6 +111,8 @@ def parse_distribution(cfg, path="dist"):
 
 
 def parse_domain(cfg, path="domain"):
+    from .geometry import DomainSpec, unit_box_domain, unit_square_domain
+
     if isinstance(cfg, str):
         if cfg == "unit_square":
             return unit_square_domain()
@@ -175,6 +177,8 @@ def _write_json(out_dir, name, payload):
 
 
 def _write_csv(path, header, rows):
+    import csv
+
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -209,6 +213,7 @@ def cmd_maxflow(cfg, args):
     n = _as_int(_need(sub, "n", "maxflow"), "maxflow.n", minimum=1)
     dist = parse_distribution(_need(sub, "dist", "maxflow"), "maxflow.dist")
     from .capacities import sample_capacities
+    from .geometry import discretize_domain
     from .maxflow import max_flow
     from .stream import admissibility_report, dump_stream
 
@@ -260,6 +265,7 @@ def cmd_decompose(cfg, args):
     seed, threads, out_dir = _common(cfg, args)
     sub = _need(cfg, "decompose", "config")
     domain = parse_domain(_need(sub, "domain", "decompose"), "decompose.domain")
+    from .geometry import discretize_domain
     from .reconnect import decompose, recompose
     from .stream import load_stream
 
@@ -414,6 +420,8 @@ def cmd_tail(cfg, args):
     lams = [_as_frac(l, "tail.lam") for l in _need_list(sub, "lam", "tail")]
     trials = _as_int(_need(sub, "trials", "tail"), "tail.trials", minimum=1)
     dist = parse_distribution(_need(sub, "dist", "tail"), "tail.dist")
+    from .geometry import discretize_domain
+
     L = discretize_domain(domain, n)
     from .estimate import tail_probability
 

@@ -21,8 +21,9 @@ Z95 = 1.959963984540054  # the two-sided 95% quantile of the standard normal
 # a rate trial's solver stops once this many evaluations in a row have not
 # improved its best value
 STALL_EVALUATIONS = 15
-# rounds of alternating projection (node law, then capacity box) that bring
-# its best iterate close to admissible before the exact polish
+# at most this many rounds of alternating projection (node law, then
+# capacity box) bring its best iterate close to admissible before the exact
+# polish
 SETTLE_ROUNDS = 50
 
 
@@ -470,7 +471,7 @@ def min_distance(tables: CubeDistanceTables, caps, eps, iters=140) -> MinDistanc
     the capacity box, so every value compared is that of such an iterate.
     The loop makes at most ``iters`` evaluations and ends sooner once the
     best value has not improved for ``STALL_EVALUATIONS`` of them.  The best
-    iterate is settled by ``SETTLE_ROUNDS`` alternating projections and
+    iterate is settled by up to ``SETTLE_ROUNDS`` alternating projections and
     polished to exact rational admissibility, so a "holds" verdict is
     certified by an explicit member of S_n(C).  The tables are only read,
     so one object serves every call, on any thread."""
@@ -533,9 +534,7 @@ def min_distance(tables: CubeDistanceTables, caps, eps, iters=140) -> MinDistanc
     # a clipped iterate is off the node law, and the polish below would
     # shrink the whole of its projection back into the box: alternating
     # projections bring it close to admissible first
-    s = best_s
-    for _ in range(SETTLE_ROUNDS):
-        s = np.clip(proj_div(s), -box, box) * active
+    s = _settle(best_s, lambda s: np.clip(proj_div(s), -box, box) * active)
 
     # exact polish: rational projection then uniform shrink into the box
     s = proj_div(s * active)
@@ -559,6 +558,18 @@ def min_distance(tables: CubeDistanceTables, caps, eps, iters=140) -> MinDistanc
     val = tables.certified_upper(f)
     status = "holds" if val <= float(eps) else "unknown"
     return MinDistanceResult(val, f, status, evaluations)
+
+
+def _settle(s, step):
+    """``step`` applied to the array s up to ``SETTLE_ROUNDS`` times.  The
+    rounds end at the first that returns its input bit for bit: ``step`` is
+    a function of its input alone, so every later round would return it too."""
+    for _ in range(SETTLE_ROUNDS):
+        nxt = step(s)
+        if nxt.tobytes() == s.tobytes():
+            break
+        s = nxt
+    return s
 
 
 def constant_target(d, s, v) -> VectorMeasure:

@@ -18,25 +18,64 @@ sum: the bracket and the grid are those of summing every level everywhere.
 
 import heapq
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, product
 from math import isfinite, lcm, prod, sqrt
-
-from .geometry import box_volume
+from operator import add, mul
 
 
 def _norm(vec):
     return sqrt(sum(float(c) * float(c) for c in vec))
 
 
-@dataclass(frozen=True)
-class VectorMeasure:
+class _Record:
+    """A class of records, declared as for ``@dataclass``: its fields are its
+    annotated class attributes, in order, and a value given in the class
+    body is that field's default.  A record is built from its fields by
+    position or by keyword, and equals a record of its own class whose
+    fields are equal.  (``dataclasses`` itself is not imported: it loads
+    ``inspect``, which costs a ``latflow distance`` process more time than
+    the distance of a small pair.)"""
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = tuple(cls.__annotations__)
+        if len(args) > len(names) or not set(kwargs) <= set(names[len(args):]):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+        values = dict(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs[name]
+            elif hasattr(cls, name):
+                values[name] = getattr(cls, name)
+            else:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+        self.__dict__.update(values)
+
+    def _fields(self):
+        return tuple(self.__dict__[name] for name in type(self).__annotations__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(type(self).__annotations__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class VectorMeasure(_Record):
+    """Immutable and hashable, by its fields."""
+
     d: int
     atoms: tuple = ()
     densities: tuple = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         for b, v in self.densities:
             if len(b) != self.d or len(v) != self.d:
                 raise ValueError("density box/value dimension mismatch")
@@ -46,6 +85,15 @@ class VectorMeasure:
                 if _open_overlap(boxes[i], boxes[j]):
                     raise ValueError("density boxes must have disjoint interiors")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._fields())
+
     @classmethod
     def from_density(cls, b, value):
         d = len(b)
@@ -53,7 +101,7 @@ class VectorMeasure:
 
     def total_variation(self):
         tv = sum(_norm(w) for _, w in self.atoms)
-        tv += sum(_norm(v) * float(box_volume(b)) for b, v in self.densities)
+        tv += sum(_norm(v) * float(prod(hi - lo for lo, hi in b)) for b, v in self.densities)
         return tv
 
     def scaled(self, c):
@@ -101,8 +149,7 @@ def restrict(nu: VectorMeasure, b) -> VectorMeasure:
     return VectorMeasure(d=nu.d, atoms=atoms, densities=tuple(densities))
 
 
-@dataclass
-class DistanceBracket:
+class DistanceBracket(_Record):
     lower: float
     upper: float
     grid: str
@@ -114,8 +161,7 @@ class DistanceBracket:
         return self.upper - self.lower
 
 
-@dataclass
-class DistanceOptions:
+class DistanceOptions(_Record):
     """Deterministic evaluation grid for the bracket.  The default is the
     fixed quarter grid (measure-independent).
 
@@ -182,17 +228,18 @@ class CubeGrid:
 
     def __init__(self, d, opts, coords):
         sides = {lam: [Fraction(lam) / 2**k for k in range(opts.k_max + 1)] for lam in opts.lambdas}
-        self.D = lcm(*(Fraction(c).denominator
+        self.D = lcm(*(c.as_integer_ratio()[1]
                        for c in (*coords, *opts.shifts, *chain(*sides.values()))))
         self.sides = {lam: [self.scale(side) for side in ss] for lam, ss in sides.items()}
         self.points = [(xs, lam) for lam in opts.lambdas for xs in product(opts.shifts, repeat=d)]
 
     def scale(self, c):
         """c * D as an int; a c that D does not clear is an error, not truncated."""
-        q = Fraction(c) * self.D
-        if q.denominator != 1:
+        num, den = c.as_integer_ratio()
+        q, r = divmod(num * self.D, den)
+        if r:
             raise ValueError(f"{c} is not a multiple of 1/{self.D}")
-        return q.numerator
+        return q
 
     def levels(self, xs, lam):
         """Scaled shift of the grid point (xs, lam) and scaled side per level."""
@@ -217,30 +264,55 @@ class CubeGrid:
 
     def atom_masses(self, atoms, X, S):
         """cube index -> summed float weight of the atoms it holds, in the
-        order the cubes are first met; ``atoms`` is (``columns``, weights)."""
+        order the cubes are first met; ``atoms`` is (``columns``, weights).
+        A cube's weights are added left to right in atom order from its
+        first atom's weight (a sum from 0.0 would differ only in the sign of
+        a zero, which every use squares away)."""
         cols, weights = atoms
-        zero, out = [0.0] * len(cols), {}
+        groups = {}
         for key, w in zip(self.keys(cols, X, S), weights):
-            out[key] = [a + c for a, c in zip(out.get(key, zero), w)]
-        return out
+            groups.setdefault(key, []).append(w)
+        return {key: [reduce(add, c) for c in zip(*ws)] for key, ws in groups.items()}
 
     def cube_masses(self, X, S, cubes, atom_mass, fboxes, fvals):
         """The float mass of each cube of the list ``cubes`` (its entry of
         ``atom_mass`` plus value * overlap of each density cell), in order,
         and the volume of each cell (``fboxes``, ``fvals``) they cover.  An
         overlap is the product in axis order, from 1.0, of the cube's float
-        bounds clipped to the cell, each found once per (cell, axis, index),
-        and zero at the first segment <= 0."""
+        bounds clipped to the cell, and zero at the first segment <= 0.  On a
+        block of up to four cubes each segment is found where it is used, and
+        a cell is left at its first empty axis; on a larger block each is
+        found once per (cell, axis, index) that a cube uses.  (Timed per call
+        on the bench workloads, the first loop is the faster on every block
+        of up to four cubes, and the second on every 1-cell block of six or
+        more, where indices repeat.)"""
         den = 2 * self.D
+        zero = [0.0] * len(X)
+        covered = [0.0] * len(fboxes)
+        masses = []
+        if len(cubes) <= 4:
+            for key in cubes:
+                mass = atom_mass.get(key, zero)
+                for ci, box in enumerate(fboxes):
+                    vol = 1.0
+                    for z, x, (lo, hi) in zip(key, X, box):
+                        s = (min((2 * x + (2 * z + 1) * S) / den, hi)
+                             - max((2 * x + (2 * z - 1) * S) / den, lo))
+                        if s <= 0:
+                            break
+                        vol *= s
+                    else:
+                        if vol > 0:
+                            covered[ci] += vol
+                            mass = [m + c * vol for m, c in zip(mass, fvals[ci])]
+                masses.append(mass)
+            return masses, covered
         used = [set(col) for col in zip(*cubes)]
         # per cell and axis: index -> positive segment
         segs = [[{z: s for z in zs
                   if (s := min((2 * x + (2 * z + 1) * S) / den, hi)
                       - max((2 * x + (2 * z - 1) * S) / den, lo)) > 0}
                  for zs, x, (lo, hi) in zip(used, X, box)] for box in fboxes]
-        zero = [0.0] * len(X)
-        covered = [0.0] * len(fboxes)
-        masses = []
         for key in cubes:
             mass = atom_mass.get(key, zero)
             for ci, seg_i in enumerate(segs):
@@ -403,7 +475,7 @@ def _level_sum(atoms, cells, X, S, grid, budget):
     strip_covered = [0.0] * len(cells.boxes)
     total = 0.0
     for mass in masses:
-        total += sqrt(sum(c_ * c_ for c_ in mass))
+        total += sqrt(sum(map(mul, mass, mass)))
 
     # strip aggregation, excluding strip cubes that are special: a strip's
     # cubes all have index z_ax on its axis, so only the special cubes on
@@ -419,7 +491,7 @@ def _level_sum(atoms, cells, X, S, grid, budget):
         count = pure_count - inside_special
         if count < 0:
             raise AssertionError("strip accounting underflow")
-        total += count * sqrt(sum(c_ * c_ for c_ in mass))
+        total += count * sqrt(sum(map(mul, mass, mass)))
         strip_covered[i] += count * alpha_a
         strip_covered[k] += count * alpha_b
 

@@ -14,7 +14,9 @@ from latflow.capacities import (
     derive_seed,
     sample_numerators,
 )
+from latflow import estimate
 from latflow.estimate import (
+    SETTLE_ROUNDS,
     STALL_EVALUATIONS,
     CubeDistanceTables,
     CubeSpace,
@@ -467,6 +469,47 @@ def test_min_distance_stops_once_its_best_value_stalls():
     t = float_capacities(tables.space.edges, dist, derive_seed(73186075, 0))
     res = min_distance(tables, [t[e] for e in tables.space.edges], 1.0)
     assert STALL_EVALUATIONS < res.iterations < 140
+
+
+def test_settle_rounds_end_at_the_first_round_that_changes_nothing():
+    calls = []
+
+    def halve(s):
+        calls.append(s)
+        return np.floor(s / 2)
+
+    out = estimate._settle(np.array([8.0, 3.0]), halve)
+    assert out.tolist() == [0.0, 0.0]
+    # 8 -> 4 -> 2 -> 1 -> 0, then the one round that returns its input
+    assert len(calls) == 5
+    # a -0.0 where the input held 0.0 is a change, though the two compare equal
+    calls.clear()
+    estimate._settle(np.array([0.0]), lambda s: calls.append(s) or -s)
+    assert len(calls) == SETTLE_ROUNDS
+
+
+def test_min_distance_settles_to_the_bits_of_every_round(monkeypatch):
+    # at d=2, n=3 most trials reach a fixed point of the settle round well
+    # within SETTLE_ROUNDS; stopping there gives the bits of running them all
+    settle, rounds = estimate._settle, []
+
+    def checked(s, step):
+        calls = []
+        out = settle(s, lambda x: calls.append(x) or step(x))
+        full = s
+        for _ in range(SETTLE_ROUNDS):
+            full = step(full)
+        assert out.tobytes() == full.tobytes()
+        rounds.append(len(calls))
+        return out
+
+    monkeypatch.setattr(estimate, "_settle", checked)
+    dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
+    tables = CubeDistanceTables(CubeSpace(2, 3), constant_target(2, Fraction(1, 2), (1, 0)), DistanceOptions())
+    for trial in range(6):
+        t = float_capacities(tables.space.edges, dist, derive_seed(5, trial))
+        min_distance(tables, [t[e] for e in tables.space.edges], 1.0)
+    assert len(rounds) == 6 and min(rounds) < SETTLE_ROUNDS
 
 
 def _table_case(d, n, kind):

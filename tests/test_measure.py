@@ -7,6 +7,7 @@ import pytest
 
 from latflow.geometry import EdgeId, box_volume, unit_cube
 from latflow.measure import (
+    DistanceBracket,
     DistanceOptions,
     VectorMeasure,
     distance,
@@ -309,6 +310,39 @@ def test_json_round_trip():
     assert back == combined
 
 
+def test_records_keep_their_dataclass_behaviour():
+    # the constructors, defaults, equality and (im)mutability @dataclass gave
+    atom = (((Fraction(1, 4), Fraction(0)), (Fraction(1), Fraction(0))),)
+    mu = VectorMeasure(2, atom)
+    assert mu == VectorMeasure(d=2, atoms=atom) == VectorMeasure(2, atom, ())
+    assert mu != VectorMeasure(2) and mu != (2, atom, ())
+    assert hash(mu) == hash((2, atom, ()))
+    assert repr(VectorMeasure(2)) == "VectorMeasure(d=2, atoms=(), densities=())"
+    with pytest.raises(AttributeError):
+        mu.d = 3
+    with pytest.raises(AttributeError):
+        del mu.atoms
+    for bad in ((), (2, (), (), ()), (2,)):
+        with pytest.raises(TypeError):
+            VectorMeasure(*bad, **({"d": 2} if len(bad) == 1 else {}))
+    with pytest.raises(TypeError):
+        VectorMeasure(d=2, weights=())
+    opts = DistanceOptions()
+    assert (opts.k_max, opts.cube_budget) == (12, 2_000_000)
+    assert opts.lambdas == (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(7, 4))
+    assert opts.shifts == (Fraction(0), Fraction(1, 4), Fraction(1, 2))
+    assert opts == DistanceOptions(k_max=12) != DistanceOptions(k_max=3)
+    opts.k_max = 3  # the options and the bracket stay mutable, so unhashable
+    assert opts == DistanceOptions(3)
+    br = distance(mu, mu, opts)
+    assert br == DistanceBracket(br.lower, br.upper, br.grid, 3, br.best_point)
+    assert br.best_point == DistanceBracket(0.0, 0.0, "", 1).best_point
+    with pytest.raises(TypeError):
+        hash(br)
+    with pytest.raises(TypeError):
+        hash(opts)
+
+
 def test_overlapping_densities_rejected():
     with pytest.raises(ValueError):
         VectorMeasure(
@@ -374,14 +408,17 @@ def test_cube_kernel_matches_the_per_point_oracle():
             # a unit value per box makes each cube's mass its overlap volume
             cubes = sorted(set(keys) | {tuple(z + 1 for z in key) for key in keys})
             for i, box in enumerate(boxes):
-                masses, covered = grid.cube_masses(X, S, cubes, {}, [box], [[1.0] * d])
                 want = [overlap_volume(cube_bounds(grid.D, X, S, key), box) for key in cubes]
-                assert [repr(m) for m in masses] == [repr([v, v]) for v in want]
-                total = 0.0
-                for v in want:
-                    total += v
-                assert repr(covered) == repr([total])
-                if total > 0:
+                # the whole list, and blocks of up to four cubes, which
+                # cube_masses runs through its other loop
+                for block in [slice(None)] + [slice(j, j + 4) for j in range(0, len(cubes), 4)]:
+                    masses, covered = grid.cube_masses(X, S, cubes[block], {}, [box], [[1.0] * d])
+                    assert [repr(m) for m in masses] == [repr([v, v]) for v in want[block]]
+                    total = 0.0
+                    for v in want[block]:
+                        total += v
+                    assert repr(covered) == repr([total])
+                if any(want):
                     met.add(i)
     assert on_face >= 16
     # every box but the degenerate one is met by some cube

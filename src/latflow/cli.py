@@ -152,16 +152,16 @@ def _versions():
     }
 
 
-def _write_manifest(out_dir, subcommand, cfg, seed, mode, threads):
-    """``mode`` and ``threads`` are what the run used: ``mode`` is the
-    arithmetic of its capacity samples, None for a subcommand with none, and
-    ``threads`` is 1 without a trial pool."""
+def _write_manifest(out_dir, subcommand, cfg, seed, mode):
+    """``mode`` is the arithmetic of the run's capacity samples, None for a
+    subcommand with none; ``threads`` is 1, since every run makes its trials
+    one after another in one process."""
     payload = {
         "subcommand": subcommand,
         "config": cfg,
         "seed": seed,
         "mode": mode,
-        "threads": threads,
+        "threads": 1,
         "version": __version__,
         "versions": _versions(),
     }
@@ -195,19 +195,18 @@ def _cell(c):
 
 
 def _common(cfg, args):
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed: expected an integer")
-    threads = args.threads if args.threads is not None else cfg.get("threads", 1)
-    # more workers than cores only adds scheduling overhead
-    threads = min(_as_int(threads, "threads", minimum=1), os.cpu_count() or 1)
+    """The run's seed and output directory.  The thread count, the
+    ``--threads`` flag else the config's ``threads``, is validated only: the
+    trials run one after another whatever it says."""
+    seed = _as_int(cfg.get("seed", 0), "seed")
+    _as_int(args.threads if args.threads is not None else cfg.get("threads", 1), "threads", minimum=1)
     out_dir = args.out_dir or cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    return seed, threads, out_dir
+    return seed, out_dir
 
 
 def cmd_maxflow(cfg, args):
-    seed, threads, out_dir = _common(cfg, args)
+    seed, out_dir = _common(cfg, args)
     sub = _need(cfg, "maxflow", "config")
     domain = parse_domain(_need(sub, "domain", "maxflow"), "maxflow.domain")
     n = _as_int(_need(sub, "n", "maxflow"), "maxflow.n", minimum=1)
@@ -237,7 +236,7 @@ def cmd_maxflow(cfg, args):
         "vertices": len(L.omega),
     }
     _write_json(out_dir, "summary.json", summary)
-    _write_manifest(out_dir, "maxflow", cfg, seed, "exact", 1)
+    _write_manifest(out_dir, "maxflow", cfg, seed, "exact")
     if not duality or not report.admissible:
         print("invariant violation: duality or admissibility failed", file=sys.stderr)
         return 3
@@ -245,7 +244,7 @@ def cmd_maxflow(cfg, args):
 
 
 def cmd_tau(cfg, args):
-    seed, threads, out_dir = _common(cfg, args)
+    seed, out_dir = _common(cfg, args)
     sub = _need(cfg, "tau", "config")
     d = _as_int(sub.get("d", 2), "tau.d", minimum=2)
     side = _as_int(_need(sub, "side", "tau"), "tau.side", minimum=1)
@@ -257,12 +256,12 @@ def cmd_tau(cfg, args):
     tau = straight_tau_sampler(d, side, h, axis, dist)(seed)
     summary = {"tau": float(tau), "side": side, "h": h, "d": d}
     _write_json(out_dir, "tau.json", summary)
-    _write_manifest(out_dir, "tau", cfg, seed, "exact", 1)
+    _write_manifest(out_dir, "tau", cfg, seed, "exact")
     return 0
 
 
 def cmd_decompose(cfg, args):
-    seed, threads, out_dir = _common(cfg, args)
+    seed, out_dir = _common(cfg, args)
     sub = _need(cfg, "decompose", "config")
     domain = parse_domain(_need(sub, "domain", "decompose"), "decompose.domain")
     from .geometry import discretize_domain
@@ -287,7 +286,7 @@ def cmd_decompose(cfg, args):
         "reconstruction_exact": bool(exact),
     }
     _write_json(out_dir, "paths.json", payload)
-    _write_manifest(out_dir, "decompose", cfg, seed, None, 1)
+    _write_manifest(out_dir, "decompose", cfg, seed, None)
     return 0 if exact else 3
 
 
@@ -301,7 +300,7 @@ def _mix_values(sub, key, count=None):
 
 
 def cmd_mix_demo(cfg, args):
-    seed, threads, out_dir = _common(cfg, args)
+    seed, out_dir = _common(cfg, args)
     sub = _need(cfg, "mix_demo", "config")
     kind = sub.get("kind", "mix2d")
     M = _as_frac(sub.get("M", 1), "mix_demo.M")
@@ -332,12 +331,12 @@ def cmd_mix_demo(cfg, args):
         "within_bound": bool(g.max_magnitude() <= M),
     }
     _write_json(out_dir, "mix.json", summary)
-    _write_manifest(out_dir, "mix-demo", cfg, seed, None, 1)
+    _write_manifest(out_dir, "mix-demo", cfg, seed, None)
     return 0 if summary["within_bound"] else 3
 
 
 def cmd_distance(cfg, args):
-    seed, threads, out_dir = _common(cfg, args)
+    seed, out_dir = _common(cfg, args)
     sub = _need(cfg, "distance", "config")
     mu = _read_file(sub, "measure_a", "distance", from_json)
     nu = _read_file(sub, "measure_b", "distance", from_json)
@@ -351,12 +350,12 @@ def cmd_distance(cfg, args):
         "grid": br.grid,
     }
     _write_json(out_dir, "distance.json", payload)
-    _write_manifest(out_dir, "distance", cfg, seed, None, 1)
+    _write_manifest(out_dir, "distance", cfg, seed, None)
     return 0
 
 
 def cmd_rate(cfg, args):
-    seed, threads, out_dir = _common(cfg, args)
+    seed, out_dir = _common(cfg, args)
     sub = _need(cfg, "rate", "config")
     d = _as_int(sub.get("d", 2), "rate.d", minimum=2)
     n = _as_int(_need(sub, "n", "rate"), "rate.n", minimum=1)
@@ -369,7 +368,7 @@ def cmd_rate(cfg, args):
     dist = parse_distribution(_need(sub, "dist", "rate"), "rate.dist")
     from .estimate import estimate_rate
 
-    results = estimate_rate(s, v, eps_list, n, trials, dist, seed, d=d, threads=threads)
+    results = estimate_rate(s, v, eps_list, n, trials, dist, seed, d=d)
     header = ["s"] + [f"v{j+1}" for j in range(d)] + [
         "eps", "n", "trials", "successes", "phat", "lo", "hi", "Ihat", "Ihat_is_bound",
     ]
@@ -382,12 +381,12 @@ def cmd_rate(cfg, args):
             r.i_hat_bound if bound else r.i_hat, int(bound),
         ])
     _write_csv(os.path.join(out_dir, "rate.csv"), header, rows)
-    _write_manifest(out_dir, "rate", cfg, seed, "float", threads)
+    _write_manifest(out_dir, "rate", cfg, seed, "float")
     return 0
 
 
 def cmd_flow_constant(cfg, args):
-    seed, threads, out_dir = _common(cfg, args)
+    seed, out_dir = _common(cfg, args)
     sub = _need(cfg, "flow_constant", "config")
     d = _as_int(sub.get("d", 2), "flow_constant.d", minimum=2)
     axis = _as_int(sub.get("axis", d - 1), "flow_constant.axis", minimum=0, maximum=d - 1)
@@ -403,17 +402,16 @@ def cmd_flow_constant(cfg, args):
         h_of_n = lambda n: h
     from .estimate import estimate_flow_constant
 
-    points = estimate_flow_constant(dist, axis, n_list, h_of_n, trials, seed,
-                                    d=d, threads=threads)
+    points = estimate_flow_constant(dist, axis, n_list, h_of_n, trials, seed, d=d)
     header = ["n", "h", "trials", "mean", "lo", "hi"]
     rows = [[p.n, p.h, p.trials, p.mean, p.ci_lo, p.ci_hi] for p in points]
     _write_csv(os.path.join(out_dir, "nu.csv"), header, rows)
-    _write_manifest(out_dir, "flow-constant", cfg, seed, "exact", threads)
+    _write_manifest(out_dir, "flow-constant", cfg, seed, "exact")
     return 0
 
 
 def cmd_tail(cfg, args):
-    seed, threads, out_dir = _common(cfg, args)
+    seed, out_dir = _common(cfg, args)
     sub = _need(cfg, "tail", "config")
     domain = parse_domain(_need(sub, "domain", "tail"), "tail.domain")
     n = _as_int(_need(sub, "n", "tail"), "tail.n", minimum=1)
@@ -429,14 +427,14 @@ def cmd_tail(cfg, args):
     header = ["lam", "n", "trials", "successes", "phat", "lo", "hi",
               "neglog_per_nd1", "neglog_per_nd"]
     rows = []
-    results = tail_probability(lams, n, trials, dist, seed, L, threads=threads)
+    results = tail_probability(lams, n, trials, dist, seed, L)
     for lam, (p, (lo, hi), successes) in zip(lams, results):
         # p <= 1, so -log p = |log p|, and abs gives 0.0, not -0.0, at p = 1
         neglog = abs(math.log(p)) if p > 0 else float("inf")
         rows.append([lam, n, trials, successes, p, lo, hi,
                      neglog / n ** (d - 1), neglog / n**d])
     _write_csv(os.path.join(out_dir, "tail.csv"), header, rows)
-    _write_manifest(out_dir, "tail", cfg, seed, "exact", threads)
+    _write_manifest(out_dir, "tail", cfg, seed, "exact")
     return 0
 
 

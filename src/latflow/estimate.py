@@ -237,7 +237,7 @@ class CubeDistanceTables:
     every grid point, for any edge vector s of the space, over the cube
     cells of ``_cube_cells``.  Values agree with the bracket's lower + tail
     of ``measure.distance``.  Nothing is written after ``__init__``, so one
-    object may serve many threads.
+    object serves every trial of a run.
 
     Most slots hold exactly one edge midpoint (93-96% of them at d=2, n=3..6
     and at d=3, n=2).  There the residual is ``s_e * scale - b`` on the
@@ -474,7 +474,7 @@ def min_distance(tables: CubeDistanceTables, caps, eps, iters=140) -> MinDistanc
     iterate is settled by up to ``SETTLE_ROUNDS`` alternating projections and
     polished to exact rational admissibility, so a "holds" verdict is
     certified by an explicit member of S_n(C).  The tables are only read,
-    so one object serves every call, on any thread."""
+    so one object serves every call."""
     import numpy as np
 
     space = tables.space
@@ -578,17 +578,12 @@ def constant_target(d, s, v) -> VectorMeasure:
     return VectorMeasure.from_density(unit_cube(d), vec)
 
 
-def _run_trials(fn, trials, threads):
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, range(trials)))
+def _run_trials(fn, trials):
+    """The trial loop: ``fn(trial)`` for each trial index, in order."""
     return [fn(i) for i in range(trials)]
 
 
-def estimate_rate(s, v, eps_list, n, trials, dist: CapacityDistribution, seed,
-                  d=None, threads=1):
+def estimate_rate(s, v, eps_list, n, trials, dist: CapacityDistribution, seed, d=None):
     """Monte Carlo estimates of the elementary rate function at s*v, one
     ``RateEstimate`` per epsilon of ``eps_list``.
 
@@ -603,7 +598,7 @@ def estimate_rate(s, v, eps_list, n, trials, dist: CapacityDistribution, seed,
     if s == 0:
         values = [0.0] * trials  # the zero stream certifies the event at any eps
     else:
-        # built once: every trial, on any thread, reads the same tables
+        # built once: every trial reads the same tables
         tables = CubeDistanceTables(CubeSpace(d, n), target, DistanceOptions())
         hasher = EdgeHasher(tables.space.edges)
 
@@ -611,7 +606,7 @@ def estimate_rate(s, v, eps_list, n, trials, dist: CapacityDistribution, seed,
             nums, D = sample_numerators(hasher, dist, derive_seed(seed, trial))
             return min_distance(tables, [x / D for x in nums], eps_list[-1]).value
 
-        values = _run_trials(one, trials, threads)
+        values = _run_trials(one, trials)
     out = []
     for e in eps_list:
         successes = sum(1 for val in values if val <= float(e))
@@ -649,25 +644,25 @@ class FlowConstantPoint:
         return cls(n, h, len(vals), tuple(ratios), m, m - half, m + half)
 
 
+def _network_sampler(network, dist: CapacityDistribution):
+    """seed -> the exact max-flow value of ``network`` for one capacity
+    sample.  The hasher of the network's edges is built once, when the
+    sampler is made; a call samples those edges only, as integer numerators
+    over one denominator, and solves them."""
+    hasher = EdgeHasher(network.edges)
+    return lambda seed: network.sample_value(*sample_numerators(hasher, dist, seed))
+
+
 def straight_tau_sampler(d, side, h, axis, dist: CapacityDistribution):
     """seed -> the exact tau(A, h) for one capacity sample on the two-sided
-    straight cylinder over A = straight_base(d, side, axis), at scale 1.  The
-    network and the hasher of its edges are built once, when the sampler is
-    made; a call samples the network's edges only, as integer numerators
-    over one denominator, and solves them."""
+    straight cylinder over A = straight_base(d, side, axis), at scale 1; the
+    network is built once, when the sampler is made."""
     from .maxflow import tau_network
 
-    network = tau_network(straight_base(d, side, axis), h)
-    hasher = EdgeHasher(network.edges)
-
-    def tau(seed):
-        return network.sample_value(*sample_numerators(hasher, dist, seed))
-
-    return tau
+    return _network_sampler(tau_network(straight_base(d, side, axis), h), dist)
 
 
-def estimate_flow_constant(dist: CapacityDistribution, axis, n_list, h_of_n,
-                           trials, seed, d=2, threads=1):
+def estimate_flow_constant(dist: CapacityDistribution, axis, n_list, h_of_n, trials, seed, d=2):
     """Per-n estimates of tau(nA, h(n)) / (n^{d-1} H^{d-1}(A)) for the straight
     unit hyperrectangle A: each ratio is exact until the mean rounds it."""
     out = []
@@ -675,33 +670,25 @@ def estimate_flow_constant(dist: CapacityDistribution, axis, n_list, h_of_n,
         h = h_of_n(n)
         tau = straight_tau_sampler(d, n, h, axis, dist)
 
-        def one(trial, n=n, tau=tau):
+        def one(trial):
             return Fraction(tau(derive_seed(seed, n, trial)), n ** (d - 1))
 
-        ratios = _run_trials(one, trials, threads)
-        out.append(FlowConstantPoint.from_ratios(n, h, ratios))
+        out.append(FlowConstantPoint.from_ratios(n, h, _run_trials(one, trials)))
     return out
 
 
-def tail_probability(lams, n, trials, dist: CapacityDistribution, seed, L, threads=1):
+def tail_probability(lams, n, trials, dist: CapacityDistribution, seed, L):
     """P(phi_n >= lam n^{d-1}) for every lam of the sequence, estimated over
     independent capacity samples: one (p, (lo, hi), successes) per lam.
 
     Each trial is solved once, exactly, and its flow value compared against
     every exact threshold lam n^{d-1}, a tie counting as a success, so the
     counts are nested by construction.  One network and one hasher of its
-    edges serve every trial, on any thread; a trial samples the network's
-    edges only."""
+    edges serve every trial; a trial samples the network's edges only."""
     from .maxflow import FlowNetwork
 
-    network = FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2)
-    hasher = EdgeHasher(network.edges)
-
-    def one(trial):
-        nums, D = sample_numerators(hasher, dist, derive_seed(seed, trial))
-        return network.sample_value(nums, D)
-
-    values = _run_trials(one, trials, threads)
+    sample = _network_sampler(FlowNetwork(L.d, L.n, L.omega, L.active_edges, L.gamma1, L.gamma2), dist)
+    values = _run_trials(lambda trial: sample(derive_seed(seed, trial)), trials)
     out = []
     for lam in lams:
         threshold = Fraction(lam) * n ** (L.d - 1)  # a float lam as the dyadic it is

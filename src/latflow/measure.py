@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, product
-from math import isfinite, lcm, prod, sqrt
+from math import lcm, prod, sqrt
 from operator import add, mul
 
 
@@ -666,20 +666,26 @@ def to_json(nu: VectorMeasure) -> str:
 
 
 def _dec(v):
-    """A JSON value: a string as its Fraction, a number as it is, except that
-    a non-finite float (``Infinity``, ``NaN``) and a boolean, which Python
-    would take for 1 or 0, raise ValueError."""
+    """A JSON value: a string as its Fraction, a number (an int, or the
+    Fraction ``from_json`` reads) as it is, except that a boolean, which
+    Python would take for 1 or 0, raises ValueError."""
     if isinstance(v, str):
         return Fraction(v)
     if isinstance(v, bool):
         raise ValueError(f"boolean {json.dumps(v)} is not a number")
-    if isinstance(v, float) and not isfinite(v):
-        raise ValueError(f"non-finite number {v!r}")
     return v
 
 
+def _no_constant(name):
+    raise ValueError(f"non-finite number {name}")
+
+
 def from_json(text) -> VectorMeasure:
-    obj = json.loads(text)
+    """The measure of ``to_json``'s text.  A JSON number with a fraction or
+    an exponent is read as the exact Fraction of the decimal written (``0.3``
+    is 3/10, as in a stream file), and ``Infinity`` or ``NaN`` raises
+    ValueError."""
+    obj = json.loads(text, parse_float=Fraction, parse_constant=_no_constant)
     atoms = tuple(
         (tuple(_dec(c) for c in a["point"]), tuple(_dec(c) for c in a["weight"]))
         for a in obj["atoms"]

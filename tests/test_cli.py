@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import json
 import math
@@ -11,7 +10,6 @@ import pytest
 import yaml
 
 import latflow.maxflow
-from latflow import cli
 from latflow.capacities import CapacityDistribution, sample_capacities
 from latflow.cli import main
 from latflow.geometry import discretize_domain, unit_square_domain
@@ -271,7 +269,8 @@ def test_manifest_records_the_mode_and_threads_that_ran(tmp_path):
     assert run_cli(tmp_path, "rate", cfg, "--threads", "2") == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["mode"] == "float"
-    assert manifest["threads"] == min(2, os.cpu_count() or 1)
+    # the trials ran one after another, whatever --threads said
+    assert manifest["threads"] == 1
     assert manifest["config"]["mode"] == "exact"
     # tail always solves its trials exactly
     out = tmp_path / "tail"
@@ -452,22 +451,34 @@ def test_bad_thread_counts_exit_2(tmp_path):
     assert not (tmp_path / "out" / "tail.csv").exists()
 
 
-def test_thread_count_is_capped_at_the_core_count(tmp_path, monkeypatch):
-    # resolution only: no pool is started here
-    cores = os.cpu_count() or 1
-    huge = 10**6
+def test_a_thread_count_runs_the_trials_in_one_thread(tmp_path):
+    # a fresh process, whose modules the test process has not loaded: the
+    # flag and the config ask for 8 threads, and the trials run one after
+    # another all the same, with no thread pool loaded
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"threads": 8, "out_dir": str(out), "tail": TINY["tail"]}))
+    rc, *loaded = _latflow_modules_after(
+        "import sys; from latflow.cli import main; print(main(sys.argv[1:]))",
+        "tail", "--config", str(path), "--threads", "8", also=("concurrent.futures",))
+    assert rc == "0"
+    assert "concurrent.futures" not in loaded
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["threads"] == 1 and manifest["config"]["threads"] == 8
 
-    def resolved(cfg, flag=None):
-        args = argparse.Namespace(threads=flag, out_dir=str(tmp_path))
-        return cli._common(cfg, args)[1]
 
-    assert resolved({}, flag=huge) == cores
-    assert resolved({"threads": huge}) == cores
-    assert resolved({}, flag=1) == 1
-    assert resolved({"threads": huge}, flag=1) == 1
-    # the flag and the config set the count, and no environment variable does
-    monkeypatch.setenv("LATFLOW_THREADS", str(huge))
-    assert resolved({"threads": 1}) == 1
+def test_boolean_seed_exits_2(tmp_path):
+    # a fresh process, as the console script runs: YAML true is no integer,
+    # though Python would take it for the seed 1
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"seed": True, "out_dir": str(tmp_path / "out"), "tail": TINY["tail"]}))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "latflow.cli", "tail", "--config", str(path)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: seed: expected an integer")
+    assert not (tmp_path / "out" / "tail.csv").exists()
 
 
 def test_unreadable_or_malformed_input_files_exit_2(tmp_path, capsys):
@@ -488,6 +499,7 @@ def test_unreadable_or_malformed_input_files_exit_2(tmp_path, capsys):
         # placement, and a NaN weight would make every bound NaN
         "inf_point.json": '{"d": 2, "atoms": [{"point": [Infinity, "0"], "weight": ["1", "0"]}], "densities": []}',
         "nan_weight.json": '{"d": 2, "atoms": [{"point": ["0", "0"], "weight": [NaN, "0"]}], "densities": []}',
+        "neg_inf_weight.json": '{"d": 2, "atoms": [{"point": ["0", "0"], "weight": [-Infinity, "0"]}], "densities": []}',
     }
     for name, text in bad.items():
         (tmp_path / name).write_text(text)
@@ -498,6 +510,7 @@ def test_unreadable_or_malformed_input_files_exit_2(tmp_path, capsys):
         ("distance", "measure_b", str(tmp_path / "bad_point.json")),
         ("distance", "measure_b", str(tmp_path / "inf_point.json")),
         ("distance", "measure_a", str(tmp_path / "nan_weight.json")),
+        ("distance", "measure_b", str(tmp_path / "neg_inf_weight.json")),
         ("distance", "measure_a", str(tmp_path)),
         ("distance", "measure_a", 5),
         ("decompose", "stream", str(tmp_path / "missing.txt")),

@@ -334,26 +334,13 @@ def test_one_edge_hasher_per_network(monkeypatch):
 
     monkeypatch.setattr(latflow.estimate, "EdgeHasher", Counting)
     dist = CapacityDistribution.uniform(0, 1)
-    for trials, threads in ((1, 1), (6, 1), (6, 3)):
+    for trials in (1, 6):
         built.clear()
-        estimate_flow_constant(dist, 1, [2, 3, 4], lambda n: n, trials=trials, seed=1, d=2, threads=threads)
+        estimate_flow_constant(dist, 1, [2, 3, 4], lambda n: n, trials=trials, seed=1, d=2)
         assert len(built) == 3
         built.clear()
-        tail_probability([0, 1], 3, trials, dist, seed=2, L=discretize_domain(unit_square_domain(), 3),
-                         threads=threads)
+        tail_probability([0, 1], 3, trials, dist, seed=2, L=discretize_domain(unit_square_domain(), 3))
         assert len(built) == 1
-
-
-def test_determinism_across_threads():
-    dist = CapacityDistribution.bernoulli(0, 1, Fraction(1, 2))
-    a = estimate_rate(Fraction(1, 2), (1, 0), [0.5], 2, 24, dist, seed=7, threads=1)
-    b = estimate_rate(Fraction(1, 2), (1, 0), [0.5], 2, 24, dist, seed=7, threads=8)
-    assert a == b
-    fa = estimate_flow_constant(CapacityDistribution.uniform(0, 1), 1, [3],
-                                lambda n: 3, trials=12, seed=8, d=2, threads=1)
-    fb = estimate_flow_constant(CapacityDistribution.uniform(0, 1), 1, [3],
-                                lambda n: 3, trials=12, seed=8, d=2, threads=8)
-    assert fa == fb
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -310,6 +310,31 @@ def test_json_round_trip():
     assert back == combined
 
 
+def test_json_decimal_number_reads_as_the_decimal_written():
+    # JSON 0.3 is 3/10, as "3/10" is: read as the double nearest 3/10, the
+    # difference 0.3 - 1/10 of the two atoms rounded to 0.19999999999999998
+    a = '{"d": 2, "atoms": [{"point": ["1/4", "3/8"], "weight": [%s, "0"]}], "densities": []}'
+    b = from_json('{"d": 2, "atoms": [{"point": ["1/4", "3/8"], "weight": ["1/10", "0"]}], "densities": []}')
+    assert from_json(a % "0.3") == from_json(a % '"3/10"')
+    opts = DistanceOptions(k_max=6)
+    brackets = [distance(from_json(a % w), b, opts) for w in ("0.3", '"3/10"', "3e-1")]
+    assert {(repr(br.lower), repr(br.upper)) for br in brackets} == {("0.39687500000000003", "0.403125")}
+
+
+@pytest.mark.parametrize("weights, lower, upper", [
+    ((1, 2, 3), "1.1998535156250003", "1.2000000000000004"),
+    ((3, 2, 1), "1.1998535156249999", "1.2"),
+])
+def test_bracket_adds_a_cubes_atom_weights_in_atom_order(weights, lower, upper):
+    # three atoms that share a cube down to side 1/64: in floats
+    # 0.1 + 0.2 + 0.3 = 0.6000000000000001 but 0.3 + 0.2 + 0.1 = 0.6, so the
+    # bracket's last bits show the order the weights of a cube are added in
+    F = Fraction
+    atoms = tuple(((F(x, 64), F(1, 64)), (F(w, 10), F(0))) for x, w in zip((1, 2, 3), weights))
+    br = distance(VectorMeasure(d=2, atoms=atoms), VectorMeasure(d=2))
+    assert (repr(br.lower), repr(br.upper)) == (lower, upper)
+
+
 def test_records_keep_their_dataclass_behaviour():
     # the constructors, defaults, equality and (im)mutability @dataclass gave
     atom = (((Fraction(1, 4), Fraction(0)), (Fraction(1), Fraction(0))),)

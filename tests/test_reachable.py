@@ -25,10 +25,6 @@ ALLOWED_PARAMETERS = {
     # ROADMAP item 1 pins test_min_distance_reports_the_evaluations_it_made
     # at iters=25
     ("min_distance", "iters"),
-    # the trial function of estimate_flow_constant binds the loop's values
-    # when it is defined; _run_trials calls it with the trial index only
-    ("one", "n"),
-    ("one", "tau"),
 }
 
 
